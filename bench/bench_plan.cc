@@ -221,7 +221,7 @@ BENCHMARK(BM_PlanCompile)
 
 // The verifier's cost contract (DESIGN.md §15), enforced before the timed
 // runs like the zero-alloc gate below:
-//   (a) in the default compile mode, a steady-state request performs ZERO
+//   (a) a steady-state request performs ZERO
 //       verifier work — counted exactly via ForwardPlanner::verifies(),
 //       not timed;
 //   (b) the one-time verification pass adds <10% to the plan compile —
@@ -234,7 +234,6 @@ bool PlanVerifyGate() {
   const data::Sample sample = BenchSample(config, 32);
 
   core::ForwardPlanner planner(model);
-  planner.SetVerifyModeForTest(nn::plan::VerifyMode::kCompile);
   core::PlanScratch scratch;
   if (!planner.EncodeInto(sample, &scratch)) {
     std::fprintf(stderr, "plan-verify gate: plan compile failed\n");

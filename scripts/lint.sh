@@ -7,9 +7,9 @@
 # Two passes:
 #
 #   1. tools/adamove_lint — the compiled repo invariant linter. It owns the
-#      nine per-line rules this script used to express as grep pipelines
+#      eight per-line rules this script used to express as grep pipelines
 #      (raw-mutex, naked-new, rand, raw-write, session-store-construction,
-#      raw-intrinsics-x86/-neon, plan-executor-alloc, todo-label — see
+#      raw-intrinsics-x86, plan-executor-alloc, todo-label — see
 #      tools/adamove_lint/lint.h for each rule's rationale), running them
 #      over a real comment- and string-literal-aware tokenizer with per-rule
 #      NOLINT(rule) scoping, plus the cross-registry checks no grep can do:

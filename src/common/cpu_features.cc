@@ -21,17 +21,8 @@ bool CpuHasFma() { return false; }
 
 #endif
 
-bool CpuHasNeon() {
-#if defined(__aarch64__) || defined(__ARM_NEON)
-  return true;
-#else
-  return false;
-#endif
-}
-
 std::string CpuFeatureString() {
   if (CpuHasAvx2()) return CpuHasFma() ? "avx2+fma" : "avx2";
-  if (CpuHasNeon()) return "neon";
   return "baseline";
 }
 

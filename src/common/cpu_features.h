@@ -17,12 +17,8 @@ bool CpuHasAvx2();
 /// True when the host CPU executes FMA3 instructions (x86 only).
 bool CpuHasFma();
 
-/// True when this binary targets AArch64/NEON (NEON is architecturally
-/// mandatory there, so this is a compile-time fact, not a CPUID probe).
-bool CpuHasNeon();
-
 /// Human-readable summary of the vector features relevant to the kernel
-/// backends, e.g. "avx2+fma", "avx2", "neon" or "baseline". Stable enough
+/// backends, e.g. "avx2+fma", "avx2" or "baseline". Stable enough
 /// to embed in benchmark context blocks.
 std::string CpuFeatureString();
 

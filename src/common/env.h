@@ -23,7 +23,7 @@ inline int EnvInt(const char* name, int fallback) {
   return static_cast<int>(EnvDouble(name, static_cast<double>(fallback)));
 }
 
-/// Reads a string-valued environment override (e.g. ADAMOVE_FORWARD);
+/// Reads a string-valued environment override (e.g. ADAMOVE_ADAPT_MODE);
 /// returns `fallback` when unset or empty.
 inline std::string EnvString(const char* name, const char* fallback) {
   const char* v = std::getenv(name);

@@ -58,8 +58,8 @@ bool EvaluateSlow(const char* point);
 /// Catalogue of instrumented points (see DESIGN.md §9):
 ///   core.kb.ingest        OnlineAdapter::Observe — pattern dropped
 ///   core.kb.lookup        OnlineAdapter::Predict — frozen-only scores
-///   serve.session_lookup  SessionStore::ObserveAndPredictEncoded — state
-///                         unavailable, base-model fallback
+///   serve.session_lookup  SessionStore::BatchObserveAndPredictEncoded —
+///                         state unavailable, base-model fallback
 ///   core.state_hydrate    SessionStore cold-tier rehydration blocked —
 ///                         state unavailable, base-model fallback, neither
 ///                         tier mutated
@@ -67,9 +67,6 @@ bool EvaluateSlow(const char* point);
 ///                         to a fallback group frozen-only (kDegraded)
 ///   serve.ptta_generate   pattern generation skipped — stale-KB prediction
 ///   serve.encode_forward  encoder forward fails — bounded retry
-///   serve.plan_execute    static-plan execute fails — bit-identical graph
-///                         fallback (request stays kOk; plan_fallbacks
-///                         ticks)
 ///   serve.batch_flush     whole batch degrades to the base model
 ///   serve.adapt_schedule  elastic scheduler misfire — the batch is forced
 ///                         into deferred adaptation regardless of pressure

@@ -1,36 +1,33 @@
 #include "core/forward_plan.h"
 
 #include <cstdio>
-#include <string>
 
 #include "common/check.h"
-#include "common/env.h"
 #include "nn/plan/encoder_trace.h"
 
 namespace adamove::core {
 
-ForwardMode ForwardModeFromEnv() {
-  const std::string mode = common::EnvString("ADAMOVE_FORWARD", "graph");
-  if (mode == "plan") return ForwardMode::kPlan;
-  return ForwardMode::kGraph;
-}
+ForwardMode ForwardModeFromEnv() { return ForwardMode::kPlan; }
 
-ForwardPlanner::ForwardPlanner(const AdaptableModel& model)
-    : verify_mode_(nn::plan::PlanVerifyModeFromEnv()) {
+ForwardPlanner::ForwardPlanner(const AdaptableModel& model) {
   const TrajectoryEncoder* encoder = model.trajectory_encoder();
   if (encoder == nullptr) return;
   embedding_ = &encoder->embedding();
-  seq_ = &encoder->seq();
   // Table order must match PointEmbedding::Forward's ConcatCols order —
   // the gathers write the same column ranges the graph concat produces.
   tables_ = {&embedding_->location_embedding(), &embedding_->time_embedding(),
              &embedding_->user_embedding()};
+  // The tracer's weight walk and its op walk recognise the same encoder
+  // families, so an empty walk means no sequence length will ever compile
+  // (the transformer): leave seq_ null and let the graph walk serve.
+  if (!nn::plan::EncoderWeightPointers(tables_, encoder->seq()).empty()) {
+    seq_ = &encoder->seq();
+  }
 }
 
 std::shared_ptr<const nn::plan::CompiledPlan> ForwardPlanner::PlanFor(
     int64_t t) {
   common::MutexLock lock(mu_);
-  if (untraceable_) return nullptr;
   if (rejected_.count(t) != 0) return nullptr;  // verified bad for these
                                                 // weights; graph serves
   auto it = plans_.find(t);
@@ -60,29 +57,21 @@ std::shared_ptr<const nn::plan::CompiledPlan> ForwardPlanner::PlanFor(
     rejected_.clear();
   }
   auto plan = nn::plan::CompileEncoderForward(tables_, *seq_, t);
-  if (plan == nullptr) {
-    // Compile failure is a property of the encoder family (e.g.
-    // transformer), not of this sequence length — remember it so steady
-    // state is a single flag check instead of a re-trace per request.
-    untraceable_ = true;
+  ADAMOVE_CHECK(plan != nullptr);  // the constructor vetted the family
+  ++verifies_;
+  nn::plan::VerifyResult check = nn::plan::VerifyPlan(*plan);
+  if (!check.ok) {
+    // An unverifiable plan never executes: raw-pointer interpretation of a
+    // plan with a bad offset or lifetime is silent memory corruption. The
+    // graph walk is bit-identical, so correctness is preserved and only the
+    // zero-alloc property is lost for this sequence length.
+    ++verify_rejects_;
+    std::fprintf(stderr,
+                 "adamove: plan verifier rejected compiled plan "
+                 "(seq_len=%lld): %s — serving the graph walk\n",
+                 static_cast<long long>(t), check.message.c_str());
+    rejected_.insert(t);
     return nullptr;
-  }
-  if (verify_mode_ != nn::plan::VerifyMode::kOff) {
-    ++verifies_;
-    nn::plan::VerifyResult check = nn::plan::VerifyPlan(*plan);
-    if (!check.ok) {
-      // An unverifiable plan never executes: raw-pointer interpretation of
-      // a plan with a bad offset or lifetime is silent memory corruption.
-      // The graph walk is bit-identical, so correctness is preserved and
-      // only the zero-alloc property is lost for this sequence length.
-      ++verify_rejects_;
-      std::fprintf(stderr,
-                   "adamove: plan verifier rejected compiled plan "
-                   "(seq_len=%lld): %s — serving the graph walk\n",
-                   static_cast<long long>(t), check.message.c_str());
-      rejected_.insert(t);
-      return nullptr;
-    }
   }
   ++compiles_;
   plans_[t] = plan;
@@ -117,7 +106,6 @@ void ForwardPlanner::InvalidateAll() {
   common::MutexLock lock(mu_);
   plans_.clear();
   rejected_.clear();
-  untraceable_ = false;
 }
 
 int64_t ForwardPlanner::compiles() const {

@@ -17,15 +17,18 @@
 
 namespace adamove::core {
 
-/// Which encode path serves inference (DESIGN.md §14):
-///  - kGraph: walk the autograd graph per request (the bit-identical
-///    reference; allocates TensorImpl nodes per op);
-///  - kPlan: execute a compiled static forward plan (same arithmetic, zero
-///    heap allocations per request).
+/// Which encode route inference takes (DESIGN.md §14). Not configurable:
+/// ForwardPlanner::traceable() decides it from the model itself.
+///  - kPlan: execute a compiled, verified static forward plan (zero heap
+///    allocations per request) — every RNN/LSTM/GRU encoder, stacked or not;
+///  - kGraph: walk the autograd graph — encoder families the tracer cannot
+///    compile (the Transformer) and models without a trajectory encoder.
 enum class ForwardMode : uint8_t { kGraph, kPlan };
 
-/// Reads ADAMOVE_FORWARD (``graph`` | ``plan``; default graph). Unknown
-/// values fall back to graph — the reference path is always safe.
+/// Always kPlan; reads no environment variable. A leftover for the frozen
+/// benchmark, which prints it as a header line — removed at the next
+/// benchmark revision. The route a model actually takes is
+/// ForwardPlanner::traceable() (PredictionService::forward_mode()).
 ForwardMode ForwardModeFromEnv();
 
 /// Per-thread (or per-serving-worker) mutable state for plan execution.
@@ -57,26 +60,24 @@ struct PlanScratch {
 /// verifier (nn/plan/verifier.h) before it may serve — once per compile,
 /// zero per-request cost. A rejected plan is never cached or executed; the
 /// sequence length is remembered as rejected (until weights change or
-/// InvalidateAll) and callers fall back to the graph walk, with
-/// verify_rejects() feeding ServiceStats::plan_verify_rejects.
-/// ADAMOVE_PLAN_VERIFY picks the mode: `off`, `compile` (default), or
-/// `paranoid` — the latter re-verifies the cached plan on every
-/// weight-pointer revalidation, a corruption-hunting mode that puts the
-/// verifier's cost (and allocations) on the request path.
+/// InvalidateAll), EncodeInto declines it so the caller walks the graph, and
+/// verify_rejects() feeds ServiceStats::plan_verify_rejects. A rejection is
+/// a compiler bug (DESIGN.md §15) and is also reported on stderr.
 class ForwardPlanner {
  public:
   explicit ForwardPlanner(const AdaptableModel& model);
 
-  /// Whether the model exposed a trajectory encoder to trace. (A traceable
-  /// model can still fail to compile — e.g. a transformer sequence layer —
-  /// in which case EncodeInto returns false and callers use graph mode.)
+  /// Whether inference runs plans for this model: it has a trajectory
+  /// encoder and the tracer compiles its family (RNN/LSTM/GRU, stacked or
+  /// not). Fixed at construction; false means the graph walk serves every
+  /// request.
   bool traceable() const { return seq_ != nullptr; }
 
   /// Encodes sample.recent through the compiled plan into scratch->reps
   /// ({scratch->rows, scratch->cols}, row k = prefix representation h_k).
-  /// Returns false when no plan is available (untraceable model or encoder
-  /// family); the caller falls back to the graph path. Bit-identical to
-  /// graph-mode PrefixRepresentations under every backend.
+  /// Returns false when no plan serves this request (untraceable model, or a
+  /// sequence length the verifier rejected); the caller walks the graph
+  /// instead. Bit-identical to the graph walk under every backend.
   bool EncodeInto(const data::Sample& sample, PlanScratch* scratch);
 
   /// Drops every cached plan. Call after a checkpoint hot-swap; the next
@@ -87,23 +88,25 @@ class ForwardPlanner {
   /// after invalidation) — a test/diagnostic counter.
   int64_t compiles() const;
 
-  /// Verifier runs so far. In kCompile mode this tracks compiles() (one
-  /// verification per accepted compile); steady-state cache hits add
-  /// nothing — the "0 ns per request" half of the bench gate.
+  /// Verifier runs so far. By default this tracks compiles() (one
+  /// verification per compile); steady-state cache hits add nothing — the
+  /// "0 ns per request" half of the bench gate.
   int64_t verifies() const;
 
-  /// Plans the verifier rejected (each followed by a graph fallback).
+  /// Plans the verifier rejected (each length then walks the graph).
   int64_t verify_rejects() const;
 
-  /// Overrides the ADAMOVE_PLAN_VERIFY mode read at construction. Test
-  /// hook; also drops cached rejection verdicts so the new mode applies.
+  /// Switches verification between kCompile (the default) and kParanoid,
+  /// which re-verifies the cached plan on every use. Test hook; also drops
+  /// cached rejection verdicts so the new mode applies.
   void SetVerifyModeForTest(nn::plan::VerifyMode mode);
 
  private:
   std::shared_ptr<const nn::plan::CompiledPlan> PlanFor(int64_t t);
 
   // Borrowed component pointers (stable: they are unique_ptr members of
-  // the model); null when the model has no trajectory encoder.
+  // the model); seq_ is null when the model has no trajectory encoder or
+  // the tracer cannot compile its family.
   const PointEmbedding* embedding_ = nullptr;
   const nn::SequenceEncoder* seq_ = nullptr;
   std::vector<const nn::Embedding*> tables_;
@@ -114,8 +117,8 @@ class ForwardPlanner {
   int64_t compiles_ ADAMOVE_GUARDED_BY(mu_) = 0;
   int64_t verifies_ ADAMOVE_GUARDED_BY(mu_) = 0;
   int64_t verify_rejects_ ADAMOVE_GUARDED_BY(mu_) = 0;
-  bool untraceable_ ADAMOVE_GUARDED_BY(mu_) = false;
-  nn::plan::VerifyMode verify_mode_ ADAMOVE_GUARDED_BY(mu_);
+  nn::plan::VerifyMode verify_mode_ ADAMOVE_GUARDED_BY(mu_) =
+      nn::plan::VerifyMode::kCompile;
   // Sequence lengths whose compiled plan failed verification for the
   // current weights: steady state pays one set lookup instead of a
   // recompile-and-reject per request. Cleared when weights move or on

@@ -21,7 +21,6 @@ LightMob::LightMob(const ModelConfig& config, std::string name)
     hist_attn_ = std::make_unique<HistoryAttention>(config.hidden_size, rng);
     RegisterModule("hist_attn", hist_attn_.get());
   }
-  forward_mode_ = ForwardModeFromEnv();
   planner_ = std::make_unique<ForwardPlanner>(*this);
 }
 
@@ -76,19 +75,17 @@ std::vector<float> LightMob::Scores(const data::Sample& sample) {
 }
 
 nn::Tensor LightMob::PrefixRepresentations(const data::Sample& sample) {
-  if (forward_mode_ == ForwardMode::kPlan) {
-    // One scratch per thread: evaluator loops and serving workers reuse its
-    // arena/capacity, so steady-state plan encodes allocate only this
-    // wrapping Tensor. The zero-alloc serving path (PredictionService)
-    // consumes the scratch buffer directly instead.
-    thread_local PlanScratch scratch;
-    if (planner_->EncodeInto(sample, &scratch)) {
-      nn::Tensor reps = nn::Tensor::Zeros({scratch.rows, scratch.cols});
-      std::copy_n(scratch.reps.data(),
-                  static_cast<size_t>(scratch.rows * scratch.cols),
-                  reps.data().begin());
-      return reps;
-    }
+  // One scratch per thread: evaluator loops reuse its arena/capacity, so
+  // steady-state plan encodes allocate only this wrapping Tensor. The
+  // zero-alloc serving path (PredictionService) consumes the scratch buffer
+  // directly instead.
+  thread_local PlanScratch scratch;
+  if (planner_->EncodeInto(sample, &scratch)) {
+    nn::Tensor reps = nn::Tensor::Zeros({scratch.rows, scratch.cols});
+    std::copy_n(scratch.reps.data(),
+                static_cast<size_t>(scratch.rows * scratch.cols),
+                reps.data().begin());
+    return reps;
   }
   nn::NoGradGuard no_grad;
   return encoder_->Forward(sample.recent, /*training=*/false);

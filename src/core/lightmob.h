@@ -44,10 +44,9 @@ class LightMob : public AdaptableModel {
   TrajectoryEncoder& encoder() { return *encoder_; }
   const ModelConfig& config() const { return config_; }
 
-  /// Static-plan hooks: PrefixRepresentations consults ADAMOVE_FORWARD and,
-  /// in plan mode, encodes through a compiled plan (bit-identical to the
-  /// graph walk); the exposed encoder is also the serving layer's
-  /// forced-graph reference path.
+  /// Static-plan hook: PrefixRepresentations encodes through a compiled plan
+  /// whenever ForwardPlanner can build one for this encoder (bit-identical to
+  /// the graph walk), and walks the graph otherwise.
   const TrajectoryEncoder* trajectory_encoder() const override {
     return encoder_.get();
   }
@@ -67,9 +66,7 @@ class LightMob : public AdaptableModel {
   std::unique_ptr<TrajectoryEncoder> encoder_;
   std::unique_ptr<HistoryAttention> hist_attn_;
   std::unique_ptr<nn::Linear> classifier_;
-  // Plan-mode encode state: mode is pinned at construction from
-  // ADAMOVE_FORWARD; the planner caches compiled plans per sequence length.
-  ForwardMode forward_mode_ = ForwardMode::kGraph;
+  // Compiled inference plans, cached per sequence length.
   std::unique_ptr<ForwardPlanner> planner_;
 };
 

@@ -66,10 +66,9 @@ class AdaptableModel : public MobilityModel {
 
   /// The trajectory encoder backing PrefixRepresentations, when the model
   /// has one — the hook the static forward-plan compiler (src/nn/plan)
-  /// traces, and the forced-graph reference path the serving degradation
-  /// ladder falls back to. nullptr (the default) means "graph mode only";
-  /// models with bespoke encode paths (e.g. DeepMove's dual encoders) keep
-  /// the default.
+  /// traces, and the graph-walk reference the plan tests compare against.
+  /// nullptr (the default) means "graph walk only"; models with bespoke
+  /// encode paths (e.g. DeepMove's dual encoders) keep the default.
   virtual const TrajectoryEncoder* trajectory_encoder() const {
     return nullptr;
   }

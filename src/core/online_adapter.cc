@@ -189,27 +189,6 @@ void OnlineAdapter::PredictFrozenInto(const AdaptableModel& model,
   AddBias(classifier, scores);
 }
 
-std::vector<float> OnlineAdapter::PredictFrozen(
-    const AdaptableModel& model, const std::vector<float>& query) {
-  std::vector<float> scores;
-  PredictFrozenInto(model, query.data(),
-                    static_cast<int64_t>(query.size()), &scores);
-  return scores;
-}
-
-size_t OnlineAdapter::CollectRebuildJobs(
-    int64_t user, const std::vector<float>& query, int64_t query_time,
-    common::AlignedBuffer<float>* arena,
-    std::vector<RebuildJob>* jobs) const {
-  // Ranking scratch hoisted out of the per-location loop: one allocation
-  // per collect instead of one per adapted location. (The zero-alloc path
-  // passes a reused scratch through the pointer overload instead.)
-  std::vector<std::pair<float, const Entry*>> fresh;
-  return CollectRebuildJobs(user, query.data(),
-                            static_cast<int64_t>(query.size()), query_time,
-                            arena, jobs, &fresh);
-}
-
 size_t OnlineAdapter::CollectRebuildJobs(
     int64_t user, const float* query, int64_t hidden, int64_t query_time,
     common::AlignedBuffer<float>* arena, std::vector<RebuildJob>* jobs,
@@ -276,17 +255,6 @@ void OnlineAdapter::ScoreCollectedJobsInto(
         acc / (1.0 + static_cast<double>(job.keep)));
   }
   AddBias(classifier, scores);
-}
-
-std::vector<float> OnlineAdapter::ScoreCollectedJobs(
-    const AdaptableModel& model, const std::vector<float>& query,
-    const std::vector<RebuildJob>& jobs,
-    const common::AlignedBuffer<float>& arena) {
-  std::vector<float> scores;
-  ScoreCollectedJobsInto(model, query.data(),
-                         static_cast<int64_t>(query.size()), jobs, arena,
-                         &scores);
-  return scores;
 }
 
 void OnlineAdapter::PredictInto(const AdaptableModel& model, int64_t user,

@@ -172,18 +172,10 @@ class OnlineAdapter {
   /// record arena *offsets*, never pointers, so later appends (other
   /// requests in the batch) and subsequent adapter mutation (eviction,
   /// ingestion) cannot invalidate them. Returns the number of jobs
-  /// appended.
-  size_t CollectRebuildJobs(int64_t user, const std::vector<float>& query,
-                            int64_t query_time,
-                            common::AlignedBuffer<float>* arena,
-                            std::vector<RebuildJob>* jobs) const;
-
-  /// Allocation-free CollectRebuildJobs: the raw-pointer query variant the
-  /// zero-alloc serving path feeds straight from a plan-encoded
-  /// representation buffer, with the ranking scratch (`fresh`) supplied by
-  /// the caller so its capacity is reused across requests. Identical
-  /// arithmetic and arena layout to the vector overload (which delegates
-  /// here). `query` must point at `hidden` floats.
+  /// appended. `query` must point at `hidden` floats — the serving path
+  /// feeds it straight from a plan-encoded representation buffer — and the
+  /// ranking scratch `fresh` is the caller's, so its capacity is reused
+  /// across requests and steady state allocates nothing.
   size_t CollectRebuildJobs(int64_t user, const float* query, int64_t hidden,
                             int64_t query_time,
                             common::AlignedBuffer<float>* arena,
@@ -217,18 +209,11 @@ class OnlineAdapter {
   /// bit-identical to the historical per-location centroid loops. Static
   /// and read-only on the model + arena snapshot (no adapter state), so the
   /// batched serving sweep runs it *outside* the shard lock, one contiguous
-  /// vectorized pass per request.
-  static std::vector<float> ScoreCollectedJobs(
-      const AdaptableModel& model, const std::vector<float>& query,
-      const std::vector<RebuildJob>& jobs,
-      const common::AlignedBuffer<float>& arena);
-
-  /// Allocation-free ScoreCollectedJobs: writes into `scores` (resized once
-  /// to num_locations; capacity reuse makes steady state alloc-free) and
-  /// forces kernels serial inside the call (common::SerialKernelRegion —
+  /// vectorized pass per request. Writes into `scores` (resized once to
+  /// num_locations; capacity reuse makes steady state alloc-free) and forces
+  /// kernels serial inside the call (common::SerialKernelRegion —
   /// value-neutral by the §13 determinism contract, and the thread-pool path
-  /// would allocate futures). The vector overload delegates here, so the
-  /// arithmetic is single-sourced and bit-identical.
+  /// would allocate futures).
   static void ScoreCollectedJobsInto(const AdaptableModel& model,
                                      const float* query, int64_t hidden,
                                      const std::vector<RebuildJob>& jobs,
@@ -240,13 +225,9 @@ class OnlineAdapter {
   /// knowledge base never touched. This is the serving path's base-model
   /// fallback when per-user state is unavailable (fault, eviction, deadline):
   /// a degraded prediction that still comes from the real model. Touches no
-  /// per-user state, hence static and safe without any shard lock.
-  static std::vector<float> PredictFrozen(const AdaptableModel& model,
-                                          const std::vector<float>& query);
-
-  /// Allocation-free PredictFrozen (same delegation scheme as
-  /// ScoreCollectedJobsInto). `query` must point at `hidden` floats; the
-  /// result lands in `scores`, resized to num_locations.
+  /// per-user state, hence static and safe without any shard lock. `query`
+  /// must point at `hidden` floats; the result lands in `scores`, resized to
+  /// num_locations, allocation-free once warm.
   static void PredictFrozenInto(const AdaptableModel& model,
                                 const float* query, int64_t hidden,
                                 std::vector<float>* scores);

@@ -26,12 +26,6 @@ std::atomic<const KernelTable*> g_table{nullptr};
 std::atomic<int> g_backend{static_cast<int>(Backend::kScalar)};
 common::Mutex g_select_mu;
 
-const KernelTable* SimdTableOrNull() {
-  if (const KernelTable* t = Avx2TableOrNull()) return t;
-  if (const KernelTable* t = NeonTableOrNull()) return t;
-  return nullptr;
-}
-
 struct Selection {
   Backend backend;
   const KernelTable* table;
@@ -39,7 +33,7 @@ struct Selection {
 
 Selection Resolve(Backend requested) {
   if (requested == Backend::kSimd) {
-    if (const KernelTable* simd = SimdTableOrNull()) {
+    if (const KernelTable* simd = Avx2TableOrNull()) {
       return {Backend::kSimd, simd};
     }
   }

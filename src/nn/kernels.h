@@ -23,7 +23,8 @@ namespace adamove::nn::kernels {
 // function-pointer table selected once, lazily, at first kernel use:
 //   * scalar — the historical portable loops; the repo's arithmetic
 //     reference. All golden pins are defined against it.
-//   * simd   — AVX2+FMA on x86 hosts that support it (NEON subset on ARM).
+//   * simd   — AVX2+FMA on x86 hosts that support it; other hosts run
+//     scalar.
 //     Bit-identical to scalar for the column-parallel kernels (VecMatCols,
 //     VecMatColsF64, Axpy) whose per-element operation sequence it
 //     preserves; tolerance-bounded for MatMul* (FMA micro-panels) and the
@@ -32,8 +33,8 @@ namespace adamove::nn::kernels {
 // ADAMOVE_KERNEL_BACKEND=simd requests vector kernels (falls back to scalar
 // when the host can't run them); unset picks the best available.
 
-/// Which kernel table is active. kSimd covers any vector ISA (AVX2 or NEON);
-/// BackendDescription() names the specific one.
+/// Which kernel table is active. kSimd is the vector table (AVX2+FMA);
+/// BackendDescription() names it.
 enum class Backend : uint8_t {
   kScalar = 0,
   kSimd = 1,

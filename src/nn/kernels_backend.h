@@ -53,10 +53,6 @@ const KernelTable& ScalarTable();
 /// (non-x86 build) or the host CPU lacks avx2/fma.
 const KernelTable* Avx2TableOrNull();
 
-/// The NEON backend (vector float32x4 for the bandwidth-bound kernels,
-/// scalar fallbacks for the rest); null off-ARM.
-const KernelTable* NeonTableOrNull();
-
 }  // namespace adamove::nn::kernels
 
 #endif  // ADAMOVE_NN_KERNELS_BACKEND_H_

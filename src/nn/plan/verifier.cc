@@ -4,8 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "common/env.h"
-
 namespace adamove::nn::plan {
 
 namespace {
@@ -272,13 +270,6 @@ const char* OpKindName(OpKind kind) {
     case OpKind::kAddSigmoid: return "AddSigmoid";
   }
   return "?";
-}
-
-VerifyMode PlanVerifyModeFromEnv() {
-  const std::string mode = common::EnvString("ADAMOVE_PLAN_VERIFY", "compile");
-  if (mode == "off") return VerifyMode::kOff;
-  if (mode == "paranoid") return VerifyMode::kParanoid;
-  return VerifyMode::kCompile;
 }
 
 VerifyResult VerifyPlan(const CompiledPlan& plan) {

@@ -46,17 +46,14 @@ namespace adamove::nn::plan {
 /// index/kind and value id — precise enough for the mutation suite
 /// (tests/nn/plan_verifier_test.cc) to pin each corruption class.
 
-/// When plans are verified (ADAMOVE_PLAN_VERIFY, default kCompile):
-///  - kOff: never (trust the tracer; the bit-identity suites still gate);
-///  - kCompile: once per plan compile — zero steady-state cost;
-///  - kParanoid: additionally on every cached-plan revalidation. A debug
-///    mode: it puts the verifier (and its allocations) on the request
-///    path, forfeiting the zero-alloc contract while hunting corruption.
-enum class VerifyMode : uint8_t { kOff, kCompile, kParanoid };
-
-/// Reads ADAMOVE_PLAN_VERIFY (``off`` | ``compile`` | ``paranoid``).
-/// Unknown values fall back to kCompile — verification is the safe default.
-VerifyMode PlanVerifyModeFromEnv();
+/// When core::ForwardPlanner verifies plans:
+///  - kCompile: once per plan compile — zero steady-state cost (always, in
+///    production);
+///  - kParanoid: additionally on every cached-plan revalidation. Reachable
+///    only through ForwardPlanner::SetVerifyModeForTest: it puts the
+///    verifier (and its allocations) on the request path, forfeiting the
+///    zero-alloc contract while hunting corruption.
+enum class VerifyMode : uint8_t { kCompile, kParanoid };
 
 /// Diagnostic name of one op kind (e.g. "MatMul"), for messages and tests.
 const char* OpKindName(OpKind kind);

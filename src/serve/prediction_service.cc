@@ -6,8 +6,6 @@
 #include "common/check.h"
 #include "common/fault_injection.h"
 #include "common/timer.h"
-#include "core/encoder.h"
-#include "nn/autograd_mode.h"
 #include "nn/tensor.h"
 
 namespace adamove::serve {
@@ -25,18 +23,6 @@ double ElapsedUs(std::chrono::steady_clock::time_point from,
 /// answer) and the request is marked degraded.
 constexpr int kMaxEncodeAttempts = 3;
 
-core::ForwardMode ResolveForwardMode(ServiceForwardMode mode) {
-  switch (mode) {
-    case ServiceForwardMode::kGraph:
-      return core::ForwardMode::kGraph;
-    case ServiceForwardMode::kPlan:
-      return core::ForwardMode::kPlan;
-    case ServiceForwardMode::kAuto:
-      break;
-  }
-  return core::ForwardModeFromEnv();
-}
-
 }  // namespace
 
 PredictionService::PredictionService(core::AdaptableModel& model,
@@ -47,7 +33,6 @@ PredictionService::PredictionService(core::AdaptableModel& model,
       config_(config),
       adapt_config_(config.adapt.Resolve()),
       gauge_(adapt_config_),
-      forward_mode_(ResolveForwardMode(config.forward)),
       planner_(model) {
   ADAMOVE_CHECK_GT(config_.workers, 0);
   ADAMOVE_CHECK_GT(config_.max_batch, 0);
@@ -253,19 +238,13 @@ void PredictionService::ProcessBatch(std::vector<Request>& batch,
   // histogram stays per-request). A faulting forward is retried up to
   // kMaxEncodeAttempts times, then recomputed locally and marked degraded.
   //
-  // Plan mode executes the compiled static plan into this worker's scratch
-  // slot (zero allocations once warm) and takes the plan→graph rung of the
-  // degradation ladder when the execute stage fails (`serve.plan_execute`
-  // fault, or no plan for this encoder family): the graph walk is
-  // bit-identical, so the request stays kOk and only plan_fallbacks ticks.
+  // A compiled plan encodes into this worker's scratch slot (zero
+  // allocations once warm); where the planner has no plan (DESIGN.md §14)
+  // the model walks the graph.
   std::vector<nn::Tensor> reps(batch.size());
   std::vector<SessionStore::RepsView> views(batch.size());
   std::vector<char> encode_degraded(batch.size(), 0);
-  uint64_t plan_fallbacks = 0;
-  if (forward_mode_ == core::ForwardMode::kPlan &&
-      scratch.plan.size() < batch.size()) {
-    scratch.plan.resize(batch.size());
-  }
+  if (scratch.plan.size() < batch.size()) scratch.plan.resize(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     common::Timer timer;
     int attempt = 1;
@@ -275,25 +254,9 @@ void PredictionService::ProcessBatch(std::vector<Request>& batch,
         break;
       }
     }
-    if (forward_mode_ == core::ForwardMode::kPlan) {
-      core::PlanScratch& slot = scratch.plan[i];
-      if (!common::FaultPoint("serve.plan_execute") &&
-          planner_.EncodeInto(batch[i].sample, &slot)) {
-        views[i] =
-            SessionStore::RepsView(slot.reps.data(), slot.rows, slot.cols);
-      } else {
-        // Forced-graph fallback: the reference walk, deliberately not
-        // PrefixRepresentations (which would re-enter plan mode).
-        ++plan_fallbacks;
-        if (core::TrajectoryEncoder* encoder = model_.trajectory_encoder()) {
-          nn::NoGradGuard no_grad;
-          reps[i] = encoder->Forward(batch[i].sample.recent,
-                                     /*training=*/false);
-        } else {
-          reps[i] = model_.PrefixRepresentations(batch[i].sample);
-        }
-        views[i] = SessionStore::RepsView(reps[i]);
-      }
+    core::PlanScratch& slot = scratch.plan[i];
+    if (planner_.EncodeInto(batch[i].sample, &slot)) {
+      views[i] = SessionStore::RepsView(slot.reps.data(), slot.rows, slot.cols);
     } else {
       reps[i] = model_.PrefixRepresentations(batch[i].sample);
       views[i] = SessionStore::RepsView(reps[i]);
@@ -386,7 +349,6 @@ void PredictionService::ProcessBatch(std::vector<Request>& batch,
     }
     stats.stats.completed += batch.size();
     stats.stats.batches += 1;
-    stats.stats.plan_fallbacks += plan_fallbacks;
     stats.stats.deferred_ingests += adapt_stats.deferred_ingests;
     stats.stats.coalesced_ingests += adapt_stats.coalesced_ingests;
     stats.stats.lazy_rebuilds += adapt_stats.lazy_rebuilds;
@@ -424,7 +386,6 @@ ServiceStats PredictionService::Stats() const {
     merged.degraded_requests += ws->stats.degraded_requests;
     merged.warm_start_fallbacks += ws->stats.warm_start_fallbacks;
     merged.timeouts += ws->stats.timeouts;
-    merged.plan_fallbacks += ws->stats.plan_fallbacks;
     merged.stale_adapt_requests += ws->stats.stale_adapt_requests;
     merged.deferred_ingests += ws->stats.deferred_ingests;
     merged.coalesced_ingests += ws->stats.coalesced_ingests;

@@ -50,18 +50,6 @@ enum class RequestOutcome : uint8_t {
   kShed,
 };
 
-/// Which encode path the serving workers use (DESIGN.md §14).
-enum class ServiceForwardMode : uint8_t {
-  /// Defer to ADAMOVE_FORWARD at service construction (the default).
-  kAuto,
-  /// Force the autograd graph walk (the bit-identical reference path).
-  kGraph,
-  /// Force compiled static forward plans (zero-allocation steady state;
-  /// per-request failures fall back to the graph walk — see
-  /// ServiceStats::plan_fallbacks).
-  kPlan,
-};
-
 struct ServiceConfig {
   /// Serving worker threads; each forms and executes whole micro-batches.
   int workers = 4;
@@ -77,8 +65,6 @@ struct ServiceConfig {
   /// deadline has passed when its adapt stage would start skips adaptation
   /// and is served the base-model fallback as kTimedOut.
   int64_t deadline_us = 0;
-  /// Encode path selection (see ServiceForwardMode).
-  ServiceForwardMode forward = ServiceForwardMode::kAuto;
   /// Elastic adaptation scheduling (DESIGN.md §16). Resolved at service
   /// construction against the ADAMOVE_ADAPT_* environment knobs; the
   /// default resolves to AdaptMode::kInline, the legacy bit-identical path.
@@ -125,13 +111,6 @@ struct ServiceStats {
   uint64_t timeouts = 0;
   /// Rejected at admission (kShed) — never received scores.
   uint64_t shed_requests = 0;
-  /// Plan-mode encode fallbacks: the static-plan execute stage failed for a
-  /// request (armed `serve.plan_execute` fault, or an untraceable encoder
-  /// family) and the graph walk answered instead. The fallback result is
-  /// bit-identical to the plan's, so these requests still count as kOk —
-  /// this counter is visibility into the plan→graph rung of the
-  /// degradation ladder, not a degradation tally.
-  uint64_t plan_fallbacks = 0;
   /// Compiled plans the static verifier rejected (DESIGN.md §15): the
   /// tracer produced a plan that failed an IR invariant (SSA, shape,
   /// lifetime, or arena proof), so it was never executed and the graph
@@ -269,8 +248,15 @@ class PredictionService {
   /// plans valid and needs neither.)
   void InvalidatePlans() { planner_.InvalidateAll(); }
 
-  /// The encode path this service resolved at construction.
-  core::ForwardMode forward_mode() const { return forward_mode_; }
+  /// The encode route of this service's model: kPlan whenever the planner
+  /// compiles its encoder family, else kGraph (DESIGN.md §14).
+  core::ForwardMode forward_mode() const {
+    return planner_.traceable() ? core::ForwardMode::kPlan
+                                : core::ForwardMode::kGraph;
+  }
+
+  /// The service's plan cache (compile and verify counters).
+  const core::ForwardPlanner& planner() const { return planner_; }
 
   /// The adaptation schedule this service resolved at construction
   /// (ADAMOVE_ADAPT_* applied, kAuto replaced by a concrete mode).
@@ -310,7 +296,7 @@ class PredictionService {
 
   /// Per-worker encode scratch: one PlanScratch per batch slot, so a
   /// worker's steady-state plan encodes reuse arena/vector capacity and
-  /// allocate nothing (graph-mode workers never touch it).
+  /// allocate nothing.
   struct WorkerScratch {
     std::vector<core::PlanScratch> plan;
   };
@@ -328,8 +314,6 @@ class PredictionService {
   AdaptSchedulerConfig adapt_config_;
   /// The per-service pressure signal driving elastic scheduling.
   PressureGauge gauge_;
-  /// Resolved encode path (ServiceForwardMode::kAuto → ADAMOVE_FORWARD).
-  core::ForwardMode forward_mode_;
   /// Service-owned plan cache, shared by all workers (thread-safe; keyed by
   /// sequence length, revalidated against the live weights per use).
   core::ForwardPlanner planner_;

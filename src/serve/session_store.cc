@@ -93,42 +93,12 @@ void SessionStore::Observe(int64_t user, const std::vector<float>& pattern,
   shard.adapter.Observe(user, pattern, next_location, timestamp);
 }
 
-std::vector<float> SessionStore::Predict(const core::AdaptableModel& model,
-                                         int64_t user,
-                                         const std::vector<float>& query,
-                                         int64_t query_time) {
-  Shard& shard = *shards_[static_cast<size_t>(ShardOf(user))];
-  common::MutexLock lock(shard.mu);
-  // Blocked hydration: no LRU touch, no tier change — the adapter simply
-  // has no state for the user and answers with frozen-equivalent scores.
-  if (EnsureResidentLocked(shard, user)) TouchLocked(shard, user);
-  return shard.adapter.Predict(model, user, query, query_time);
-}
-
-std::vector<float> SessionStore::PredictFrozen(
-    const core::AdaptableModel& model, const nn::Tensor& reps) const {
-  return PredictFrozen(model, RepsView(reps));
-}
-
 std::vector<float> SessionStore::PredictFrozen(
     const core::AdaptableModel& model, RepsView reps) const {
   std::vector<float> scores;
   core::OnlineAdapter::PredictFrozenInto(model, reps.query(), reps.cols,
                                          &scores);
   return scores;
-}
-
-std::vector<float> SessionStore::ObserveAndPredictEncoded(
-    const core::AdaptableModel& model, const data::Sample& sample,
-    const nn::Tensor& reps, AdaptStatus* status) {
-  BatchRequest request;
-  request.sample = &sample;
-  request.reps = RepsView(reps);
-  std::vector<AdaptStatus> statuses;
-  std::vector<std::vector<float>> scores =
-      BatchObserveAndPredictEncoded(model, {request}, &statuses);
-  if (status != nullptr) *status = statuses[0];
-  return std::move(scores[0]);
 }
 
 std::vector<std::vector<float>> SessionStore::BatchObserveAndPredictEncoded(

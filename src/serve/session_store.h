@@ -150,8 +150,8 @@ struct SnapshotStats {
 
 /// Sharded per-user adapter state for the serving path. Each shard owns one
 /// core::OnlineAdapter (whose state map is keyed by user) plus an LRU list
-/// of its resident users; shard mutexes are independent, so Predict for one
-/// user runs concurrently with Observe for users on other shards — the
+/// of its resident users; shard mutexes are independent, so a predict for
+/// one user runs concurrently with Observe for users on other shards — the
 /// "millions of users" scaling story is stripe parallelism plus bounded
 /// residency, not a global lock.
 class SessionStore {
@@ -161,27 +161,6 @@ class SessionStore {
   /// Ingests one observed transition (shard-locked; touches LRU).
   void Observe(int64_t user, const std::vector<float>& pattern,
                int64_t next_location, int64_t timestamp);
-
-  /// Adapted scores from the user's resident knowledge base (shard-locked;
-  /// touches LRU so actively-queried users stay resident).
-  std::vector<float> Predict(const core::AdaptableModel& model, int64_t user,
-                             const std::vector<float>& query,
-                             int64_t query_time);
-
-  /// Equivalent of core::OnlineAdapter::ObserveAndPredict against the
-  /// sharded store, given pre-computed prefix representations `reps`
-  /// ({T, H}, rows aligned with sample.recent). Split out from the encoder
-  /// forward so the serving worker can time encode and adapt separately.
-  ///
-  /// Never fails: under an armed `serve.session_lookup` /
-  /// `serve.ptta_generate` fault the call degrades (see AdaptStatus) but
-  /// still returns real-model scores. `status`, when non-null, reports which
-  /// path produced them; with no faults armed it is always kAdapted and the
-  /// scores are bit-identical to the pre-fault-layer implementation.
-  std::vector<float> ObserveAndPredictEncoded(const core::AdaptableModel& model,
-                                              const data::Sample& sample,
-                                              const nn::Tensor& reps,
-                                              AdaptStatus* status = nullptr);
 
   /// Borrowed view of pre-computed prefix representations ({rows, cols},
   /// row-major, row k = prefix representation h_k). A view rather than a
@@ -210,19 +189,29 @@ class SessionStore {
     RepsView reps;
   };
 
-  /// ObserveAndPredictEncoded over a micro-batch, in two phases. Phase 1
-  /// walks the requests in order and, per request, does exactly what the
-  /// single-request path does under its shard lock — fault probes, warm
-  /// gate, hydration, LRU touch, pattern ingestion — but instead of scoring
-  /// in place it *collects* the adjusted-column rebuild jobs, copying the
-  /// kept patterns into one flat arena shared by the whole batch
-  /// (core::OnlineAdapter::CollectRebuildJobs). Phase 2 then scores every
-  /// request in one lock-free parallel sweep over the arena
-  /// (ScoreCollectedJobs) — degraded requests simply carry zero jobs, so
-  /// the frozen fallback is the same sweep. Request i's scores and status
-  /// are bit-identical to calling ObserveAndPredictEncoded sequentially in
+  /// core::OnlineAdapter::ObserveAndPredict against the sharded store, over
+  /// a micro-batch of pre-computed prefix representations (each {T, H},
+  /// rows aligned with its sample.recent — split from the encoder forward so
+  /// the serving worker can time encode and adapt separately). A request
+  /// whose window holds one point ingests nothing: it is a pure predict for
+  /// that user at sample.target.timestamp.
+  ///
+  /// Two phases. Phase 1 walks the requests in order and, per request, under
+  /// its shard lock runs the fault probes, warm gate, hydration, LRU touch
+  /// and pattern ingestion, then *collects* the adjusted-column rebuild
+  /// jobs, copying the kept patterns into one flat arena shared by the whole
+  /// batch (core::OnlineAdapter::CollectRebuildJobs). Phase 2 then scores
+  /// every request in one lock-free parallel sweep over the arena
+  /// (ScoreCollectedJobsInto) — degraded requests simply carry zero jobs,
+  /// so the frozen fallback is the same sweep. Request i's scores and status
+  /// are bit-identical to serving the requests one call at a time in
   /// request order (fault-point evaluation order included); what changes is
   /// only where the arithmetic runs — outside the shard locks, batched.
+  ///
+  /// Never fails: under an armed `serve.session_lookup` /
+  /// `serve.ptta_generate` fault a request degrades (see AdaptStatus) but
+  /// still gets real-model scores; with no faults armed every status is
+  /// kAdapted.
   ///
   /// `statuses`, when non-null, is resized to requests.size() with request
   /// i's AdaptStatus at index i.
@@ -265,11 +254,6 @@ class SessionStore {
 
   /// The base-model fallback: frozen-classifier scores for the final row of
   /// `reps` (the query pattern). Reads no per-user state and takes no lock.
-  std::vector<float> PredictFrozen(const core::AdaptableModel& model,
-                                   const nn::Tensor& reps) const;
-
-  /// RepsView variant of the fallback — the zero-alloc serving path's
-  /// flavour (no query copy; the Tensor overload delegates here).
   std::vector<float> PredictFrozen(const core::AdaptableModel& model,
                                    RepsView reps) const;
 
@@ -320,8 +304,8 @@ class SessionStore {
   common::IoResult Restore(const std::string& path,
                            SnapshotStats* stats = nullptr);
 
-  /// Warm-start gate. While active, ObserveAndPredictEncoded serves users
-  /// without resident state the frozen base model (AdaptStatus::
+  /// Warm-start gate. While active, BatchObserveAndPredictEncoded serves
+  /// users without resident state the frozen base model (AdaptStatus::
   /// kWarmStartPending) instead of growing fresh state that an in-flight
   /// Restore would clobber. Users whose frames have landed get the adapted
   /// path immediately — recovery is progressive, not all-or-nothing.

@@ -160,8 +160,9 @@ TEST_F(ZeroAllocPredictTest, SteadyStateScoreCollectedJobsAllocatesNothing) {
   }
 }
 
-/// The legacy vector-returning APIs are wrappers over the Into variants, so
-/// their arithmetic is single-sourced: spot-check bit-identity.
+/// The vector-returning Predict wraps the Into variants, so the arithmetic is
+/// single-sourced: spot-check bit-identity. A user with no knowledge base
+/// predicts exactly the frozen scores.
 TEST_F(ZeroAllocPredictTest, IntoVariantsMatchLegacyApisBitExactly) {
   const data::Sample sample = MakeSample(1, 6, 1333238400);
   PlanScratch encode;
@@ -183,7 +184,7 @@ TEST_F(ZeroAllocPredictTest, IntoVariantsMatchLegacyApisBitExactly) {
   OnlineAdapter::PredictFrozenInto(*model_, query, encode.cols,
                                    &frozen_into);
   const std::vector<float> frozen =
-      OnlineAdapter::PredictFrozen(*model_, query_vec);
+      adapter_.Predict(*model_, /*user=*/99, query_vec, query_time_);
   ASSERT_EQ(frozen_into.size(), frozen.size());
   for (size_t i = 0; i < frozen.size(); ++i) {
     ASSERT_EQ(frozen_into[i], frozen[i]);

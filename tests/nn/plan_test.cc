@@ -4,7 +4,7 @@
 // supports, hidden sizes 1..17 (every vector-width remainder class), both
 // kernel backends, and 1 vs 8 kernel threads. Also here: the plan cache's
 // behaviour (one compile per sequence length, revalidation, invalidation)
-// and the graceful untraceable-family fallback.
+// and the untraceable family, which is routed to the graph walk.
 
 #include <cstdint>
 #include <vector>
@@ -146,18 +146,31 @@ TEST_F(PlanTest, CacheCompilesOncePerSequenceLength) {
 TEST_F(PlanTest, UntraceableFamilyFallsBackToGraphGracefully) {
   LightMob model(Config(EncoderType::kTransformer, 8));
   ForwardPlanner planner(model);
-  EXPECT_TRUE(planner.traceable());  // there is an encoder to look at...
+  // There is an encoder to look at, but its sequence layer has no trace:
+  // the planner knows at construction, so no request ever attempts one.
+  EXPECT_FALSE(planner.traceable());
   PlanScratch scratch;
-  // ...but its sequence layer has no trace, so plan encode declines and the
-  // caller uses the graph walk. The negative result is cached: no re-trace
-  // attempt (and no compile) on subsequent requests.
   EXPECT_FALSE(planner.EncodeInto(MakeSample(0, 4), &scratch));
   EXPECT_FALSE(planner.EncodeInto(MakeSample(0, 4), &scratch));
   EXPECT_EQ(planner.compiles(), 0);
-  // The model-level API stays correct in plan mode via the same fallback.
+  // The model-level API walks the graph instead, bit-identically.
   const nn::Tensor reps = model.PrefixRepresentations(MakeSample(0, 4));
+  const nn::Tensor graph = GraphReps(model, MakeSample(0, 4));
   EXPECT_EQ(reps.rows(), 4);
   EXPECT_EQ(reps.cols(), 8);
+  EXPECT_EQ(reps.data(), graph.data());
+}
+
+TEST_F(PlanTest, PrefixRepresentationsRunsPlansBitIdentically) {
+  for (const EncoderType encoder : kTraceableFamilies) {
+    LightMob model(Config(encoder, 6));
+    const data::Sample sample = MakeSample(1, 7);
+    const nn::Tensor reps = model.PrefixRepresentations(sample);
+    const nn::Tensor graph = GraphReps(model, sample);
+    ASSERT_EQ(reps.rows(), graph.rows());
+    ASSERT_EQ(reps.cols(), graph.cols());
+    EXPECT_EQ(reps.data(), graph.data()) << EncoderTypeName(encoder);
+  }
 }
 
 /// An in-place weight overwrite keeps cached plans valid AND live (they

@@ -11,12 +11,11 @@
 //     These corruptions are exactly the silent-memory-corruption bugs the
 //     executor cannot catch at run time.
 //
-// Also here: the ADAMOVE_PLAN_VERIFY knob parsing and the ForwardPlanner
-// integration counters (one verification per compile, none per steady-state
-// request in kCompile mode, one per revalidation in kParanoid).
+// Also here: the ForwardPlanner integration counters (one verification per
+// compile, none per steady-state request by default, one per revalidation
+// under the kParanoid test hook).
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <utility>
@@ -297,24 +296,7 @@ TEST_F(PlanMutationTest, EmptyPlanRejected) {
   ExpectRejected("structure", "empty");
 }
 
-// --- the env knob and planner integration --------------------------------
-
-TEST(PlanVerifyModeTest, ParsesEnvKnob) {
-  const char* saved = std::getenv("ADAMOVE_PLAN_VERIFY");
-  const std::string restore = saved == nullptr ? "" : saved;
-  ::setenv("ADAMOVE_PLAN_VERIFY", "off", 1);
-  EXPECT_EQ(PlanVerifyModeFromEnv(), VerifyMode::kOff);
-  ::setenv("ADAMOVE_PLAN_VERIFY", "paranoid", 1);
-  EXPECT_EQ(PlanVerifyModeFromEnv(), VerifyMode::kParanoid);
-  ::setenv("ADAMOVE_PLAN_VERIFY", "compile", 1);
-  EXPECT_EQ(PlanVerifyModeFromEnv(), VerifyMode::kCompile);
-  // Unknown values fall back to the safe default: verification on.
-  ::setenv("ADAMOVE_PLAN_VERIFY", "bogus", 1);
-  EXPECT_EQ(PlanVerifyModeFromEnv(), VerifyMode::kCompile);
-  ::unsetenv("ADAMOVE_PLAN_VERIFY");
-  EXPECT_EQ(PlanVerifyModeFromEnv(), VerifyMode::kCompile);
-  if (saved != nullptr) ::setenv("ADAMOVE_PLAN_VERIFY", restore.c_str(), 1);
-}
+// --- planner integration ------------------------------------------------
 
 data::Sample VerifierSample(int len) {
   data::Sample sample;
@@ -330,8 +312,7 @@ data::Sample VerifierSample(int len) {
 
 TEST(PlannerVerifyIntegrationTest, CompileModeVerifiesOncePerCompile) {
   core::LightMob model(Config(core::EncoderType::kLstm, 8));
-  core::ForwardPlanner planner(model);
-  planner.SetVerifyModeForTest(VerifyMode::kCompile);
+  core::ForwardPlanner planner(model);  // default: verify once per compile
   core::PlanScratch scratch;
   const data::Sample sample = VerifierSample(5);
   ASSERT_TRUE(planner.EncodeInto(sample, &scratch));
@@ -360,18 +341,6 @@ TEST(PlannerVerifyIntegrationTest, ParanoidModeReverifiesEveryRevalidation) {
   }
   EXPECT_EQ(planner.verifies(), 4);  // + one per cached-plan revalidation
   EXPECT_EQ(planner.verify_rejects(), 0);
-}
-
-TEST(PlannerVerifyIntegrationTest, OffModeSkipsVerification) {
-  core::LightMob model(Config(core::EncoderType::kRnn, 7));
-  core::ForwardPlanner planner(model);
-  planner.SetVerifyModeForTest(VerifyMode::kOff);
-  core::PlanScratch scratch;
-  const data::Sample sample = VerifierSample(3);
-  ASSERT_TRUE(planner.EncodeInto(sample, &scratch));
-  ASSERT_TRUE(planner.EncodeInto(sample, &scratch));
-  EXPECT_EQ(planner.compiles(), 1);
-  EXPECT_EQ(planner.verifies(), 0);
 }
 
 }  // namespace

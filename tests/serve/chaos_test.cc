@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <future>
+#include <utility>
 #include <vector>
 
 #include "common/fault_injection.h"
@@ -16,6 +17,7 @@
 #include "serve/session_store.h"
 #include "shard/compact_store.h"
 #include "shard/sharded_service.h"
+#include "tests/serve/predict_only.h"
 
 namespace adamove::serve {
 namespace {
@@ -166,7 +168,8 @@ TEST_F(ChaosTest, DegradedScoresAreFiniteAndCorrectlySized) {
 
 /// The degradation ladder's bottom rung is the *real* base model, not a
 /// canned response: with the session lookup failing 100% of the time, the
-/// service must return exactly OnlineAdapter::PredictFrozen for each query.
+/// service must return exactly OnlineAdapter::PredictFrozenInto for each
+/// query.
 TEST_F(ChaosTest, FallbackIsBitIdenticalToFrozenBaseModel) {
   core::LightMob model(SmallConfig());
   const std::vector<data::Sample> stream = MakeStream(3, 8);
@@ -179,7 +182,10 @@ TEST_F(ChaosTest, FallbackIsBitIdenticalToFrozenBaseModel) {
     for (int64_t j = 0; j < reps.cols(); ++j) {
       query[static_cast<size_t>(j)] = reps.at(last, j);
     }
-    expected.push_back(core::OnlineAdapter::PredictFrozen(model, query));
+    std::vector<float> frozen;
+    core::OnlineAdapter::PredictFrozenInto(model, query.data(), reps.cols(),
+                                           &frozen);
+    expected.push_back(std::move(frozen));
   }
 
   FaultRegistry::Instance().Arm("serve.session_lookup",
@@ -327,11 +333,11 @@ TEST_F(ChaosTest, ShedPolicyRejectsOverflowAndAccountsForIt) {
 }
 
 /// `core.state_hydrate` at 100%: rehydration from the cold tier is blocked,
-/// so cold users get the frozen base model (bit-identical to PredictFrozen)
-/// and — the invariant that keeps the fault recoverable — NEITHER tier is
-/// mutated: no fresh hot state that would fork the cold blob, no cold Take
-/// that would lose it. Once the fault clears, the original adapted state
-/// hydrates and serves.
+/// so cold users get the frozen base model (bit-identical to
+/// PredictFrozenInto) and — the invariant that keeps the fault recoverable
+/// — NEITHER tier is mutated: no fresh hot state that would fork the cold
+/// blob, no cold Take that would lose it. Once the fault clears, the
+/// original adapted state hydrates and serves.
 ///
 /// Note this point (and serve.router_lookup below) is deliberately NOT in
 /// kAllFaultPoints: it only evaluates when a cold tier is configured, which
@@ -376,9 +382,11 @@ TEST_F(ChaosTest, StateHydrateFaultServesFrozenAndMutatesNeitherTier) {
 
   std::vector<float> query(8);
   for (float& x : query) x = static_cast<float>(rng.Uniform() * 2.0 - 1.0);
-  const std::vector<float> frozen =
-      core::OnlineAdapter::PredictFrozen(model, query);
-  const std::vector<float> got = store.Predict(model, cold_user, query, t);
+  std::vector<float> frozen;
+  core::OnlineAdapter::PredictFrozenInto(model, query.data(),
+                                         static_cast<int64_t>(query.size()),
+                                         &frozen);
+  const std::vector<float> got = PredictOnly(store, model, cold_user, query, t);
   ASSERT_EQ(got.size(), frozen.size());
   for (size_t i = 0; i < got.size(); ++i) {
     ASSERT_EQ(got[i], frozen[i]) << "score " << i;
@@ -415,7 +423,7 @@ TEST_F(ChaosTest, StateHydrateFaultServesFrozenAndMutatesNeitherTier) {
   // Recovery: fault cleared, the cold user hydrates with its state intact.
   FaultRegistry::Instance().DisarmAll();
   const uint64_t takes_before = cold.GetStats().takes;
-  (void)store.Predict(model, cold_user, query, t);
+  (void)PredictOnly(store, model, cold_user, query, t);
   EXPECT_GT(cold.GetStats().takes, takes_before);
   EXPECT_GT(store.PatternCount(cold_user), 0u);
 }
@@ -486,68 +494,23 @@ TEST_F(ChaosTest, RouterLookupFaultFallsBackFrozenWithExactAccounting) {
   partial.Shutdown();
 }
 
-/// `serve.plan_execute` at 100%: the static-plan rung of the ladder fails on
-/// every request, the service falls back to the graph walk — which is
-/// BIT-IDENTICAL, so every request stays kOk and only the plan_fallbacks
-/// visibility counter ticks. Like core.state_hydrate above, this point is
-/// deliberately NOT in kAllFaultPoints: it only evaluates in plan forward
-/// mode, which those runs never select.
-TEST_F(ChaosTest, PlanExecuteFaultFallsBackToBitIdenticalGraphWalk) {
-  core::LightMob model(SmallConfig());
-  const std::vector<data::Sample> stream = MakeStream(4, 10);
-
-  // Reference: the plain adapter fed the same stream (graph arithmetic).
-  core::OnlineAdapter reference{core::PttaConfig{}};
-  std::vector<std::vector<float>> expected;
-  for (const auto& sample : stream) {
-    expected.push_back(reference.ObserveAndPredict(model, sample));
-  }
-
-  FaultRegistry::Instance().Arm("serve.plan_execute", FaultSpec{1.0, 0, true});
-  SessionStore store{SessionStoreConfig{}};
-  ServiceConfig config;
-  config.workers = 1;
-  config.max_batch = 1;
-  config.forward = ServiceForwardMode::kPlan;
-  PredictionService service(model, store, config);
-  for (size_t i = 0; i < stream.size(); ++i) {
-    const Prediction p = service.Submit(stream[i]).get();
-    EXPECT_EQ(p.outcome, RequestOutcome::kOk) << "request " << i;
-    ASSERT_EQ(p.scores.size(), expected[i].size());
-    for (size_t j = 0; j < p.scores.size(); ++j) {
-      ASSERT_EQ(p.scores[j], expected[i][j])
-          << "request " << i << " score " << j;
-    }
-  }
-  service.Shutdown();
-  const ServiceStats stats = service.Stats();
-  // Every request took the fallback; none of them degraded.
-  EXPECT_EQ(stats.plan_fallbacks, stream.size());
-  EXPECT_EQ(stats.ok_requests(), stream.size());
-  EXPECT_EQ(stats.degraded_requests, 0u);
-  EXPECT_GT(FaultRegistry::Instance().StatsFor("serve.plan_execute").fired,
-            0u);
-}
-
-/// Endurance: 10k requests through the plan-mode service with the plan
-/// fault firing at a partial rate. Exact outcome accounting must hold —
-/// every submission completes, plan_fallbacks equals exactly the number of
-/// fired faults, nothing degrades — and (under the sanitizer stages) the
-/// plan arenas neither leak nor race across the faulted/unfaulted mix.
-TEST_F(ChaosTest, PlanFaultEnduresTenThousandRequestsWithExactAccounting) {
+/// Endurance: 10k requests through the default service, which encodes with
+/// compiled plans. Exact outcome accounting must hold — every submission
+/// completes and nothing degrades — and (under the sanitizer stages) the
+/// per-worker plan arenas neither leak nor race.
+TEST_F(ChaosTest, PlanServiceEnduresTenThousandRequestsWithExactAccounting) {
   core::LightMob model(SmallConfig());
   const std::vector<data::Sample> stream =
       BuildReplayStream(MakeStream(8, 25), /*min_requests=*/10000);
 
-  FaultRegistry::Instance().Arm("serve.plan_execute", FaultSpec{0.3, 0, true});
   SessionStore store{SessionStoreConfig{}};
   ServiceConfig config;
   config.workers = 4;
   config.max_batch = 8;
   config.max_wait_us = 500;
   config.queue_capacity = 64;
-  config.forward = ServiceForwardMode::kPlan;
   PredictionService service(model, store, config);
+  ASSERT_EQ(service.forward_mode(), core::ForwardMode::kPlan);
 
   LoadGenConfig lg;
   lg.clients = 4;
@@ -558,22 +521,14 @@ TEST_F(ChaosTest, PlanFaultEnduresTenThousandRequestsWithExactAccounting) {
 
   EXPECT_EQ(result.completed, 10000u);
   EXPECT_EQ(result.shed, 0u);
-  EXPECT_EQ(result.degraded, 0u);  // plan fallback is not a degradation
+  EXPECT_EQ(result.degraded, 0u);
 
   const ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.completed, 10000u);
   EXPECT_EQ(stats.accounted(), 10000u);
   EXPECT_EQ(stats.ok_requests() + stats.timeouts, 10000u);
   EXPECT_EQ(stats.degraded_requests, 0u);
-
-  // Exact fault ledger: the point is evaluated once per request, and every
-  // fired evaluation is one (and only one) graph fallback.
-  const common::FaultPointStats fault =
-      FaultRegistry::Instance().StatsFor("serve.plan_execute");
-  EXPECT_EQ(fault.evaluations, 10000u);
-  EXPECT_EQ(stats.plan_fallbacks, fault.fired);
-  EXPECT_GT(fault.fired, 0u);
-  EXPECT_LT(fault.fired, 10000u);  // 30%: both paths genuinely exercised
+  EXPECT_EQ(stats.plan_verify_rejects, 0u);
 }
 
 }  // namespace

@@ -4,11 +4,13 @@
 
 #include <atomic>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/lightmob.h"
 #include "core/online_adapter.h"
+#include "nn/autograd_mode.h"
 #include "serve/load_gen.h"
 
 namespace adamove::serve {
@@ -77,6 +79,80 @@ TEST(PredictionServiceTest, MaxBatch1IsBitIdenticalToOnlineAdapter) {
   }
   service.Shutdown();
   EXPECT_EQ(service.Stats().completed, stream.size());
+}
+
+/// The reference every inference route must match: one sequential
+/// OnlineAdapter fed the encoder's graph-walk representations (never a
+/// compiled plan).
+std::vector<std::vector<float>> GraphWalkReference(
+    core::LightMob& model, const std::vector<data::Sample>& stream) {
+  core::OnlineAdapter reference{core::PttaConfig{}};
+  std::vector<std::vector<float>> expected;
+  for (const auto& sample : stream) {
+    nn::Tensor reps;
+    {
+      nn::NoGradGuard no_grad;
+      reps = model.trajectory_encoder()->Forward(sample.recent,
+                                                 /*training=*/false);
+    }
+    const int64_t hidden = reps.cols();
+    const std::vector<float>& data = reps.data();
+    for (int64_t k = 0; k + 1 < reps.rows(); ++k) {
+      const size_t next = static_cast<size_t>(k + 1);
+      reference.Observe(sample.user,
+                        std::vector<float>(data.begin() + k * hidden,
+                                           data.begin() + (k + 1) * hidden),
+                        sample.recent[next].location,
+                        sample.recent[next].timestamp);
+    }
+    expected.push_back(reference.Predict(
+        model, sample.user, std::vector<float>(data.end() - hidden, data.end()),
+        sample.target.timestamp));
+  }
+  return expected;
+}
+
+/// The one inference routing rule (DESIGN.md §14): a default-configured
+/// service runs compiled plans for every RNN-family encoder and walks the
+/// graph only for the Transformer, which the tracer cannot compile. Either
+/// way it answers bit-identically to the graph-walk reference.
+TEST(PredictionServiceTest, DefaultServiceRoutesByEncoderFamily) {
+  const struct {
+    core::EncoderType encoder;
+    core::ForwardMode route;
+  } cases[] = {{core::EncoderType::kLstm, core::ForwardMode::kPlan},
+               {core::EncoderType::kGru, core::ForwardMode::kPlan},
+               {core::EncoderType::kRnn, core::ForwardMode::kPlan},
+               {core::EncoderType::kTransformer, core::ForwardMode::kGraph}};
+  const std::vector<data::Sample> stream = MakeStream(4, 10);
+  for (const auto& c : cases) {
+    const std::string family = core::EncoderTypeName(c.encoder);
+    core::ModelConfig model_config = SmallConfig();
+    model_config.encoder = c.encoder;
+    core::LightMob model(model_config);
+    const std::vector<std::vector<float>> expected =
+        GraphWalkReference(model, stream);
+
+    SessionStore store{SessionStoreConfig{}};
+    PredictionService service(model, store, ServiceConfig{});
+    EXPECT_EQ(service.forward_mode(), c.route) << family;
+    for (size_t i = 0; i < stream.size(); ++i) {
+      const Prediction p = service.Submit(stream[i]).get();
+      EXPECT_EQ(p.outcome, RequestOutcome::kOk) << family;
+      ASSERT_EQ(p.scores.size(), expected[i].size()) << family;
+      for (size_t j = 0; j < p.scores.size(); ++j) {
+        ASSERT_EQ(p.scores[j], expected[i][j])
+            << family << " request " << i << " score " << j;
+      }
+    }
+    service.Shutdown();
+    if (c.route == core::ForwardMode::kPlan) {
+      EXPECT_GT(service.planner().compiles(), 0) << family;
+    } else {
+      EXPECT_EQ(service.planner().compiles(), 0) << family;
+    }
+    EXPECT_EQ(service.Stats().plan_verify_rejects, 0u) << family;
+  }
 }
 
 TEST(PredictionServiceTest, MicroBatchingServesAllRequestsConcurrently) {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/lightmob.h"
+#include "tests/serve/predict_only.h"
 
 namespace adamove::serve {
 namespace {
@@ -99,7 +100,7 @@ TEST(SessionStoreTest, ShardsAreIsolated) {
   }
 }
 
-TEST(SessionStoreTest, ObserveAndPredictEncodedMatchesOnlineAdapter) {
+TEST(SessionStoreTest, SingleRequestBatchMatchesOnlineAdapter) {
   core::LightMob model(SmallConfig());
   data::Sample sample;
   sample.user = 3;
@@ -115,7 +116,10 @@ TEST(SessionStoreTest, ObserveAndPredictEncodedMatchesOnlineAdapter) {
 
   SessionStore store{SessionStoreConfig{}};
   nn::Tensor reps = model.PrefixRepresentations(sample);
-  std::vector<float> got = store.ObserveAndPredictEncoded(model, sample, reps);
+  std::vector<AdaptStatus> statuses;
+  const std::vector<float> got = store.BatchObserveAndPredictEncoded(
+      model, {{&sample, SessionStore::RepsView(reps)}}, &statuses)[0];
+  EXPECT_EQ(statuses[0], AdaptStatus::kAdapted);
   ASSERT_EQ(got.size(), expected.size());
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i], expected[i]) << "score " << i;  // bit-identical
@@ -144,7 +148,7 @@ TEST(SessionStoreTest, ConcurrentObservePredictSmoke) {
         store.Observe(user, Pattern(static_cast<float>(i)), i % 10,
                       1000 + i);
         const std::vector<float> scores =
-            store.Predict(model, user, query, 2000 + i);
+            PredictOnly(store, model, user, query, 2000 + i);
         if (scores.size() != 10u) failures.fetch_add(1);
       }
     });
@@ -369,11 +373,12 @@ TEST(SessionStoreTest, DirtyUserEvictionDehydratesPendingDeltas) {
   EXPECT_TRUE(frame->locations.empty());
   EXPECT_EQ(frame->pending.size(), pending_before);
 
-  // Rehydrate (Predict touches the user) and drain: bit-identical to the
-  // inline run — eviction lost nothing, reordered nothing.
+  // Rehydrate (a deferred predict touches the user without draining) and
+  // drain: bit-identical to the inline run — eviction lost nothing,
+  // reordered nothing.
   std::vector<float> query(reps.data().end() - reps.cols(),
                            reps.data().end());
-  (void)store.Predict(model, 1, query, sample.target.timestamp);
+  (void)PredictOnly(store, model, 1, query, sample.target.timestamp, options);
   EXPECT_EQ(tier.Peek(1), nullptr);
   EXPECT_EQ(store.DirtyUserCount(), 1u);
   EXPECT_EQ(store.DrainDirtyUsers(0), 1u);

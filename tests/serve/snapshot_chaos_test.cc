@@ -358,7 +358,8 @@ TEST_F(SnapshotChaosTest, WarmStartServesFrozenUntilUserIsRestored) {
   // bit-identical to PredictFrozen, and crucially no state materialises.
   const data::Sample sample = MakeSample(2, 6);
   const nn::Tensor reps = model.PrefixRepresentations(sample);
-  const std::vector<float> frozen = after.PredictFrozen(model, reps);
+  const std::vector<float> frozen =
+      after.PredictFrozen(model, SessionStore::RepsView(reps));
   Prediction p = service.Submit(sample).get();
   EXPECT_EQ(p.outcome, RequestOutcome::kDegraded);
   ASSERT_EQ(p.scores.size(), frozen.size());

@@ -19,6 +19,7 @@
 #include "serve/session_store.h"
 #include "shard/compact_state.h"
 #include "shard/compact_store.h"
+#include "tests/serve/predict_only.h"
 
 namespace adamove::shard {
 namespace {
@@ -134,8 +135,10 @@ TEST(TwoTierStoreTest, EvictionAndRehydrationAreBitInvisible) {
   // answer came from hot state or a rehydrated cold blob.
   for (int64_t user = 0; user < kUsers; ++user) {
     const std::vector<float> query = RandomCanonicalPattern(rng, hidden);
-    const std::vector<float> a = tiered.Predict(model, user, query, t);
-    const std::vector<float> b = dense.Predict(model, user, query, t);
+    const std::vector<float> a =
+        serve::PredictOnly(tiered, model, user, query, t);
+    const std::vector<float> b =
+        serve::PredictOnly(dense, model, user, query, t);
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
       ASSERT_EQ(a[i], b[i]) << "user " << user << " score " << i;

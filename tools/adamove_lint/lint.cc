@@ -35,7 +35,7 @@ bool HasPrefix(const std::string& s, const std::string& prefix) {
 }
 
 // ---------------------------------------------------------------------------
-// The nine per-line rules.
+// The eight per-line rules.
 // ---------------------------------------------------------------------------
 
 struct Rule {
@@ -66,10 +66,6 @@ bool SessionStoreScope(const std::string& p) {
 
 bool X86Scope(const std::string& p) {
   return InSrc(p) && p != "src/nn/kernels_avx2.cc";
-}
-
-bool NeonScope(const std::string& p) {
-  return InSrc(p) && p != "src/nn/kernels_neon.cc";
 }
 
 bool PlanExecutorScope(const std::string& p) {
@@ -107,11 +103,6 @@ const std::vector<Rule>& Rules() {
        &X86Scope,
        "x86 vector intrinsic outside src/nn/kernels_avx2.cc — all SIMD "
        "lives behind the kernel dispatch table (DESIGN.md §13)"},
-      {"raw-intrinsics-neon",
-       std::regex("vld1q_|vst1q_|vfmaq_|float32x4_t|float64x2_t|vaddvq_"),
-       &NeonScope,
-       "NEON intrinsic outside src/nn/kernels_neon.cc — all SIMD lives "
-       "behind the kernel dispatch table (DESIGN.md §13)"},
       {"plan-executor-alloc",
        std::regex("\\bnew\\b|\\bTensor\\b|push_back|emplace_back|"
                   "\\.[Rr]esize\\(|\\.reserve\\(|make_unique|make_shared"),
