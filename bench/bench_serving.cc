@@ -476,14 +476,14 @@ OverloadGate RunOverloadPass(core::AdaptableModel& model,
               static_cast<double>(deadline_us) / 1000.0, baseline_queue,
               elastic_queue);
 
-  // The structural staleness bound: max_stale pending deltas plus one
+  // The structural staleness bound: kMaxStaleDepth pending deltas plus one
   // request's worth of freshly buffered transitions.
   size_t max_window = 0;
   for (const auto& sample : stream) {
     max_window = std::max(max_window, sample.recent.size());
   }
   const double stale_bound = static_cast<double>(
-      serve::AdaptSchedulerConfig{}.Resolve().max_stale + max_window);
+      serve::kMaxStaleDepth + max_window);
 
   std::vector<OverloadRun> runs;
   common::TablePrinter table({"mode", "mult", "offered", "delivered",

@@ -1,9 +1,8 @@
 // google-benchmark ablations of PTTA itself:
 //  * adaptation latency vs recent-trajectory length — the paper's O(N_u)
 //    complexity claim (§III-B);
-//  * linear-scan vs priority-queue knowledge-base maintenance — the paper
-//    suggests a priority queue gives O(log M) updates; both variants are
-//    implemented and produce identical contents (see ptta_test.cc).
+//  * knowledge-base maintenance (the top-M linear min-scan) at the paper's
+//    M = 5 and at a large M.
 
 #include <benchmark/benchmark.h>
 
@@ -48,23 +47,13 @@ void BM_PttaAdaptPredict(benchmark::State& state) {
   core::LightMob model(BenchConfig());
   common::Rng rng(7);
   data::Sample sample = MakeSample(length, 500, rng);
-  // Second arg selects the knowledge-base structure end to end — the
-  // use_heap plumbing from PttaConfig through TopMBuffer.
-  core::PttaConfig config;
-  config.use_heap = state.range(1) != 0;
-  core::TestTimeAdapter adapter{config};
+  core::TestTimeAdapter adapter{core::PttaConfig{}};
   for (auto _ : state) {
     benchmark::DoNotOptimize(adapter.Predict(model, sample).data());
   }
   state.SetItemsProcessed(state.iterations() * length);
 }
-BENCHMARK(BM_PttaAdaptPredict)
-    ->Args({4, 0})
-    ->Args({8, 0})
-    ->Args({16, 0})
-    ->Args({32, 0})
-    ->Args({64, 0})
-    ->Args({64, 1});
+BENCHMARK(BM_PttaAdaptPredict)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
 void BM_PttaWeightUpdateOnly(benchmark::State& state) {
   // Steps 2-3 in isolation (no encoder): the pure knowledge-base cost.
@@ -86,15 +75,14 @@ void BM_PttaWeightUpdateOnly(benchmark::State& state) {
 BENCHMARK(BM_PttaWeightUpdateOnly)->Arg(8)->Arg(32)->Arg(64);
 
 void BM_TopMBuffer(benchmark::State& state) {
-  const bool use_heap = state.range(0) != 0;
-  const int capacity = static_cast<int>(state.range(1));
+  const int capacity = static_cast<int>(state.range(0));
   common::Rng rng(9);
   std::vector<float> importances(1024);
   for (auto& v : importances) {
     v = static_cast<float>(rng.Uniform(-1.0, 1.0));
   }
   for (auto _ : state) {
-    core::TopMBuffer buf(capacity, use_heap);
+    core::TopMBuffer buf(capacity);
     for (size_t i = 0; i < importances.size(); ++i) {
       buf.Offer(importances[i], static_cast<int>(i));
     }
@@ -103,11 +91,7 @@ void BM_TopMBuffer(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(importances.size()));
 }
-BENCHMARK(BM_TopMBuffer)
-    ->Args({0, 5})
-    ->Args({1, 5})
-    ->Args({0, 64})
-    ->Args({1, 64});
+BENCHMARK(BM_TopMBuffer)->Arg(5)->Arg(64);
 
 }  // namespace
 

@@ -77,8 +77,9 @@ int main() {
               stats.queue_us.SummaryMs().c_str(),
               stats.encode_us.SummaryMs().c_str(),
               stats.adapt_us.SummaryMs().c_str());
-  // All zero unless fault points are armed (ADAMOVE_FAULTS) or deadlines /
-  // shedding are configured — the availability ledger of DESIGN.md §9.
+  // All zero unless fault points are armed (ADAMOVE_FAULTS) or deadlines
+  // are configured (Submit blocks on a full queue, so nothing sheds here) —
+  // the availability ledger of DESIGN.md §9.
   std::printf("outcomes: ok=%llu degraded=%llu timeouts=%llu shed=%llu\n",
               static_cast<unsigned long long>(stats.ok_requests()),
               static_cast<unsigned long long>(stats.degraded_requests),

@@ -14,7 +14,8 @@
 #      over a real comment- and string-literal-aware tokenizer with per-rule
 #      NOLINT(rule) scoping, plus the cross-registry checks no grep can do:
 #      every FaultPoint in src/ documented in DESIGN.md and exercised under
-#      tests/, every ADAMOVE_* knob documented in README.md, every ctest
+#      tests/, every ADAMOVE_* knob documented in README.md (and every
+#      README knob read by code or declared as a CMake option), every ctest
 #      label run by a check.sh stage. Diagnostics are `file:line: rule:
 #      message`; any finding fails the pass. The rules themselves are
 #      unit-tested (tests/tools/adamove_lint_test.cc), including regressions

@@ -2,7 +2,7 @@
 #define ADAMOVE_COMMON_ENV_H_
 
 #include <cstdlib>
-#include <string>
+#include <limits>
 
 namespace adamove::common {
 
@@ -17,18 +17,19 @@ inline double EnvDouble(const char* name, double fallback) {
   return parsed;
 }
 
-/// Reads an integer-valued environment override; returns `fallback` when
-/// unset or unparsable.
+/// Reads an integer-valued environment override (truncated toward zero);
+/// returns `fallback` when unset, unparsable, non-finite, or outside the
+/// range of int.
 inline int EnvInt(const char* name, int fallback) {
-  return static_cast<int>(EnvDouble(name, static_cast<double>(fallback)));
-}
-
-/// Reads a string-valued environment override (e.g. ADAMOVE_ADAPT_MODE);
-/// returns `fallback` when unset or empty.
-inline std::string EnvString(const char* name, const char* fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return v;
+  const double parsed = EnvDouble(name, static_cast<double>(fallback));
+  // Converting a double whose truncation does not fit in int is undefined;
+  // the negated test also rejects NaN.
+  constexpr double kLow =
+      static_cast<double>(std::numeric_limits<int>::min()) - 1.0;
+  constexpr double kHigh =
+      static_cast<double>(std::numeric_limits<int>::max()) + 1.0;
+  if (!(parsed > kLow && parsed < kHigh)) return fallback;
+  return static_cast<int>(parsed);
 }
 
 }  // namespace adamove::common

@@ -66,10 +66,6 @@ struct PttaConfig {
   /// (PTTA); false = model pseudo-labels (the "w/ pseudo-label" ablation
   /// and T3A).
   bool use_true_labels = true;
-  /// Knowledge-base maintenance: false = the paper's Algorithm 1 linear
-  /// min-scan (O(M) per offer); true = the min-heap variant the paper
-  /// suggests for O(log M) offers. Both keep identical contents.
-  bool use_heap = false;
 };
 
 /// The classic T3A configuration (pseudo-labels + entropy importance).

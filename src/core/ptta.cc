@@ -99,7 +99,7 @@ std::unordered_map<int64_t, TopMBuffer> BuildKnowledgeBase(
     ADAMOVE_CHECK_GE(label, 0);
     ADAMOVE_CHECK_LT(label, num_loc);
     auto [it, inserted] =
-        kb.try_emplace(label, TopMBuffer(config.capacity, config.use_heap));
+        kb.try_emplace(label, TopMBuffer(config.capacity));
     it->second.Offer(importance[k], static_cast<int>(k));
   }
   return kb;
@@ -144,26 +144,18 @@ float ColumnScore(const float* h, const float* column, int64_t hidden) {
 
 void TopMBuffer::Offer(float importance, int id) {
   if (capacity_ <= 0) return;
-  if (!use_heap_) {
-    // Algorithm 1 lines 11-16: fill, then replace the current minimum.
-    if (static_cast<int>(items_.size()) < capacity_) {
-      items_.emplace_back(importance, id);
-      return;
-    }
-    auto min_it = std::min_element(items_.begin(), items_.end());
-    if (importance > min_it->first) *min_it = {importance, id};
+  // Algorithm 1 lines 11-16: fill, then replace the current minimum. The
+  // minimum only moves when the contents change, so it is rescanned there.
+  if (static_cast<int>(items_.size()) < capacity_) {
+    items_.emplace_back(importance, id);
+  } else if (importance > items_[min_].first) {
+    items_[min_] = {importance, id};
   } else {
-    // Min-heap on importance: O(log M) per update.
-    if (static_cast<int>(items_.size()) < capacity_) {
-      items_.emplace_back(importance, id);
-      std::push_heap(items_.begin(), items_.end(), std::greater<>());
-      return;
-    }
-    if (importance > items_.front().first) {
-      std::pop_heap(items_.begin(), items_.end(), std::greater<>());
-      items_.back() = {importance, id};
-      std::push_heap(items_.begin(), items_.end(), std::greater<>());
-    }
+    return;
+  }
+  if (static_cast<int>(items_.size()) == capacity_) {
+    min_ = static_cast<size_t>(
+        std::min_element(items_.begin(), items_.end()) - items_.begin());
   }
 }
 

@@ -68,14 +68,13 @@ class TestTimeAdapter {
   PttaConfig config_;
 };
 
-/// Internal knowledge-base helper exposed for the microbenchmark ablation:
-/// maintains the top-M importance values with either a linear scan (the
-/// paper's Algorithm 1 lines 13-16) or a min-heap (the paper's suggested
-/// O(log M) priority queue). Both produce identical contents.
+/// Internal knowledge-base helper exposed for the microbenchmark: maintains
+/// the top-M importance values with the paper's linear min-scan (Algorithm 1
+/// lines 13-16). The position of the minimum is cached between
+/// replacements, so an offer that does not displace it costs one compare.
 class TopMBuffer {
  public:
-  TopMBuffer(int capacity, bool use_heap)
-      : capacity_(capacity), use_heap_(use_heap) {}
+  explicit TopMBuffer(int capacity) : capacity_(capacity) {}
 
   /// Offers (importance, id); keeps the M largest importances.
   void Offer(float importance, int id);
@@ -85,9 +84,10 @@ class TopMBuffer {
 
  private:
   int capacity_;
-  bool use_heap_;
-  // (importance, id); when use_heap_ the vector is maintained as a min-heap.
+  // (importance, id) pairs, unordered.
   std::vector<std::pair<float, int>> items_;
+  // Index of min_element(items_) once the buffer is full.
+  size_t min_ = 0;
 };
 
 }  // namespace adamove::core

@@ -1,43 +1,8 @@
 #include "serve/adapt_scheduler.h"
 
 #include <algorithm>
-#include <string>
-
-#include "common/env.h"
 
 namespace adamove::serve {
-
-AdaptSchedulerConfig AdaptSchedulerConfig::Resolve() const {
-  AdaptSchedulerConfig resolved = *this;
-  if (resolved.mode == AdaptMode::kAuto) {
-    const std::string mode = common::EnvString("ADAMOVE_ADAPT_MODE", "inline");
-    if (mode == "elastic") {
-      resolved.mode = AdaptMode::kElastic;
-    } else if (mode == "deferred") {
-      resolved.mode = AdaptMode::kDeferredAlways;
-    } else {
-      resolved.mode = AdaptMode::kInline;  // unknown strings fail safe
-    }
-  }
-  resolved.high_watermark =
-      common::EnvDouble("ADAMOVE_ADAPT_HIGH", resolved.high_watermark);
-  resolved.low_watermark =
-      common::EnvDouble("ADAMOVE_ADAPT_LOW", resolved.low_watermark);
-  resolved.ewma_alpha =
-      common::EnvDouble("ADAMOVE_ADAPT_EWMA", resolved.ewma_alpha);
-  resolved.max_stale = static_cast<size_t>(std::max(
-      1, common::EnvInt("ADAMOVE_ADAPT_MAX_STALE",
-                        static_cast<int>(resolved.max_stale))));
-  resolved.drain_users_per_batch = static_cast<size_t>(std::max(
-      0, common::EnvInt("ADAMOVE_ADAPT_DRAIN_USERS",
-                        static_cast<int>(resolved.drain_users_per_batch))));
-  // Clamp the band into sanity: alpha in (0, 1], low <= high.
-  resolved.ewma_alpha = std::clamp(resolved.ewma_alpha, 1e-3, 1.0);
-  resolved.high_watermark = std::max(resolved.high_watermark, 1e-6);
-  resolved.low_watermark =
-      std::clamp(resolved.low_watermark, 0.0, resolved.high_watermark);
-  return resolved;
-}
 
 void PressureGauge::Update(size_t queue_depth, size_t queue_capacity,
                            double oldest_wait_us, double slack_ref_us) {
@@ -53,10 +18,10 @@ void PressureGauge::Update(size_t queue_depth, size_t queue_capacity,
   bool recovered;
   {
     common::MutexLock lock(mu_);
-    ewma_ = config_.ewma_alpha * instant + (1.0 - config_.ewma_alpha) * ewma_;
+    ewma_ = kEwmaAlpha * instant + (1.0 - kEwmaAlpha) * ewma_;
     const bool was = deferred_.load(std::memory_order_relaxed);
-    tripped = !was && ewma_ >= config_.high_watermark;
-    recovered = was && ewma_ <= config_.low_watermark;
+    tripped = !was && ewma_ >= kHighWatermark;
+    recovered = was && ewma_ <= kLowWatermark;
     if (tripped) deferred_.store(true, std::memory_order_release);
     if (recovered) deferred_.store(false, std::memory_order_release);
   }

@@ -102,12 +102,8 @@ LoadGenResult RunOpenLoop(PredictionService& service,
           stream[pos], &pending->future, [&sh, pending, track_hits] {
             const Prediction p = pending->future.get();
             common::MutexLock lock(sh.mu);
-            if (p.outcome == RequestOutcome::kShed) {
-              ++sh.result.shed;
-            } else {
-              RecordDelivered(p, pending->submit_at, pending->target_location,
-                              track_hits, &sh.result);
-            }
+            RecordDelivered(p, pending->submit_at, pending->target_location,
+                            track_hits, &sh.result);
             if (--sh.in_flight == 0) sh.drained.NotifyAll();
           });
       if (!accepted) {
@@ -196,10 +192,6 @@ LoadGenResult RunLoadGen(PredictionService& service,
       std::future<Prediction> future = service.Submit(stream[pos]);
       // Closed loop: at most one in-flight request per client.
       const Prediction p = future.get();
-      if (p.outcome == RequestOutcome::kShed) {
-        ++local.shed;
-        continue;
-      }
       RecordDelivered(p, submit_at, stream[pos].target.location,
                       config.track_hits, &local);
     }
@@ -209,7 +201,6 @@ LoadGenResult RunLoadGen(PredictionService& service,
     result.completed += local.completed;
     result.degraded += local.degraded;
     result.timed_out += local.timed_out;
-    result.shed += local.shed;
     result.stale_adapt += local.stale_adapt;
     result.max_stale_depth =
         std::max(result.max_stale_depth, local.max_stale_depth);

@@ -41,10 +41,11 @@ struct LoadGenResult {
   size_t arrivals = 0;
   /// Requests delivered with scores (outcome ok / degraded / timed out).
   size_t completed = 0;
-  /// Per-outcome tallies of the delivered + rejected requests.
+  /// Per-outcome tallies of the delivered requests.
   size_t degraded = 0;
   size_t timed_out = 0;
-  /// Rejected by the service (queue full): shed at admission.
+  /// Open loop only: rejected by TrySubmit (queue full), shed at admission.
+  /// The closed loop's blocking Submit never sheds.
   size_t shed = 0;
   /// Open loop only: dropped at the generator's own in-flight limit —
   /// never submitted, never seen by the service.
@@ -60,7 +61,7 @@ struct LoadGenResult {
   double wall_seconds = 0.0;
   double qps = 0.0;
   /// End-to-end (submit -> future resolved) latency per delivered request
-  /// (shed responses resolve immediately and are excluded).
+  /// (shed requests never resolve and are excluded).
   common::LatencyHistogram e2e_us;
 };
 

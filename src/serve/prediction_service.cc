@@ -31,8 +31,6 @@ PredictionService::PredictionService(core::AdaptableModel& model,
     : model_(model),
       store_(store),
       config_(config),
-      adapt_config_(config.adapt.Resolve()),
-      gauge_(adapt_config_),
       planner_(model) {
   ADAMOVE_CHECK_GT(config_.workers, 0);
   ADAMOVE_CHECK_GT(config_.max_batch, 0);
@@ -68,30 +66,14 @@ std::future<Prediction> PredictionService::SubmitInternal(
   request.frozen_only = frozen_only;
   request.on_complete = std::move(on_complete);
   std::future<Prediction> result = request.promise.get_future();
-  bool shed = false;
   {
     common::MutexLock lock(mu_);
-    if (config_.overflow == OverflowPolicy::kShed) {
-      ADAMOVE_CHECK(!stop_);  // submitting after Shutdown is a bug
-      shed = queue_.size() >= config_.queue_capacity;
-    } else {
-      while (!stop_ && queue_.size() >= config_.queue_capacity) {
-        not_full_.Wait(mu_);
-      }
-      ADAMOVE_CHECK(!stop_);
+    while (!stop_ && queue_.size() >= config_.queue_capacity) {
+      not_full_.Wait(mu_);
     }
-    if (!shed) {
-      request.enqueue = Clock::now();
-      queue_.push_back(std::move(request));
-    }
-  }
-  if (shed) {
-    shed_requests_.fetch_add(1, std::memory_order_relaxed);
-    Prediction rejected;
-    rejected.outcome = RequestOutcome::kShed;
-    request.promise.set_value(std::move(rejected));
-    if (request.on_complete) request.on_complete();
-    return result;
+    ADAMOVE_CHECK(!stop_);  // submitting after Shutdown is a bug
+    request.enqueue = Clock::now();
+    queue_.push_back(std::move(request));
   }
   not_empty_.NotifyOne();
   return result;
@@ -212,7 +194,7 @@ void PredictionService::ProcessBatch(std::vector<Request>& batch,
   // probed only in elastic mode, so inline services keep their exact fault
   // evaluation sequence (bit-identity with the pre-scheduler path).
   AdaptExecMode exec_mode = AdaptExecMode::kInline;
-  if (adapt_config_.mode == AdaptMode::kElastic) {
+  if (config_.adapt.mode == AdaptMode::kElastic) {
     const double oldest_wait_us = ElapsedUs(batch.front().enqueue, picked_up);
     // Saturation reference for the wait ratio: the request deadline when one
     // is configured, else several flush windows' worth of queueing.
@@ -225,8 +207,6 @@ void PredictionService::ProcessBatch(std::vector<Request>& batch,
     const bool forced = common::FaultPoint("serve.adapt_schedule");
     exec_mode = gauge_.deferred() || forced ? AdaptExecMode::kDeferred
                                             : AdaptExecMode::kInlineElastic;
-  } else if (adapt_config_.mode == AdaptMode::kDeferredAlways) {
-    exec_mode = AdaptExecMode::kDeferred;
   }
 
   // A flush-path fault (e.g. a corrupted batch buffer) degrades the whole
@@ -302,7 +282,6 @@ void PredictionService::ProcessBatch(std::vector<Request>& batch,
     common::Timer timer;
     BatchAdaptOptions options;
     options.mode = exec_mode;
-    options.max_stale = adapt_config_.max_stale;
     std::vector<AdaptStatus> statuses;
     std::vector<std::vector<float>> scores =
         store_.BatchObserveAndPredictEncoded(model_, store_batch, options,
@@ -363,10 +342,8 @@ void PredictionService::ProcessBatch(std::vector<Request>& batch,
   // dirty users' pending queues — after the batch's promises resolved, so
   // callers never wait on catch-up work. Deferral therefore converges to
   // the inline state even for users who stop sending requests.
-  if (adapt_config_.mode == AdaptMode::kElastic &&
-      adapt_config_.drain_users_per_batch > 0 && !gauge_.deferred()) {
-    const size_t drained =
-        store_.DrainDirtyUsers(adapt_config_.drain_users_per_batch);
+  if (config_.adapt.mode == AdaptMode::kElastic && !gauge_.deferred()) {
+    const size_t drained = store_.DrainDirtyUsers(kDrainUsersPerBatch);
     if (drained > 0) {
       common::MutexLock lock(stats.mu);
       stats.stats.background_drains += drained;

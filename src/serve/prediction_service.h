@@ -23,16 +23,6 @@
 
 namespace adamove::serve {
 
-/// What the service does when a request arrives and the admission queue is
-/// already at capacity.
-enum class OverflowPolicy : uint8_t {
-  /// Submit blocks until space frees up (backpressure onto the caller).
-  kBlock,
-  /// Submit resolves the request immediately as shed (no scores) — the
-  /// load-shedding posture for callers that prefer fast failure to queueing.
-  kShed,
-};
-
 /// How one request was ultimately answered. Every submitted request ends in
 /// exactly one of these states; ServiceStats accounts for all of them.
 enum class RequestOutcome : uint8_t {
@@ -45,8 +35,9 @@ enum class RequestOutcome : uint8_t {
   /// The per-request deadline expired before adaptation could run; the
   /// base-model fallback was served instead (scores are still valid).
   kTimedOut,
-  /// Rejected at admission (queue full under OverflowPolicy::kShed, or a
-  /// TrySubmit that returned false). No scores.
+  /// Rejected at admission. Carried by no delivered Prediction: a TrySubmit
+  /// that finds the queue full returns false, and the rejection is counted
+  /// in ServiceStats::shed_requests.
   kShed,
 };
 
@@ -58,22 +49,21 @@ struct ServiceConfig {
   /// …or when the oldest queued request has waited this long, whichever
   /// comes first (the classic size-or-deadline policy).
   int64_t max_wait_us = 1000;
-  /// Bounded admission queue; `overflow` picks what happens at capacity.
+  /// Bounded admission queue: at capacity Submit blocks and TrySubmit
+  /// rejects.
   size_t queue_capacity = 1024;
-  OverflowPolicy overflow = OverflowPolicy::kBlock;
   /// Per-request deadline measured from enqueue (0 = none). A request whose
   /// deadline has passed when its adapt stage would start skips adaptation
   /// and is served the base-model fallback as kTimedOut.
   int64_t deadline_us = 0;
-  /// Elastic adaptation scheduling (DESIGN.md §16). Resolved at service
-  /// construction against the ADAMOVE_ADAPT_* environment knobs; the
-  /// default resolves to AdaptMode::kInline, the legacy bit-identical path.
+  /// Elastic adaptation scheduling (DESIGN.md §16); the default
+  /// AdaptMode::kInline is the legacy bit-identical path.
   AdaptSchedulerConfig adapt;
 };
 
 /// One served prediction plus its per-stage wall-clock breakdown.
 struct Prediction {
-  std::vector<float> scores;  // empty iff outcome == kShed
+  std::vector<float> scores;  // real-model scores, one per location
   RequestOutcome outcome = RequestOutcome::kOk;
   /// RequestOutcome-adjacent deferral signal: the answer is a valid adapted
   /// prediction served from slightly stale per-user state (this request's
@@ -84,7 +74,7 @@ struct Prediction {
   /// the frozen fallback).
   bool stale_adapt = false;
   /// Pending-delta depth the prediction was served at (0 unless
-  /// stale_adapt) — bounded by the scheduler's max_stale knob.
+  /// stale_adapt) — below kMaxStaleDepth plus one request's transitions.
   uint32_t stale_depth = 0;
   double queue_us = 0;   // enqueue -> picked up by a worker
   double encode_us = 0;  // encoder forward (share of the batched stage)
@@ -122,8 +112,8 @@ struct ServiceStats {
   /// service): requests answered from deferred (stale) state, transitions
   /// buffered instead of ingested, buffered deltas dropped by exact
   /// coalescing, pending queues drained by an inline predict, deferred
-  /// requests forced inline by the max_stale bound, and users drained in
-  /// the background once pressure subsided.
+  /// requests forced inline by the kMaxStaleDepth bound, and users drained
+  /// in the background once pressure subsided.
   uint64_t stale_adapt_requests = 0;
   uint64_t deferred_ingests = 0;
   uint64_t coalesced_ingests = 0;
@@ -166,8 +156,8 @@ struct ServiceStats {
 /// lookup, pattern generation, batch flush) degrade the affected requests
 /// to the base model's frozen logits; encoder faults are retried a bounded
 /// number of times before the local deterministic recompute; deadline
-/// overruns skip adaptation and serve the fallback as kTimedOut; queue
-/// overflow sheds or blocks per OverflowPolicy. Every request lands in
+/// overruns skip adaptation and serve the fallback as kTimedOut; a full
+/// queue blocks Submit and rejects TrySubmit. Every request lands in
 /// exactly one RequestOutcome and ServiceStats balances: submitted =
 /// completed + shed. With no fault points armed the instrumented path is
 /// bit-identical to the pre-fault-layer service.
@@ -187,13 +177,12 @@ class PredictionService {
   PredictionService(const PredictionService&) = delete;
   PredictionService& operator=(const PredictionService&) = delete;
 
-  /// Enqueues one request. At capacity, blocks (OverflowPolicy::kBlock) or
-  /// resolves the returned future immediately as kShed (kShed policy).
+  /// Enqueues one request, blocking while the queue is at capacity.
   /// sample.recent must be non-empty. `on_complete`, when set, runs exactly
-  /// once after the request has been accounted and its promise fulfilled —
-  /// in the worker for served requests, in the caller for shed ones. The
-  /// shard layer hangs its drain barrier off this hook (every per-request
-  /// state effect has happened by the time it fires).
+  /// once in the worker, after the request has been accounted and its
+  /// promise fulfilled. The shard layer hangs its drain barrier off this
+  /// hook (every per-request state effect has happened by the time it
+  /// fires).
   std::future<Prediction> Submit(data::Sample sample,
                                  std::function<void()> on_complete = nullptr);
 
@@ -258,16 +247,8 @@ class PredictionService {
   /// The service's plan cache (compile and verify counters).
   const core::ForwardPlanner& planner() const { return planner_; }
 
-  /// The adaptation schedule this service resolved at construction
-  /// (ADAMOVE_ADAPT_* applied, kAuto replaced by a concrete mode).
-  const AdaptSchedulerConfig& adapt_config() const { return adapt_config_; }
-
-  /// Whether the pressure gauge currently schedules adaptation deferred
-  /// (always false outside AdaptMode::kElastic unless forced).
-  bool adapt_deferred() const { return gauge_.deferred(); }
-
-  /// Current smoothed queue pressure (diagnostics).
-  double adapt_pressure() const { return gauge_.pressure(); }
+  /// This service's adaptation schedule (ServiceConfig::adapt).
+  const AdaptSchedulerConfig& adapt_config() const { return config_.adapt; }
 
   const ServiceConfig& config() const { return config_; }
 
@@ -302,16 +283,14 @@ class PredictionService {
   };
 
   void WorkerLoop(int worker_index);
-  /// `queue_depth` is the admission-queue size observed right after this
-  /// batch was extracted — the gauge's backlog signal.
+  /// `queue_depth` is the admission-queue size at batch formation,
+  /// including this batch — the gauge's backlog signal (DESIGN.md §16).
   void ProcessBatch(std::vector<Request>& batch, size_t queue_depth,
                     WorkerStats& stats, WorkerScratch& scratch);
 
   core::AdaptableModel& model_;
   SessionStore& store_;
   ServiceConfig config_;
-  /// Resolved adaptation schedule (ServiceConfig::adapt + ADAMOVE_ADAPT_*).
-  AdaptSchedulerConfig adapt_config_;
   /// The per-service pressure signal driving elastic scheduling.
   PressureGauge gauge_;
   /// Service-owned plan cache, shared by all workers (thread-safe; keyed by

@@ -11,6 +11,7 @@
 #include "common/parallel_for.h"
 #include "common/qfloat.h"
 #include "nn/kernels.h"
+#include "serve/adapt_scheduler.h"
 
 namespace adamove::serve {
 
@@ -185,11 +186,11 @@ std::vector<std::vector<float>> SessionStore::BatchObserveAndPredictEncoded(
       (*statuses)[r] = AdaptStatus::kStaleState;
     }
     // Scheduler decision: a deferred-mode request stays deferred only while
-    // its pending depth is under the max_stale bound; at the bound it is
+    // its pending depth is under kMaxStaleDepth; at the bound it is
     // forced inline (drain + fresh rebuild), so staleness is bounded by
     // construction.
     bool defer = options.mode == AdaptExecMode::kDeferred;
-    if (defer && shard.adapter.PendingCount(sample.user) >= options.max_stale) {
+    if (defer && shard.adapter.PendingCount(sample.user) >= kMaxStaleDepth) {
       defer = false;
       if (adapt_stats != nullptr) adapt_stats->forced_inline += 1;
     }

@@ -101,16 +101,13 @@ enum class AdaptExecMode : uint8_t {
   /// predicts of the same user.
   kInlineElastic,
   /// Deferred adaptation: ingests buffered, predictions from the cached
-  /// rebuild (kStaleAdapt), bounded by BatchAdaptOptions::max_stale.
+  /// rebuild (kStaleAdapt), bounded by kMaxStaleDepth (adapt_scheduler.h).
   kDeferred,
 };
 
 /// Scheduler inputs of one BatchObserveAndPredictEncoded call.
 struct BatchAdaptOptions {
   AdaptExecMode mode = AdaptExecMode::kInline;
-  /// A deferred request that finds this many pending deltas is forced
-  /// inline instead (drain + fresh rebuild), bounding staleness depth.
-  size_t max_stale = 256;
 };
 
 /// Exact accounting of one batch's scheduler decisions (all zero in
@@ -123,7 +120,7 @@ struct BatchAdaptStats {
   uint64_t coalesced_ingests = 0;
   /// Pending queues drained because an inline predict found them.
   uint64_t lazy_rebuilds = 0;
-  /// Deferred requests forced inline by the max_stale bound.
+  /// Deferred requests forced inline by the kMaxStaleDepth bound.
   uint64_t forced_inline = 0;
   /// Per request: pending-delta depth the prediction was served at
   /// (0 for inline-served requests). Resized to requests.size().
@@ -230,8 +227,8 @@ class SessionStore {
   /// (ObserveDeferred — exact coalescing against the per-location FIFO cap),
   /// the prediction reuses the user's cached rebuild (no ranking; an empty
   /// cache means frozen scores through the same sweep), and the status is
-  /// kStaleAdapt. A request that would exceed `options.max_stale` pending
-  /// deltas is forced inline instead, so staleness stays bounded. Faults
+  /// kStaleAdapt. A request that finds kMaxStaleDepth pending deltas is
+  /// forced inline instead, so staleness stays bounded. Faults
   /// keep precedence: an armed serve.ptta_generate drops the transitions in
   /// every mode (kStaleState — nothing is buffered either).
   std::vector<std::vector<float>> BatchObserveAndPredictEncoded(

@@ -6,12 +6,9 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/env.h"
 #include "common/fault_injection.h"
 
 namespace adamove::shard {
-
-int DefaultNumShards() { return common::EnvInt("ADAMOVE_NUM_SHARDS", 2); }
 
 ShardedService::ShardedService(core::AdaptableModel& model,
                                const ShardedServiceConfig& config)
@@ -94,11 +91,11 @@ std::future<serve::Prediction> ShardedService::Submit(data::Sample sample) {
     }
     admitting_.fetch_add(1);
   }
-  // The enqueue happens outside mu_ (it may block on a full queue under
-  // OverflowPolicy::kBlock, and must not stall other groups' admissions or
-  // admin operations). The group outlives admission and its in-flight
-  // entry is already recorded, so the drain barrier covers this request
-  // even though the enqueue itself races the ring swap.
+  // The enqueue happens outside mu_ (it may block on a full queue, and must
+  // not stall other groups' admissions or admin operations). The group
+  // outlives admission and its in-flight entry is already recorded, so the
+  // drain barrier covers this request even though the enqueue itself races
+  // the ring swap.
   auto on_complete = [group, gen] {
     common::MutexLock lock(group->inflight_mu);
     const auto it = group->inflight.find(gen);

@@ -21,10 +21,6 @@
 
 namespace adamove::shard {
 
-/// Initial shard-group count: the ADAMOVE_NUM_SHARDS environment override,
-/// falling back to 2 (README "Capacity tuning").
-int DefaultNumShards();
-
 struct ShardedServiceConfig {
   /// Shard groups created at construction (ids 0..num_shards-1). Grow or
   /// shrink later with AddShard / RemoveShard.
@@ -79,9 +75,9 @@ struct ShardedServiceConfig {
 /// admin mutex across the whole swap→drain→migrate sequence, so a
 /// migration's target group can never be concurrently marked draining.
 /// Admission itself never blocks under a lock — Submit resolves routing
-/// under the routing mutex but performs the (potentially blocking,
-/// OverflowPolicy::kBlock) enqueue after releasing it, keeping one full
-/// group from stalling admissions to the others.
+/// under the routing mutex but performs the (potentially blocking, on a
+/// full queue) enqueue after releasing it, keeping one full group from
+/// stalling admissions to the others.
 ///
 /// Removed groups are drained (their PredictionService keeps running with
 /// nothing routed to it) and destroyed only at Shutdown, so a raw Group

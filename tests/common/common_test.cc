@@ -98,6 +98,13 @@ TEST(EnvTest, ParsesAndFallsBack) {
   EXPECT_DOUBLE_EQ(EnvDouble("ADAMOVE_TEST_ENV_D", 1.0), 1.0);
   setenv("ADAMOVE_TEST_ENV_D", "garbage", 1);
   EXPECT_DOUBLE_EQ(EnvDouble("ADAMOVE_TEST_ENV_D", 1.0), 1.0);
+  // Values an int cannot hold fall back instead of converting (UB).
+  for (const char* unrepresentable : {"1e20", "-1e20", "inf", "nan"}) {
+    setenv("ADAMOVE_TEST_ENV_D", unrepresentable, 1);
+    EXPECT_EQ(EnvInt("ADAMOVE_TEST_ENV_D", 7), 7) << unrepresentable;
+  }
+  setenv("ADAMOVE_TEST_ENV_D", "-2147483648", 1);
+  EXPECT_EQ(EnvInt("ADAMOVE_TEST_ENV_D", 7), -2147483647 - 1);
   unsetenv("ADAMOVE_TEST_ENV_D");
 }
 

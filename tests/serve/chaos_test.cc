@@ -110,7 +110,7 @@ TEST_F(ChaosTest, SurvivesAllFaultPointsAtTenPercentUnderLoad) {
     const LoadGenResult result = RunLoadGen(service, stream, lg);
     service.Shutdown();
 
-    // Under kBlock every submission is eventually delivered with scores.
+    // Submit blocks at capacity: every submission is eventually delivered.
     EXPECT_EQ(result.completed, 400u) << "qps " << qps;
     EXPECT_EQ(result.shed, 0u);
     // With six points at 10% each, degradations must actually happen —
@@ -292,44 +292,6 @@ TEST_F(ChaosTest, DeadlineOverrunsServeFallbackAsTimedOut) {
   EXPECT_EQ(stats.completed, stream.size());
   // Timed-out requests skipped adaptation entirely: no state was written.
   EXPECT_EQ(store.UserCount(), 0u);
-}
-
-/// Shed policy: at capacity, Submit resolves immediately as kShed with no
-/// scores, and the ledger still balances (completed + shed = submitted).
-TEST_F(ChaosTest, ShedPolicyRejectsOverflowAndAccountsForIt) {
-  core::LightMob model(SmallConfig());
-  SessionStore store{SessionStoreConfig{}};
-  ServiceConfig config;
-  config.workers = 1;
-  // As in the TrySubmit test: a long flush window holds the queued requests
-  // so the 2-slot queue is observably full for the remaining arrivals.
-  config.max_batch = 8;
-  config.max_wait_us = 200 * 1000;
-  config.queue_capacity = 2;
-  config.overflow = OverflowPolicy::kShed;
-  PredictionService service(model, store, config);
-
-  const std::vector<data::Sample> stream = MakeStream(1, 8);
-  std::vector<std::future<Prediction>> futures;
-  for (const auto& sample : stream) futures.push_back(service.Submit(sample));
-  size_t delivered = 0;
-  size_t shed = 0;
-  for (auto& f : futures) {
-    const Prediction p = f.get();
-    if (p.outcome == RequestOutcome::kShed) {
-      EXPECT_TRUE(p.scores.empty());
-      ++shed;
-    } else {
-      EXPECT_EQ(p.scores.size(), 12u);
-      ++delivered;
-    }
-  }
-  service.Shutdown();
-  EXPECT_GT(shed, 0u);  // capacity 2 cannot absorb 8 instant arrivals
-  const ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.shed_requests, shed);
-  EXPECT_EQ(stats.completed, delivered);
-  EXPECT_EQ(stats.accounted(), stream.size());
 }
 
 /// `core.state_hydrate` at 100%: rehydration from the cold tier is blocked,

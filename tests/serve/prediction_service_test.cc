@@ -218,6 +218,11 @@ TEST(PredictionServiceTest, TrySubmitRejectsWhenFullInsteadOfBlocking) {
   EXPECT_GT(rejected, 0);  // capacity 2 cannot absorb 8 instant arrivals
   for (auto& f : accepted) EXPECT_EQ(f.get().scores.size(), 12u);
   service.Shutdown();
+  // The shed ledger: every rejection is counted, every submission accounted.
+  const ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.shed_requests, static_cast<uint64_t>(rejected));
+  EXPECT_EQ(stats.completed, accepted.size());
+  EXPECT_EQ(stats.accounted(), stream.size());
 }
 
 TEST(PredictionServiceTest, ShutdownDrainsOutstandingRequests) {

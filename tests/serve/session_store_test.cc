@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "core/lightmob.h"
+#include "serve/adapt_scheduler.h"
 #include "tests/serve/predict_only.h"
 
 namespace adamove::serve {
@@ -436,6 +438,58 @@ TEST(SessionStoreTest, InlinePredictLazilyDrainsPendingBacklog) {
   for (size_t i = 0; i < got[0].size(); ++i) {
     ASSERT_EQ(got[0][i], want[0][i]) << "score " << i;
   }
+}
+
+/// Bounded staleness by construction: a deferred request that finds
+/// kMaxStaleDepth pending deltas is forced inline (drain + fresh rebuild),
+/// so no prediction is served deeper than kMaxStaleDepth - 1 buffered
+/// deltas plus its own transitions.
+TEST(SessionStoreTest, MaxStaleDepthForcesInlineRebuilds) {
+  core::LightMob model(SmallConfig());
+  SessionStore store{SessionStoreConfig{}};
+  BatchAdaptOptions deferred;
+  deferred.mode = AdaptExecMode::kDeferred;
+
+  // One user with a sliding 6-point window: each request buffers at most 5
+  // transitions, spread over all 10 locations (so nothing coalesces before
+  // the bound), and ~52 requests reach kMaxStaleDepth.
+  constexpr size_t kMaxTransitions = 5;
+  constexpr uint32_t kDepthBound = kMaxStaleDepth - 1 + kMaxTransitions;
+  std::vector<data::Point> window;
+  int64_t t = 1333238400;
+  uint64_t forced = 0;
+  uint64_t stale = 0;
+  uint32_t max_depth = 0;
+  for (int s = 0; s < 80; ++s) {
+    window.push_back({7, s % 10, t});
+    if (window.size() > kMaxTransitions + 1) window.erase(window.begin());
+    t += 3 * data::kSecondsPerHour;
+    data::Sample sample;
+    sample.user = 7;
+    sample.recent = window;
+    sample.target = {7, (s + 1) % 10, t};
+    const nn::Tensor reps = model.PrefixRepresentations(sample);
+    std::vector<AdaptStatus> statuses;
+    BatchAdaptStats adapt_stats;
+    (void)store.BatchObserveAndPredictEncoded(
+        model, {{&sample, SessionStore::RepsView(reps)}}, deferred,
+        &statuses, &adapt_stats);
+    if (statuses[0] == AdaptStatus::kStaleAdapt) {
+      ++stale;
+      max_depth = std::max(max_depth, adapt_stats.stale_depth[0]);
+    } else {
+      // Forced inline: the backlog drained and this request ingested.
+      ASSERT_EQ(statuses[0], AdaptStatus::kAdapted) << "request " << s;
+      EXPECT_EQ(adapt_stats.forced_inline, 1u);
+      EXPECT_EQ(store.PendingDeltaCount(), 0u);
+      ++forced;
+    }
+    EXPECT_LE(store.PendingDeltaCount(), kDepthBound) << "request " << s;
+  }
+  EXPECT_GT(forced, 0u);
+  EXPECT_GT(stale, 0u);
+  EXPECT_LE(max_depth, kDepthBound);
+  EXPECT_GE(max_depth, kMaxStaleDepth);  // the bound was reached, not idle
 }
 
 }  // namespace

@@ -433,7 +433,6 @@ TEST(ShardedServiceTest, RebalanceWhileServingIsRaceFreeAndAccounted) {
   constexpr int kUsers = 12;
   constexpr int kStepsPerThread = 8;
   std::atomic<uint64_t> submitted{0};
-  std::atomic<uint64_t> shed{0};
   std::vector<std::thread> producers;
   producers.reserve(kThreads);
   for (int th = 0; th < kThreads; ++th) {
@@ -444,12 +443,8 @@ TEST(ShardedServiceTest, RebalanceWhileServingIsRaceFreeAndAccounted) {
         std::future<serve::Prediction> f = service.Submit(stream[i]);
         submitted.fetch_add(1, std::memory_order_relaxed);
         const serve::Prediction p = f.get();
-        if (p.outcome == serve::RequestOutcome::kShed) {
-          shed.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          ASSERT_EQ(p.scores.size(), 12u);
-          ASSERT_TRUE(AllFinite(p.scores));
-        }
+        ASSERT_EQ(p.scores.size(), 12u);
+        ASSERT_TRUE(AllFinite(p.scores));
       }
     });
   }
@@ -464,7 +459,6 @@ TEST(ShardedServiceTest, RebalanceWhileServingIsRaceFreeAndAccounted) {
 
   EXPECT_EQ(service.InTransitCount(), 0u);
   EXPECT_EQ(TotalAccounted(service), submitted.load());
-  EXPECT_EQ(shed.load(), 0u);  // kBlock overflow policy: nothing shed
   EXPECT_EQ(service.Shards(), (std::vector<int>{0, 1}));
 
   // State survived the churn: every user still owned exactly once.
@@ -518,11 +512,6 @@ TEST(ShardedServiceTest, SnapshotRestoreRoundTripsAcrossProcessBoundary) {
   }
   restored.Shutdown();
   empty.Shutdown();
-}
-
-TEST(ShardedServiceTest, DefaultNumShardsReadsTheEnvironment) {
-  // No override in the test environment: documented fallback.
-  EXPECT_GE(DefaultNumShards(), 1);
 }
 
 }  // namespace

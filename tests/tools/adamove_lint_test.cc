@@ -302,6 +302,30 @@ TEST_F(CrossRegistryTest, RegisteredEverywhereIsClean) {
   EXPECT_TRUE(Rules().empty());
 }
 
+TEST_F(CrossRegistryTest, DocumentedKnobNothingReadsIsReported) {
+  // Clean except README: ADAMOVE_GHOST is documented, but no code reads it
+  // and no CMake option declares it (a deleted knob left in the docs).
+  // A read under tests/ and both kinds of CMake cache option count.
+  WriteFile("DESIGN.md", "point table: serve.widget_frob fires on frob\n");
+  WriteFile("tests/svc_test.cc",
+            "Arm(\"serve.widget_frob\", 1.0);\n"
+            "v = getenv(\"ADAMOVE_TEST_ONLY\");\n");
+  WriteFile("scripts/check.sh", "ctest -L 'alpha|beta'\n");
+  WriteFile("CMakeLists.txt",
+            "option(ADAMOVE_FANCY \"Fancy build\" OFF)\n"
+            "set(ADAMOVE_FLAVOR \"\" CACHE STRING \"Flavor\")\n");
+  WriteFile("README.md",
+            "set ADAMOVE_WIDGETS to tune widget count\n"
+            "ADAMOVE_TEST_ONLY, -DADAMOVE_FANCY=ON, -DADAMOVE_FLAVOR=x\n"
+            "ADAMOVE_GHOST=1 once tuned something; ADAMOVE_GHOST again\n");
+  const std::vector<Diagnostic> diags = CrossRegistryLints(root_);
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].rule, "env-docs");
+  EXPECT_EQ(diags[0].file, "README.md");
+  EXPECT_EQ(diags[0].line, 3);
+  EXPECT_NE(diags[0].message.find("ADAMOVE_GHOST"), std::string::npos);
+}
+
 TEST_F(CrossRegistryTest, FaultPointInCommentIsNotADeclaration) {
   WriteFile("src/serve/svc.cc",
             "// e.g. FaultPoint(\"serve.doc_example\") arms a point\n");

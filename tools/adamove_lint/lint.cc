@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <initializer_list>
 #include <map>
 #include <regex>
 #include <sstream>
@@ -325,14 +326,18 @@ std::vector<Diagnostic> LintSource(const std::string& path,
 
 namespace {
 
-std::vector<fs::path> SourceFiles(const fs::path& root) {
+/// Every .cc/.h file under the given top-level directories of `root`.
+std::vector<fs::path> SourceFiles(
+    const fs::path& root, std::initializer_list<const char*> dirs = {"src"}) {
   std::vector<fs::path> files;
-  const fs::path src = root / "src";
-  if (!fs::exists(src)) return files;
-  for (const auto& entry : fs::recursive_directory_iterator(src)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string ext = entry.path().extension().string();
-    if (ext == ".cc" || ext == ".h") files.push_back(entry.path());
+  for (const char* dir : dirs) {
+    const fs::path base = root / dir;
+    if (!fs::exists(base)) continue;
+    for (const auto& entry : fs::recursive_directory_iterator(base)) {
+      if (!entry.is_regular_file()) continue;
+      const std::string ext = entry.path().extension().string();
+      if (ext == ".cc" || ext == ".h") files.push_back(entry.path());
+    }
   }
   std::sort(files.begin(), files.end());
   return files;
@@ -351,9 +356,10 @@ struct Decl {
 /// First declaration site of each distinct name (map keeps output stable).
 std::map<std::string, Decl> CollectDecls(
     const fs::path& root, const std::regex& code_trigger,
-    const std::regex& name_shape) {
+    const std::regex& name_shape,
+    std::initializer_list<const char*> dirs = {"src"}) {
   std::map<std::string, Decl> decls;
-  for (const fs::path& file : SourceFiles(root)) {
+  for (const fs::path& file : SourceFiles(root, dirs)) {
     const std::vector<LintLine> lines = Tokenize(ReadFile(file));
     for (size_t i = 0; i < lines.size(); ++i) {
       if (!std::regex_search(lines[i].code, code_trigger)) continue;
@@ -406,15 +412,53 @@ std::vector<Diagnostic> CrossRegistryLints(const fs::path& root) {
   // Env knobs: every "ADAMOVE_*" literal read in src/ must be documented in
   // README.md — a knob nobody can discover is a behavior fork nobody can
   // explain.
-  const auto env_vars = CollectDecls(
-      root, std::regex("\\b(EnvString|EnvInt|EnvDouble|getenv)\\s*\\(\\s*\""),
-      std::regex("ADAMOVE_[A-Z0-9_]+"));
+  const std::regex env_read("\\b(EnvInt|EnvDouble|getenv)\\s*\\(\\s*\"");
+  const std::regex env_name("ADAMOVE_[A-Z0-9_]+");
+  const auto env_vars = CollectDecls(root, env_read, env_name);
   const std::string readme = ReadFile(root / "README.md");
   for (const auto& [name, decl] : env_vars) {
     if (readme.find(name) == std::string::npos) {
       out.push_back({decl.file, decl.line, "env-docs",
                      "environment knob " + name +
                          " is read here but not documented in README.md"});
+    }
+  }
+  // ...and back: every ADAMOVE_* name README.md documents must be read by
+  // some code in the tree or be a CMake cache option, so a deleted knob
+  // cannot live on in the docs.
+  std::set<std::string> known;
+  for (const auto& [name, decl] :
+       CollectDecls(root, env_read, env_name,
+                    {"src", "bench", "tests", "examples", "tools"})) {
+    known.insert(name);
+  }
+  {
+    static const std::regex kCacheOption(
+        "\\b(?:option\\(\\s*(ADAMOVE_[A-Z0-9_]+)|"
+        "set\\(\\s*(ADAMOVE_[A-Z0-9_]+)[^)]*\\bCACHE\\b)");
+    const std::string cmake = ReadFile(root / "CMakeLists.txt");
+    for (auto it = std::sregex_iterator(cmake.begin(), cmake.end(),
+                                        kCacheOption);
+         it != std::sregex_iterator(); ++it) {
+      known.insert((*it)[1].matched ? (*it)[1].str() : (*it)[2].str());
+    }
+  }
+  {
+    std::istringstream stream(readme);
+    std::string line;
+    int lineno = 0;
+    std::set<std::string> reported;
+    while (std::getline(stream, line)) {
+      ++lineno;
+      for (auto it = std::sregex_iterator(line.begin(), line.end(), env_name);
+           it != std::sregex_iterator(); ++it) {
+        const std::string name = it->str();
+        if (known.count(name) != 0 || !reported.insert(name).second) continue;
+        out.push_back({"README.md", lineno, "env-docs",
+                       "README.md documents " + name +
+                           ", which no code reads and no CMake option "
+                           "declares"});
+      }
     }
   }
 

@@ -27,7 +27,7 @@ namespace adamove::lint {
 /// On top of the per-line rules, the linter proves three cross-registry
 /// consistency properties of the tree (things no single-file grep can see):
 /// fault points vs DESIGN.md and the test suite, ADAMOVE_* env knobs vs
-/// README.md, and ctest labels vs the check.sh stages that must run them.
+/// README.md (both directions), and ctest labels vs the check.sh stages that must run them.
 
 struct Diagnostic {
   std::string file;  // repo-relative, forward slashes
@@ -75,7 +75,9 @@ std::vector<Diagnostic> LintSource(const std::string& path,
 ///   fault-point-docs      every FaultPoint("x") in src/ appears in DESIGN.md
 ///   fault-point-coverage  ... and in at least one file under tests/
 ///   env-docs              every "ADAMOVE_*" literal read in src/ appears in
-///                         README.md
+///                         README.md, and every ADAMOVE_* name in README.md
+///                         is read under src/, bench/, tests/, examples/ or
+///                         tools/, or is a CMake cache option
 ///   ctest-labels          every LABELS entry in tests/CMakeLists.txt appears
 ///                         in a `ctest -L` expression in scripts/check.sh
 std::vector<Diagnostic> CrossRegistryLints(const std::filesystem::path& root);
