@@ -1,6 +1,7 @@
 // Static-plan inference microbenchmarks (DESIGN.md §14): the graph walk vs
-// the compiled plan for the encoder forward, and the full request path
-// (encode + adapted predict) both ways. Every row carries the `allocs/op`
+// the compiled plan for the encoder forward, the extend-by-one encode that
+// resumes from a prefix state, and the full request path (encode + adapted
+// predict) both ways. Every row carries the `allocs/op`
 // column from the common/alloc_probe interposition — the plan rows must
 // show 0, and main() enforces that as a hard gate before the timed runs:
 // `bench_plan` exits non-zero if a warmed plan-mode request allocates.
@@ -122,8 +123,54 @@ BENCHMARK(BM_EncoderForward)
     ->Args({32, 64, kPlan})
     ->Args({32, 128, kGraph})
     ->Args({32, 128, kPlan})
+    ->Args({36, 64, kPlan})
     ->Args({64, 64, kGraph})
     ->Args({64, 64, kPlan});
+
+// The serving encode of a window that extends the user's previous one by a
+// single check-in (DESIGN.md §14, "Prefix state"): ForwardPlanner::
+// ExtendInto copies the T-1 stored rows and runs the 1-step plan from the
+// stored carry. Each iteration first truncates the state back to its T-1
+// points and restores their carry (a few hundred bytes of copying, inside
+// the timing). Compare with BM_EncoderForward/T/64/1, the full T-step
+// plan. Args({len, hidden}).
+void BM_EncoderExtendByOne(benchmark::State& state) {
+  const int length = static_cast<int>(state.range(0));
+  const int64_t hidden = state.range(1);
+  const core::ModelConfig config = BenchConfig(hidden);
+  core::LightMob model(config);
+  const data::Sample sample = BenchSample(config, length);
+  data::Sample prefix = sample;
+  prefix.recent.pop_back();
+  core::ForwardPlanner planner(model);
+  core::PlanScratch scratch;
+  core::PrefixState prefix_state;
+  // Warm: compile both plans and grow every buffer to the full window.
+  if (!planner.ExtendInto(sample, &prefix_state, &scratch) ||
+      !planner.ExtendInto(prefix, &prefix_state, &scratch)) {
+    state.SkipWithError("plan compile failed");
+    return;
+  }
+  const std::vector<float> prefix_carry = prefix_state.carry;
+  planner.ExtendInto(sample, &prefix_state, &scratch);
+  const size_t kept_points = static_cast<size_t>(length - 1);
+  common::AllocProbeScope allocs;
+  for (auto _ : state) {
+    prefix_state.points.resize(kept_points);
+    prefix_state.rows.resize(kept_points * static_cast<size_t>(hidden));
+    prefix_state.carry.assign(prefix_carry.begin(), prefix_carry.end());
+    benchmark::DoNotOptimize(
+        planner.ExtendInto(sample, &prefix_state, &scratch));
+    benchmark::DoNotOptimize(scratch.reps.data());
+  }
+  ReportAllocsPerOp(state, allocs);
+  if (scratch.reused != length - 1) state.SkipWithError("not a prefix hit");
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EncoderExtendByOne)
+    ->Args({8, 64})
+    ->Args({36, 64})
+    ->Args({64, 64});
 
 // The full steady-state request: encode the prefix, then the adapted
 // predict against a populated knowledge base. Graph mode is the legacy

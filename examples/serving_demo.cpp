@@ -77,6 +77,14 @@ int main() {
               stats.queue_us.SummaryMs().c_str(),
               stats.encode_us.SummaryMs().c_str(),
               stats.adapt_us.SummaryMs().c_str());
+  // The encoder resumes each user from the state its previous request left
+  // (DESIGN.md §14, "Prefix state"): rows it computed vs rows it reused.
+  std::printf("encoder rows: encoded=%llu reused=%llu; prefix state: "
+              "%llu users, %.1f KiB\n",
+              static_cast<unsigned long long>(stats.encoded_rows),
+              static_cast<unsigned long long>(stats.reused_rows),
+              static_cast<unsigned long long>(stats.prefix_state_entries),
+              static_cast<double>(stats.prefix_state_bytes) / 1024.0);
   // All zero unless fault points are armed (ADAMOVE_FAULTS) or deadlines
   // are configured (Submit blocks on a full queue, so nothing sheds here) —
   // the availability ledger of DESIGN.md §9.

@@ -9,6 +9,8 @@
 #              runs static plans wherever the encoder traces (DESIGN.md
 #              §14), so both passes cover the plan path; the `plan` label
 #              (alloc-probe pins, plan/graph bit-identity) runs in both.
+#              Then the perfbench correctness gates, every workload under
+#              both backends (scripts/perfbench_gates.sh).
 #   2. TSan:   `concurrency` + `persist` + `shard` + `plan` + `verify` +
 #              `overload` labels under -DADAMOVE_SANITIZE=thread (data races
 #              in the serving path / kernels / chaos suite, snapshot/restore
@@ -57,6 +59,8 @@ echo "    ... bench_serving --overload smoke (small env, no gate)"
 (cd build/bench && \
   ADAMOVE_BENCH_SCALE=0.1 ADAMOVE_BENCH_EPOCHS=1 ADAMOVE_BENCH_TRAIN_CAP=300 \
   ADAMOVE_BENCH_SERVE_REQUESTS=200 ./bench_serving --overload)
+echo "    ... perfbench correctness gates (4 workloads x default / scalar backend)"
+scripts/perfbench_gates.sh
 
 echo "==> [2/4] TSan: concurrency + persist + shard + plan + verify + overload labeled suites"
 cmake -B build-tsan -S . -DADAMOVE_SANITIZE=thread >/dev/null

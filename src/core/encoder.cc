@@ -73,7 +73,7 @@ PointEmbedding::PointEmbedding(const ModelConfig& config, common::Rng& rng) {
   RegisterModule("user_emb", user_emb_.get());
 }
 
-void PointEmbedding::IndexArrays(const std::vector<data::Point>& points,
+void PointEmbedding::IndexArrays(std::span<const data::Point> points,
                                  std::vector<int64_t>* locs,
                                  std::vector<int64_t>* slots,
                                  std::vector<int64_t>* users) const {

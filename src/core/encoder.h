@@ -2,6 +2,7 @@
 #define ADAMOVE_CORE_ENCODER_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/config.h"
@@ -27,7 +28,7 @@ class PointEmbedding : public nn::Module {
   /// Forward looks up — the shared definition the static forward-plan path
   /// feeds to its gather ops, so plan and graph mode index identically.
   /// Appends to the given vectors (callers Clear-and-reuse for capacity).
-  void IndexArrays(const std::vector<data::Point>& points,
+  void IndexArrays(std::span<const data::Point> points,
                    std::vector<int64_t>* locs, std::vector<int64_t>* slots,
                    std::vector<int64_t>* users) const;
 

@@ -57,10 +57,12 @@ void OnlineAdapter::Observe(int64_t user, const std::vector<float>& pattern,
   // stays consistent (it just never saw this transition).
   if (common::FaultPoint("core.kb.ingest")) return;
   auto& entries = users_[user].by_location[next_location];
-  entries.push_back(Entry{pattern, timestamp});
-  if (entries.size() > kMaxCandidatesPerLocation) {
-    entries.erase(entries.begin());  // FIFO: drop the oldest candidate
+  // FIFO: drop the oldest candidate before appending, so a full location
+  // never grows past kMaxCandidatesPerLocation slots.
+  if (entries.size() >= kMaxCandidatesPerLocation) {
+    entries.erase(entries.begin());
   }
+  entries.push_back(Entry{pattern, timestamp});
 }
 
 size_t OnlineAdapter::ObserveDeferred(int64_t user,

@@ -15,10 +15,25 @@ namespace {
 // graph mode materializes Row/SliceCols copies. Step-local temps are fresh
 // SSA values each iteration; Finalize's lifetime analysis folds them back
 // into a handful of arena slots.
+//
+// Where graph mode starts from Tensor::Zeros, step 0 reads the layer's
+// slice of the carry-in buffer; after the last step the layer's state goes
+// to the same slice of carry-out by an exact copy (or, for the LSTM cell,
+// by the last step writing it there directly). A run over zero carry is
+// therefore the graph walk itself, and a run over the carry a previous run
+// left continues it: both backends are row-count invariant (DESIGN.md §13),
+// so each new row gets the bits the full-window run would give it.
+
+/// Where one layer's carry lives: `off` into the plan's carry buffers.
+struct CarrySlot {
+  ValueId in = kNoValue;
+  ValueId out = kNoValue;
+  int64_t off = 0;
+};
 
 // h_t = tanh(x_t W_ih + h_{t-1} W_hh + b) — rnn.cc RnnEncoder::Forward.
 void TraceRnn(const RnnEncoder& rnn, PlanBuilder& b, ValueId x, int64_t t_len,
-              ValueId dst) {
+              ValueId dst, const CarrySlot& carry) {
   const int64_t in = rnn.input_size();
   const int64_t hs = rnn.hidden_size();
   const ValueId w_ih = b.Weight(rnn.w_ih());
@@ -28,20 +43,19 @@ void TraceRnn(const RnnEncoder& rnn, PlanBuilder& b, ValueId x, int64_t t_len,
   b.MatMul(x, 0, w_ih, mm_x, 0, t_len, in, hs);
   const ValueId xw = b.Temp(t_len * hs);
   b.Add(mm_x, 0, bias, 0, xw, 0, t_len, hs, /*broadcast=*/t_len > 1);
-  const ValueId h0 = b.Temp(hs);
-  b.Zero(h0, 0, hs);
   for (int64_t t = 0; t < t_len; ++t) {
-    const ValueId hp = t == 0 ? h0 : dst;
-    const int64_t hp_off = t == 0 ? 0 : (t - 1) * hs;
+    const ValueId hp = t == 0 ? carry.in : dst;
+    const int64_t hp_off = t == 0 ? carry.off : (t - 1) * hs;
     const ValueId mm_h = b.Temp(hs);
     b.MatMul(hp, hp_off, w_hh, mm_h, 0, 1, hs, hs);
     b.AddTanh(xw, t * hs, mm_h, 0, dst, t * hs, 1, hs, /*broadcast=*/false);
   }
+  b.Copy(dst, (t_len - 1) * hs, carry.out, carry.off, hs);
 }
 
-// Standard i,f,g,o LSTM — rnn.cc LstmEncoder::Forward.
+// Standard i,f,g,o LSTM — rnn.cc LstmEncoder::Forward. Carry: h, then c.
 void TraceLstm(const LstmEncoder& lstm, PlanBuilder& b, ValueId x,
-               int64_t t_len, ValueId dst) {
+               int64_t t_len, ValueId dst, const CarrySlot& carry) {
   const int64_t in = lstm.input_size();
   const int64_t hs = lstm.hidden_size();
   const ValueId w_ih = b.Weight(lstm.w_ih());
@@ -51,13 +65,11 @@ void TraceLstm(const LstmEncoder& lstm, PlanBuilder& b, ValueId x,
   b.MatMul(x, 0, w_ih, mm_x, 0, t_len, in, 4 * hs);
   const ValueId xw = b.Temp(t_len * 4 * hs);
   b.Add(mm_x, 0, bias, 0, xw, 0, t_len, 4 * hs, /*broadcast=*/t_len > 1);
-  const ValueId h0 = b.Temp(hs);
-  b.Zero(h0, 0, hs);
-  ValueId c_prev = b.Temp(hs);
-  b.Zero(c_prev, 0, hs);
+  ValueId c_prev = carry.in;
+  int64_t c_prev_off = carry.off + hs;
   for (int64_t t = 0; t < t_len; ++t) {
-    const ValueId hp = t == 0 ? h0 : dst;
-    const int64_t hp_off = t == 0 ? 0 : (t - 1) * hs;
+    const ValueId hp = t == 0 ? carry.in : dst;
+    const int64_t hp_off = t == 0 ? carry.off : (t - 1) * hs;
     const ValueId mm_h = b.Temp(4 * hs);
     b.MatMul(hp, hp_off, w_hh, mm_h, 0, 1, hs, 4 * hs);
     const ValueId gates = b.Temp(4 * hs);
@@ -71,22 +83,27 @@ void TraceLstm(const LstmEncoder& lstm, PlanBuilder& b, ValueId x,
     const ValueId o = b.Temp(hs);
     b.Sigmoid(gates, 3 * hs, o, 0, hs);
     const ValueId fc = b.Temp(hs);
-    b.Mul(f, 0, c_prev, 0, fc, 0, hs);
+    b.Mul(f, 0, c_prev, c_prev_off, fc, 0, hs);
     const ValueId ig = b.Temp(hs);
     b.Mul(i, 0, g, 0, ig, 0, hs);
-    const ValueId c = b.Temp(hs);
-    b.Add(fc, 0, ig, 0, c, 0, 1, hs, /*broadcast=*/false);
+    // The last step's cell state is the carry: written there directly.
+    const bool last = t + 1 == t_len;
+    const ValueId c = last ? carry.out : b.Temp(hs);
+    const int64_t c_off = last ? carry.off + hs : 0;
+    b.Add(fc, 0, ig, 0, c, c_off, 1, hs, /*broadcast=*/false);
     const ValueId tc = b.Temp(hs);
-    b.Tanh(c, 0, tc, 0, hs);
+    b.Tanh(c, c_off, tc, 0, hs);
     b.Mul(o, 0, tc, 0, dst, t * hs, hs);
     c_prev = c;
+    c_prev_off = c_off;
   }
+  b.Copy(dst, (t_len - 1) * hs, carry.out, carry.off, hs);
 }
 
 // r,z,n GRU — rnn.cc GruEncoder::Forward, including the two-rounding
 // (1 - z) computed as ScalarAdd(ScalarMul(z, -1), 1).
 void TraceGru(const GruEncoder& gru, PlanBuilder& b, ValueId x, int64_t t_len,
-              ValueId dst) {
+              ValueId dst, const CarrySlot& carry) {
   const int64_t in = gru.input_size();
   const int64_t hs = gru.hidden_size();
   const ValueId w_ih = b.Weight(gru.w_ih());
@@ -97,11 +114,9 @@ void TraceGru(const GruEncoder& gru, PlanBuilder& b, ValueId x, int64_t t_len,
   b.MatMul(x, 0, w_ih, mm_x, 0, t_len, in, 3 * hs);
   const ValueId xw = b.Temp(t_len * 3 * hs);
   b.Add(mm_x, 0, b_ih, 0, xw, 0, t_len, 3 * hs, /*broadcast=*/t_len > 1);
-  const ValueId h0 = b.Temp(hs);
-  b.Zero(h0, 0, hs);
   for (int64_t t = 0; t < t_len; ++t) {
-    const ValueId hp = t == 0 ? h0 : dst;
-    const int64_t hp_off = t == 0 ? 0 : (t - 1) * hs;
+    const ValueId hp = t == 0 ? carry.in : dst;
+    const int64_t hp_off = t == 0 ? carry.off : (t - 1) * hs;
     const ValueId mm_h = b.Temp(3 * hs);
     b.MatMul(hp, hp_off, w_hh, mm_h, 0, 1, hs, 3 * hs);
     const ValueId hw = b.Temp(3 * hs);
@@ -126,39 +141,68 @@ void TraceGru(const GruEncoder& gru, PlanBuilder& b, ValueId x, int64_t t_len,
     b.Mul(z, 0, hp, hp_off, a2, 0, hs);
     b.Add(a1, 0, a2, 0, dst, t * hs, 1, hs, /*broadcast=*/false);
   }
+  b.Copy(dst, (t_len - 1) * hs, carry.out, carry.off, hs);
+}
+
+// Floats of carry state `layer` needs (h, plus c for an LSTM), or -1 for an
+// encoder the tracer does not know.
+int64_t CarryElems(const SequenceEncoder& layer) {
+  if (const auto* rnn = dynamic_cast<const RnnEncoder*>(&layer)) {
+    return rnn->hidden_size();
+  }
+  if (const auto* lstm = dynamic_cast<const LstmEncoder*>(&layer)) {
+    return 2 * lstm->hidden_size();
+  }
+  if (const auto* gru = dynamic_cast<const GruEncoder*>(&layer)) {
+    return gru->hidden_size();
+  }
+  if (const auto* stacked = dynamic_cast<const StackedEncoder*>(&layer)) {
+    int64_t total = 0;
+    for (const auto& inner : stacked->layers()) {
+      const int64_t n = CarryElems(*inner);
+      if (n < 0) return -1;
+      total += n;
+    }
+    return total;
+  }
+  return -1;  // transformer or future encoder
 }
 
 // Maps value `x` ({t_len, x_cols}) through `layer` into `dst`
-// ({t_len, layer.hidden_size()}). Returns false on an unknown encoder type
-// (the trace is abandoned; callers fall back to graph mode).
+// ({t_len, layer.hidden_size()}), its carry starting at `carry.off`.
+// Returns false on an unknown encoder type (the trace is abandoned; callers
+// fall back to graph mode).
 bool TraceLayer(const SequenceEncoder& layer, PlanBuilder& b, ValueId x,
-                int64_t x_cols, int64_t t_len, ValueId dst) {
+                int64_t x_cols, int64_t t_len, ValueId dst,
+                const CarrySlot& carry) {
   if (const auto* rnn = dynamic_cast<const RnnEncoder*>(&layer)) {
     ADAMOVE_CHECK_EQ(x_cols, rnn->input_size());
-    TraceRnn(*rnn, b, x, t_len, dst);
+    TraceRnn(*rnn, b, x, t_len, dst, carry);
     return true;
   }
   if (const auto* lstm = dynamic_cast<const LstmEncoder*>(&layer)) {
     ADAMOVE_CHECK_EQ(x_cols, lstm->input_size());
-    TraceLstm(*lstm, b, x, t_len, dst);
+    TraceLstm(*lstm, b, x, t_len, dst, carry);
     return true;
   }
   if (const auto* gru = dynamic_cast<const GruEncoder*>(&layer)) {
     ADAMOVE_CHECK_EQ(x_cols, gru->input_size());
-    TraceGru(*gru, b, x, t_len, dst);
+    TraceGru(*gru, b, x, t_len, dst, carry);
     return true;
   }
   if (const auto* stacked = dynamic_cast<const StackedEncoder*>(&layer)) {
     ValueId cur = x;
     int64_t cur_cols = x_cols;
+    CarrySlot slot = carry;
     const auto& layers = stacked->layers();
     for (size_t i = 0; i < layers.size(); ++i) {
       const bool last = i + 1 == layers.size();
       const int64_t out_cols = layers[i]->hidden_size();
       const ValueId layer_dst = last ? dst : b.Temp(t_len * out_cols);
-      if (!TraceLayer(*layers[i], b, cur, cur_cols, t_len, layer_dst)) {
+      if (!TraceLayer(*layers[i], b, cur, cur_cols, t_len, layer_dst, slot)) {
         return false;
       }
+      slot.off += CarryElems(*layers[i]);
       cur = layer_dst;
       cur_cols = out_cols;
     }
@@ -232,6 +276,8 @@ std::shared_ptr<const CompiledPlan> CompileEncoderForward(
     const std::vector<const Embedding*>& embeddings,
     const SequenceEncoder& seq, int64_t seq_len) {
   if (seq_len <= 0 || embeddings.empty()) return nullptr;
+  const int64_t carry_elems = CarryElems(seq);
+  if (carry_elems <= 0) return nullptr;
   PlanBuilder b;
   int64_t in_total = 0;
   for (const Embedding* e : embeddings) in_total += e->dim();
@@ -253,7 +299,9 @@ std::shared_ptr<const CompiledPlan> CompileEncoderForward(
              embeddings[i]->dim(), seq_len, x, col, in_total);
     col += embeddings[i]->dim();
   }
-  if (!TraceLayer(seq, b, x, in_total, seq_len, out)) return nullptr;
+  CarrySlot carry;
+  b.Carry(carry_elems, &carry.in, &carry.out);
+  if (!TraceLayer(seq, b, x, in_total, seq_len, out, carry)) return nullptr;
   CompiledPlan plan = std::move(b).Finalize();
   plan.seq_len = seq_len;
   return std::make_shared<const CompiledPlan>(std::move(plan));

@@ -17,7 +17,10 @@ namespace adamove::nn::plan {
 /// y = seq(x) — into a CompiledPlan for sequences of exactly `seq_len`
 /// steps. The trace re-emits the graph ops of rnn.cc verbatim (same
 /// broadcast flags, same fused kernels, same scalar loops), so executing
-/// the plan is bit-identical to graph mode on every backend.
+/// the plan over a zero carry is bit-identical to graph mode on every
+/// backend. Run over the carry-out of a plan that encoded points
+/// p_0..p_{P-1}, it yields rows P..P+seq_len-1 of the full window's encode,
+/// bit for bit.
 ///
 /// Returns nullptr when `seq` contains an encoder the tracer does not know
 /// (e.g. the transformer) — callers keep the graph path as fallback.
@@ -27,9 +30,10 @@ std::shared_ptr<const CompiledPlan> CompileEncoderForward(
 
 /// The raw weight data pointers a CompileEncoderForward trace would borrow,
 /// in registration order (embedding tables, then per-layer weights). Empty
-/// when `seq` is untraceable. core::ForwardPlanner compares this against a
-/// cached plan's weight_fingerprint: a checkpoint hot-swap that reallocated
-/// tensor storage changes pointers and invalidates the plan.
+/// when `seq` is untraceable — every plan's weight_fingerprint.
+/// core::ForwardPlanner keeps it and compares it with the live model: a
+/// checkpoint hot-swap that reallocated tensor storage changes pointers and
+/// invalidates every plan.
 std::vector<const float*> EncoderWeightPointers(
     const std::vector<const Embedding*>& embeddings,
     const SequenceEncoder& seq);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 
 #include "common/check.h"
@@ -18,7 +19,7 @@ void PlanExecutor::Bind(std::shared_ptr<const CompiledPlan> plan) {
       static_cast<size_t>(plan_->arena_elems));
 }
 
-const float* PlanExecutor::Src(ValueId id, const float* out) const {
+const float* PlanExecutor::Src(ValueId id, const Io& io) const {
   const Value& v = plan_->values[static_cast<size_t>(id)];
   switch (v.kind) {
     case ValueKind::kWeight:
@@ -26,34 +27,49 @@ const float* PlanExecutor::Src(ValueId id, const float* out) const {
     case ValueKind::kTemp:
       return arena_.data() + v.arena_offset;
     case ValueKind::kOutput:
-      return out;
+      return io.out;
+    case ValueKind::kCarryIn:
+      return io.carry_in;
+    case ValueKind::kCarryOut:
+      return io.carry_out;
   }
   return nullptr;  // unreachable
 }
 
-float* PlanExecutor::Dst(ValueId id, float* out) {
+float* PlanExecutor::Dst(ValueId id, const Io& io) {
   const Value& v = plan_->values[static_cast<size_t>(id)];
-  ADAMOVE_CHECK(v.kind != ValueKind::kWeight);
-  if (v.kind == ValueKind::kOutput) return out;
+  if (v.kind == ValueKind::kOutput) return io.out;
+  if (v.kind == ValueKind::kCarryOut) return io.carry_out;
+  ADAMOVE_CHECK(v.kind == ValueKind::kTemp);  // never a weight or carry-in
   return arena_.data() + v.arena_offset;
 }
 
-void PlanExecutor::Run(const int64_t* const* index_inputs, float* out) {
+void PlanExecutor::Run(const int64_t* const* index_inputs,
+                       const float* carry_in, float* out, float* carry_out) {
   ADAMOVE_CHECK(plan_ != nullptr);
+  // Carry-in must stay intact until the last layer has read it, so the two
+  // carry buffers may not overlap.
+  const auto bytes = static_cast<uintptr_t>(plan_->carry_elems) * sizeof(float);
+  const auto in = reinterpret_cast<uintptr_t>(carry_in);
+  const auto co = reinterpret_cast<uintptr_t>(carry_out);
+  ADAMOVE_CHECK(bytes == 0 || (in != 0 && co != 0));
+  ADAMOVE_CHECK(in + bytes <= co || co + bytes <= in);
+  const Io io{carry_in, out, carry_out};
   // Pin kernels inline for the whole run: ParallelFor's pool path allocates
   // its future list, and by the determinism contract (DESIGN.md §13)
   // chunking is scheduling, never arithmetic, so values are unchanged.
   common::SerialKernelRegion serial;
   for (const Op& op : plan_->ops) {
     switch (op.kind) {
-      case OpKind::kZero: {
-        std::fill_n(Dst(op.dst, out) + op.dst_off, op.cols, 0.0f);
+      case OpKind::kCopy: {
+        std::copy_n(Src(op.a, io) + op.a_off, op.cols,
+                    Dst(op.dst, io) + op.dst_off);
         break;
       }
       case OpKind::kGather: {
         const int64_t* idx = index_inputs[op.index_input];
-        const float* table = Src(op.a, out);
-        float* dst = Dst(op.dst, out) + op.dst_off;
+        const float* table = Src(op.a, io);
+        float* dst = Dst(op.dst, io) + op.dst_off;
         for (int64_t r = 0; r < op.rows; ++r) {
           const int64_t row = idx[r];
           ADAMOVE_CHECK_GE(row, 0);
@@ -67,9 +83,9 @@ void PlanExecutor::Run(const int64_t* const* index_inputs, float* out) {
         // Graph mode always computes a matmul into a fresh zero-filled
         // node and lets MatMulNN accumulate; zero-fill + the same kernel
         // reproduces it bit for bit on every backend.
-        const float* a = Src(op.a, out) + op.a_off;
-        const float* b = Src(op.b, out) + op.b_off;
-        float* dst = Dst(op.dst, out) + op.dst_off;
+        const float* a = Src(op.a, io) + op.a_off;
+        const float* b = Src(op.b, io) + op.b_off;
+        float* dst = Dst(op.dst, io) + op.dst_off;
         std::fill_n(dst, op.rows * op.cols, 0.0f);
         kernels::MatMulNN(a, b, dst, op.rows, op.k, op.cols);
         break;
@@ -77,9 +93,9 @@ void PlanExecutor::Run(const int64_t* const* index_inputs, float* out) {
       case OpKind::kAdd: {
         // Verbatim ops.cc Add loop, offsets standing in for the row/slice
         // copies graph mode materializes.
-        const float* a = Src(op.a, out) + op.a_off;
-        const float* b = Src(op.b, out) + op.b_off;
-        float* dst = Dst(op.dst, out) + op.dst_off;
+        const float* a = Src(op.a, io) + op.a_off;
+        const float* b = Src(op.b, io) + op.b_off;
+        float* dst = Dst(op.dst, io) + op.dst_off;
         for (int64_t r = 0; r < op.rows; ++r) {
           const int64_t ao = r * op.cols;
           const int64_t bo = op.broadcast ? 0 : ao;
@@ -90,21 +106,21 @@ void PlanExecutor::Run(const int64_t* const* index_inputs, float* out) {
         break;
       }
       case OpKind::kMul: {
-        const float* a = Src(op.a, out) + op.a_off;
-        const float* b = Src(op.b, out) + op.b_off;
-        float* dst = Dst(op.dst, out) + op.dst_off;
+        const float* a = Src(op.a, io) + op.a_off;
+        const float* b = Src(op.b, io) + op.b_off;
+        float* dst = Dst(op.dst, io) + op.dst_off;
         for (int64_t i = 0; i < op.cols; ++i) dst[i] = a[i] * b[i];
         break;
       }
       case OpKind::kScalarMul: {
-        const float* a = Src(op.a, out) + op.a_off;
-        float* dst = Dst(op.dst, out) + op.dst_off;
+        const float* a = Src(op.a, io) + op.a_off;
+        float* dst = Dst(op.dst, io) + op.dst_off;
         for (int64_t i = 0; i < op.cols; ++i) dst[i] = a[i] * op.scalar;
         break;
       }
       case OpKind::kScalarAdd: {
-        const float* a = Src(op.a, out) + op.a_off;
-        float* dst = Dst(op.dst, out) + op.dst_off;
+        const float* a = Src(op.a, io) + op.a_off;
+        float* dst = Dst(op.dst, io) + op.dst_off;
         for (int64_t i = 0; i < op.cols; ++i) dst[i] = a[i] + op.scalar;
         break;
       }
@@ -112,30 +128,30 @@ void PlanExecutor::Run(const int64_t* const* index_inputs, float* out) {
         // Backend-independent scalar loop, replicated from ops.cc UnaryOp —
         // deliberately NOT a kernel call, so plan mode agrees with graph
         // mode under every backend.
-        const float* a = Src(op.a, out) + op.a_off;
-        float* dst = Dst(op.dst, out) + op.dst_off;
+        const float* a = Src(op.a, io) + op.a_off;
+        float* dst = Dst(op.dst, io) + op.dst_off;
         for (int64_t i = 0; i < op.cols; ++i) dst[i] = std::tanh(a[i]);
         break;
       }
       case OpKind::kSigmoid: {
-        const float* a = Src(op.a, out) + op.a_off;
-        float* dst = Dst(op.dst, out) + op.dst_off;
+        const float* a = Src(op.a, io) + op.a_off;
+        float* dst = Dst(op.dst, io) + op.dst_off;
         for (int64_t i = 0; i < op.cols; ++i) {
           dst[i] = 1.0f / (1.0f + std::exp(-a[i]));
         }
         break;
       }
       case OpKind::kAddTanh: {
-        kernels::BiasTanh(Src(op.a, out) + op.a_off,
-                          Src(op.b, out) + op.b_off,
-                          Dst(op.dst, out) + op.dst_off, op.rows, op.cols,
+        kernels::BiasTanh(Src(op.a, io) + op.a_off,
+                          Src(op.b, io) + op.b_off,
+                          Dst(op.dst, io) + op.dst_off, op.rows, op.cols,
                           op.broadcast);
         break;
       }
       case OpKind::kAddSigmoid: {
-        kernels::BiasSigmoid(Src(op.a, out) + op.a_off,
-                             Src(op.b, out) + op.b_off,
-                             Dst(op.dst, out) + op.dst_off, op.rows, op.cols,
+        kernels::BiasSigmoid(Src(op.a, io) + op.a_off,
+                             Src(op.b, io) + op.b_off,
+                             Dst(op.dst, io) + op.dst_off, op.rows, op.cols,
                              op.broadcast);
         break;
       }

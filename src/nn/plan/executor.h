@@ -30,15 +30,26 @@ class PlanExecutor {
   const CompiledPlan* plan() const { return plan_.get(); }
 
   /// Executes the bound plan. `index_inputs` holds
-  /// plan()->num_index_inputs arrays of plan()->seq_len indices each; `out`
-  /// receives the {out_rows, out_cols} result. Kernels run inline
+  /// plan()->num_index_inputs arrays of plan()->seq_len indices each;
+  /// `carry_in` holds the plan()->carry_elems floats of recurrent state the
+  /// first step resumes from (zeros for a full encode); `out` receives the
+  /// {out_rows, out_cols} result and `carry_out` the state after the last
+  /// step. The two carry buffers must not overlap. Kernels run inline
   /// (common::SerialKernelRegion) — pool submission heap-allocates, and by
   /// the determinism contract chunking never changes values.
-  void Run(const int64_t* const* index_inputs, float* out);
+  void Run(const int64_t* const* index_inputs, const float* carry_in,
+           float* out, float* carry_out);
 
  private:
-  const float* Src(ValueId id, const float* out) const;
-  float* Dst(ValueId id, float* out);
+  /// The caller buffers of one Run.
+  struct Io {
+    const float* carry_in;
+    float* out;
+    float* carry_out;
+  };
+
+  const float* Src(ValueId id, const Io& io) const;
+  float* Dst(ValueId id, const Io& io);
 
   std::shared_ptr<const CompiledPlan> plan_;
   common::AlignedBuffer<float> arena_;

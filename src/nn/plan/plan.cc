@@ -56,6 +56,22 @@ ValueId PlanBuilder::Output(int64_t rows, int64_t cols) {
   return plan_.output;
 }
 
+void PlanBuilder::Carry(int64_t elems, ValueId* in, ValueId* out) {
+  ADAMOVE_CHECK_EQ(plan_.carry_in, kNoValue);  // one carry pair per plan
+  ADAMOVE_CHECK_GT(elems, 0);
+  Value v;
+  v.elems = elems;
+  v.kind = ValueKind::kCarryIn;
+  plan_.values.push_back(v);
+  plan_.carry_in = static_cast<ValueId>(plan_.values.size() - 1);
+  v.kind = ValueKind::kCarryOut;
+  plan_.values.push_back(v);
+  plan_.carry_out = static_cast<ValueId>(plan_.values.size() - 1);
+  plan_.carry_elems = elems;
+  *in = plan_.carry_in;
+  *out = plan_.carry_out;
+}
+
 int32_t PlanBuilder::IndexInput() { return plan_.num_index_inputs++; }
 
 void PlanBuilder::Push(Op op) {
@@ -68,15 +84,19 @@ void PlanBuilder::Push(Op op) {
     v.last_use = idx;
   }
   ADAMOVE_CHECK(op.dst != kNoValue);
-  ADAMOVE_CHECK(plan_.values[static_cast<size_t>(op.dst)].kind !=
-                ValueKind::kWeight);
+  const ValueKind dst_kind = plan_.values[static_cast<size_t>(op.dst)].kind;
+  ADAMOVE_CHECK(dst_kind != ValueKind::kWeight &&
+                dst_kind != ValueKind::kCarryIn);
   plan_.ops.push_back(op);
 }
 
-void PlanBuilder::Zero(ValueId dst, int64_t dst_off, int64_t elems) {
+void PlanBuilder::Copy(ValueId a, int64_t a_off, ValueId dst, int64_t dst_off,
+                       int64_t elems) {
   Op op;
-  op.kind = OpKind::kZero;
+  op.kind = OpKind::kCopy;
+  op.a = a;
   op.dst = dst;
+  op.a_off = a_off;
   op.dst_off = dst_off;
   op.rows = 1;
   op.cols = elems;

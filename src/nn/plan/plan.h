@@ -18,14 +18,21 @@ namespace adamove::nn::plan {
 /// backend-dispatched ones — minus the per-request TensorImpl/shared_ptr
 /// traffic. Intermediates are lifetime-analyzed and packed into one
 /// pre-sized arena so executing a plan performs zero heap allocations.
+///
+/// A plan covers `seq_len` recurrent steps that resume from a caller-owned
+/// carry (every layer's state before the first step) and leave the state
+/// after the last step in a second caller buffer. A full encode is the
+/// zero-carry case; a continuation feeds the carry a previous run left.
 
 using ValueId = int32_t;
 inline constexpr ValueId kNoValue = -1;
 
 enum class ValueKind : uint8_t {
-  kWeight,  // borrows the model tensor's storage (no copy)
-  kTemp,    // lives in the arena at a planner-assigned offset
-  kOutput,  // the caller-provided output buffer
+  kWeight,    // borrows the model tensor's storage (no copy)
+  kTemp,      // lives in the arena at a planner-assigned offset
+  kOutput,    // the caller-provided output buffer
+  kCarryIn,   // the caller's recurrent state before step 0 (read-only)
+  kCarryOut,  // the caller's buffer for the state after the last step
 };
 
 struct Value {
@@ -44,13 +51,14 @@ struct Value {
 /// Op kinds mirror the graph ops they were traced from, split into two
 /// arithmetic classes (DESIGN.md §13):
 ///  - backend-independent scalar loops, replicated verbatim from ops.cc
-///    (kAdd, kMul, kScalarMul, kScalarAdd, kTanh, kSigmoid, copies);
+///    (kAdd, kMul, kScalarMul, kScalarAdd, kTanh, kSigmoid) and the
+///    kGather/kCopy copies;
 ///  - backend-dispatched kernels, invoked through the same KernelTable
 ///    entry points as graph mode (kMatMul -> MatMulNN, kAddTanh ->
 ///    BiasTanh, kAddSigmoid -> BiasSigmoid), so plan-vs-graph bit-identity
 ///    holds per backend.
 enum class OpKind : uint8_t {
-  kZero,        // dst[0..cols) = 0 (recurrent initial state, each Run)
+  kCopy,        // dst[0..cols) = a[0..cols), bit-exact (carry-out state)
   kGather,      // embedding-lookup rows scattered into strided dst columns
   kMatMul,      // dst = a {rows,k} x b {k,cols}; zero-fill + MatMulNN
   kAdd,         // dst = a + b, optional row-broadcast of b (ops.cc loop)
@@ -95,6 +103,11 @@ struct CompiledPlan {
   int64_t out_cols = 0;
   int32_t num_index_inputs = 0;
   int64_t seq_len = 0;  // the T this plan was traced for (cache key)
+  // The carry buffers: per recurrent layer, in trace order, h (hidden
+  // floats) then, for an LSTM, c. Both kinds hold carry_elems floats.
+  ValueId carry_in = kNoValue;
+  ValueId carry_out = kNoValue;
+  int64_t carry_elems = 0;
   // Raw data pointers of every registered weight, in registration order.
   // Plans borrow weight storage; a checkpoint hot-swap that reallocates a
   // tensor's buffer changes its pointer, so comparing this fingerprint
@@ -113,10 +126,14 @@ class PlanBuilder {
   ValueId Temp(int64_t elems);
   /// Registers the external {rows, cols} output buffer (once per plan).
   ValueId Output(int64_t rows, int64_t cols);
+  /// Registers the caller's carry-in and carry-out buffers of `elems`
+  /// floats each (once per plan).
+  void Carry(int64_t elems, ValueId* in, ValueId* out);
   /// Declares the next int64 index-input array slot (embedding lookups).
   int32_t IndexInput();
 
-  void Zero(ValueId dst, int64_t dst_off, int64_t elems);
+  void Copy(ValueId a, int64_t a_off, ValueId dst, int64_t dst_off,
+            int64_t elems);
   void Gather(int32_t index_input, ValueId table, int64_t table_rows,
               int64_t table_cols, int64_t lookups, ValueId dst,
               int64_t dst_col, int64_t dst_stride);

@@ -176,10 +176,6 @@ struct OpAccess {
     ++access->num_reads;
   };
   switch (op.kind) {
-    case OpKind::kZero:
-      if (op.cols <= 0) return shape_fail(": cols must be > 0");
-      access->w_cols = op.cols;
-      return true;
     case OpKind::kGather: {
       if (op.rows <= 0 || op.cols <= 0 || op.k <= 0) {
         return shape_fail(": rows, cols, k must be > 0");
@@ -224,6 +220,7 @@ struct OpAccess {
       read(op.b, op.b_off, op.cols);
       access->w_cols = op.cols;
       return true;
+    case OpKind::kCopy:
     case OpKind::kScalarMul:
     case OpKind::kScalarAdd:
     case OpKind::kTanh:
@@ -236,8 +233,8 @@ struct OpAccess {
   return shape_fail(": unknown op kind");
 }
 
-// The operand slots an op kind actually consumes; any other slot must stay
-// kNoValue so a stray id cannot smuggle in an unchecked dependency.
+// Every op kind consumes input a; these also consume b. An unused slot must
+// stay kNoValue so a stray id cannot smuggle in an unchecked dependency.
 bool UsesB(OpKind kind) {
   switch (kind) {
     case OpKind::kMatMul:
@@ -251,13 +248,11 @@ bool UsesB(OpKind kind) {
   }
 }
 
-bool UsesA(OpKind kind) { return kind != OpKind::kZero; }
-
 }  // namespace
 
 const char* OpKindName(OpKind kind) {
   switch (kind) {
-    case OpKind::kZero: return "Zero";
+    case OpKind::kCopy: return "Copy";
     case OpKind::kGather: return "Gather";
     case OpKind::kMatMul: return "MatMul";
     case OpKind::kAdd: return "Add";
@@ -352,6 +347,29 @@ VerifyResult VerifyPlan(const CompiledPlan& plan) {
         }
         break;
       }
+      case ValueKind::kCarryIn:
+      case ValueKind::kCarryOut: {
+        const bool in = v.kind == ValueKind::kCarryIn;
+        if (i != (in ? plan.carry_in : plan.carry_out)) {
+          return Fail("carry", ValueRef(static_cast<ValueId>(i)) +
+                                   (in ? ": second carry-in value"
+                                       : ": second carry-out value"));
+        }
+        if (v.elems != plan.carry_elems) {
+          return Fail("carry", ValueRef(static_cast<ValueId>(i)) + ": " +
+                                   Str(v.elems) + " elems, carry_elems is " +
+                                   Str(plan.carry_elems));
+        }
+        // Caller buffers hold no arena bytes: a placed carry would alias
+        // whatever temps the packer put there.
+        if (v.arena_offset != -1) {
+          return Fail("carry", ValueRef(static_cast<ValueId>(i)) +
+                                   ": caller carry buffer placed in the "
+                                   "arena at offset " +
+                                   Str(v.arena_offset));
+        }
+        break;
+      }
       case ValueKind::kOutput: {
         if (i != plan.output) {
           return Fail("output", "second kOutput " +
@@ -373,6 +391,19 @@ VerifyResult VerifyPlan(const CompiledPlan& plan) {
     return Fail("output", "output id " + Str(plan.output) +
                               " is not a kOutput value");
   }
+  // The carry ids name the carry values (both absent without a carry).
+  const auto names = [&](ValueId id, ValueKind kind) {
+    if (plan.carry_elems == 0) return id == kNoValue;
+    return id >= 0 && id < num_values &&
+           plan.values[static_cast<size_t>(id)].kind == kind;
+  };
+  if (plan.carry_elems < 0 || !names(plan.carry_in, ValueKind::kCarryIn) ||
+      !names(plan.carry_out, ValueKind::kCarryOut)) {
+    return Fail("carry", "carry ids {" + Str(plan.carry_in) + ", " +
+                             Str(plan.carry_out) +
+                             "} do not name the carry buffers of " +
+                             Str(plan.carry_elems) + " elems");
+  }
   if (static_cast<size_t>(weight_count) != plan.weight_fingerprint.size()) {
     return Fail("fingerprint",
                 "fingerprint lists " +
@@ -391,6 +422,12 @@ VerifyResult VerifyPlan(const CompiledPlan& plan) {
   std::vector<ValueId> birth_order;
   birth_order.reserve(static_cast<size_t>(num_values));
 
+  // The caller defines all of carry-in before the first op runs.
+  if (plan.carry_elems > 0) {
+    SetInsert(&scratch[static_cast<size_t>(plan.carry_in)], &spills, 0,
+              plan.carry_elems);
+  }
+
   OpAccess access;       // reused across ops
   VerifyResult derived;  // filled by DeriveAccess only on failure
   for (int32_t i = 0; i < num_ops; ++i) {
@@ -405,17 +442,13 @@ VerifyResult VerifyPlan(const CompiledPlan& plan) {
                   where() + ": operand " + Str(op.dst) + " outside [0, " +
                       Str(num_values) + ")");
     }
-    if (UsesA(op.kind)) {
-      if (op.a == kNoValue) {
-        return Fail("structure", where() + ": missing input a");
-      }
-      if (op.a < 0 || op.a >= num_values) {
-        return Fail("structure",
-                    where() + ": operand " + Str(op.a) + " outside [0, " +
-                        Str(num_values) + ")");
-      }
-    } else if (op.a != kNoValue) {
-      return Fail("structure", where() + ": unexpected input a");
+    if (op.a == kNoValue) {
+      return Fail("structure", where() + ": missing input a");
+    }
+    if (op.a < 0 || op.a >= num_values) {
+      return Fail("structure",
+                  where() + ": operand " + Str(op.a) + " outside [0, " +
+                      Str(num_values) + ")");
     }
     if (UsesB(op.kind)) {
       if (op.b == kNoValue) {
@@ -433,6 +466,10 @@ VerifyResult VerifyPlan(const CompiledPlan& plan) {
     if (dv.kind == ValueKind::kWeight) {
       return Fail("structure",
                   where() + ": writes weight " + ValueRef(op.dst));
+    }
+    if (dv.kind == ValueKind::kCarryIn) {
+      return Fail("carry",
+                  where() + ": writes carry-in " + ValueRef(op.dst));
     }
     if (op.kind == OpKind::kGather &&
         plan.values[static_cast<size_t>(op.a)].kind != ValueKind::kWeight) {
@@ -539,6 +576,20 @@ VerifyResult VerifyPlan(const CompiledPlan& plan) {
       if (dv.kind == ValueKind::kTemp) birth_order.push_back(op.dst);
     }
     ddef.last_touch = i;
+  }
+
+  // The caller reads every element of output and carry-out after the run.
+  const auto fully_written = [&](ValueId id, int64_t elems) {
+    return SetCovers(scratch[static_cast<size_t>(id)], spills, 0, elems);
+  };
+  if (!fully_written(plan.output, plan.out_rows * plan.out_cols)) {
+    return Fail("output", ValueRef(plan.output) +
+                              ": output elements left unwritten");
+  }
+  if (plan.carry_elems > 0 && !fully_written(plan.carry_out,
+                                             plan.carry_elems)) {
+    return Fail("carry", ValueRef(plan.carry_out) +
+                             ": carry-out elements left unwritten");
   }
 
   // --- 4. lifetime honesty: recorded intervals == derived intervals ------

@@ -41,6 +41,11 @@ namespace adamove::nn::plan {
 ///     equal the intervals re-derived from the op list (the packer's
 ///     input was honest); no op's input aliases the bytes of its freshly
 ///     defined output, within a value or across the arena.
+///  6. Caller buffers: the output and carry-out are fully written by the
+///     end of the op list (each element exactly once, by 2.); carry-in is
+///     defined on entry and never written; the plan's carry ids name
+///     exactly one kCarryIn and one kCarryOut of carry_elems floats, and
+///     neither holds an arena placement that could alias a temp.
 ///
 /// Any violation yields a diagnostic naming the check, the offending op
 /// index/kind and value id — precise enough for the mutation suite
@@ -61,9 +66,9 @@ const char* OpKindName(OpKind kind);
 struct VerifyResult {
   bool ok = true;
   /// Empty when ok; otherwise "plan-verify[<check>]: <detail>" where
-  /// <check> is one of: structure, output, value, weight, fingerprint,
-  /// arena-bounds, arena-align, arena-overlap, shape, bounds, single-def,
-  /// use-before-def, alias, interval.
+  /// <check> is one of: structure, output, carry, value, weight,
+  /// fingerprint, arena-bounds, arena-align, arena-overlap, shape, bounds,
+  /// single-def, use-before-def, alias, interval.
   std::string message;
   explicit operator bool() const { return ok; }
 };

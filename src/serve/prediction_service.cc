@@ -31,7 +31,8 @@ PredictionService::PredictionService(core::AdaptableModel& model,
     : model_(model),
       store_(store),
       config_(config),
-      planner_(model) {
+      planner_(model),
+      prefix_(store.max_resident_users()) {
   ADAMOVE_CHECK_GT(config_.workers, 0);
   ADAMOVE_CHECK_GT(config_.max_batch, 0);
   ADAMOVE_CHECK_GT(config_.queue_capacity, 0u);
@@ -213,18 +214,20 @@ void PredictionService::ProcessBatch(std::vector<Request>& batch,
   // batch to the base model rather than failing any request.
   const bool batch_degraded = common::FaultPoint("serve.batch_flush");
 
-  // Encode stage: all forward passes of the batch back-to-back (read-only
-  // on the shared model; per-request share timed individually so the
-  // histogram stays per-request). A faulting forward is retried up to
-  // kMaxEncodeAttempts times, then recomputed locally and marked degraded.
+  // Encode stage, one request at a time (read-only on the shared model). A
+  // faulting forward is retried up to kMaxEncodeAttempts times, then
+  // recomputed locally and marked degraded.
   //
   // A compiled plan encodes into this worker's scratch slot (zero
-  // allocations once warm); where the planner has no plan (DESIGN.md §14)
-  // the model walks the graph.
+  // allocations once warm), resuming from the prefix state the encoder
+  // user's previous request left; where the planner has no plan
+  // (DESIGN.md §14) the model walks the graph.
   std::vector<nn::Tensor> reps(batch.size());
   std::vector<SessionStore::RepsView> views(batch.size());
   std::vector<char> encode_degraded(batch.size(), 0);
   if (scratch.plan.size() < batch.size()) scratch.plan.resize(batch.size());
+  uint64_t encoded_rows = 0;
+  uint64_t reused_rows = 0;
   for (size_t i = 0; i < batch.size(); ++i) {
     common::Timer timer;
     int attempt = 1;
@@ -235,11 +238,15 @@ void PredictionService::ProcessBatch(std::vector<Request>& batch,
       }
     }
     core::PlanScratch& slot = scratch.plan[i];
-    if (planner_.EncodeInto(batch[i].sample, &slot)) {
+    const data::Sample& sample = batch[i].sample;
+    if (prefix_.Encode(planner_, sample.recent.front().user, sample, &slot)) {
       views[i] = SessionStore::RepsView(slot.reps.data(), slot.rows, slot.cols);
+      encoded_rows += static_cast<uint64_t>(slot.rows - slot.reused);
+      reused_rows += static_cast<uint64_t>(slot.reused);
     } else {
-      reps[i] = model_.PrefixRepresentations(batch[i].sample);
+      reps[i] = model_.PrefixRepresentations(sample);
       views[i] = SessionStore::RepsView(reps[i]);
+      encoded_rows += static_cast<uint64_t>(views[i].rows);
     }
     out[i].encode_us = timer.ElapsedMs() * 1000.0;
     out[i].queue_us = ElapsedUs(batch[i].enqueue, picked_up);
@@ -328,6 +335,8 @@ void PredictionService::ProcessBatch(std::vector<Request>& batch,
     }
     stats.stats.completed += batch.size();
     stats.stats.batches += 1;
+    stats.stats.encoded_rows += encoded_rows;
+    stats.stats.reused_rows += reused_rows;
     stats.stats.deferred_ingests += adapt_stats.deferred_ingests;
     stats.stats.coalesced_ingests += adapt_stats.coalesced_ingests;
     stats.stats.lazy_rebuilds += adapt_stats.lazy_rebuilds;
@@ -360,6 +369,8 @@ ServiceStats PredictionService::Stats() const {
     merged.adapt_us.Merge(ws->stats.adapt_us);
     merged.completed += ws->stats.completed;
     merged.batches += ws->stats.batches;
+    merged.encoded_rows += ws->stats.encoded_rows;
+    merged.reused_rows += ws->stats.reused_rows;
     merged.degraded_requests += ws->stats.degraded_requests;
     merged.warm_start_fallbacks += ws->stats.warm_start_fallbacks;
     merged.timeouts += ws->stats.timeouts;
@@ -375,6 +386,8 @@ ServiceStats PredictionService::Stats() const {
   merged.shed_requests = shed_requests_.load(std::memory_order_relaxed);
   merged.plan_verify_rejects =
       static_cast<uint64_t>(planner_.verify_rejects());
+  merged.prefix_state_entries = prefix_.entries();
+  merged.prefix_state_bytes = prefix_.bytes();
   return merged;
 }
 

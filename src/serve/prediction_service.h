@@ -77,7 +77,7 @@ struct Prediction {
   /// stale_adapt) — below kMaxStaleDepth plus one request's transitions.
   uint32_t stale_depth = 0;
   double queue_us = 0;   // enqueue -> picked up by a worker
-  double encode_us = 0;  // encoder forward (share of the batched stage)
+  double encode_us = 0;  // this request's encoder forward
   double adapt_us = 0;   // PTTA observe + adapted predict
 };
 
@@ -101,6 +101,15 @@ struct ServiceStats {
   uint64_t timeouts = 0;
   /// Rejected at admission (kShed) — never received scores.
   uint64_t shed_requests = 0;
+  /// Encoder rows this service computed vs rows it copied from a user's
+  /// prefix state (DESIGN.md §14, "Prefix state"); their sum is the total
+  /// window length of every encoded request.
+  uint64_t encoded_rows = 0;
+  uint64_t reused_rows = 0;
+  /// Prefix-state entries resident when Stats() ran, and their bytes
+  /// (PrefixState::Bytes) — memory outside SessionStore::ResidentBytes.
+  uint64_t prefix_state_entries = 0;
+  uint64_t prefix_state_bytes = 0;
   /// Compiled plans the static verifier rejected (DESIGN.md §15): the
   /// tracer produced a plan that failed an IR invariant (SSA, shape,
   /// lifetime, or arena proof), so it was never executed and the graph
@@ -141,10 +150,11 @@ struct ServiceStats {
 };
 
 /// The online request path: a bounded queue feeding worker threads that
-/// flush dynamic micro-batches (on max_batch or max_wait_us). A batch runs
-/// the encoder forwards back-to-back — one cache-warm pass over the model
-/// weights instead of interleaving them with per-request adapter work —
-/// then the PTTA adjustment for the whole batch goes through
+/// flush dynamic micro-batches (on max_batch or max_wait_us). A batch first
+/// encodes each request, resuming the encoder from the state the same
+/// user's previous request left (the prefix state, DESIGN.md §14: an
+/// extended window runs only its new points, an exact repeat none), then
+/// the PTTA adjustment for the whole batch goes through
 /// SessionStore::BatchObserveAndPredictEncoded: per-user knowledge-base
 /// updates still run in request order under their shard locks (per-user
 /// state semantics are preserved exactly), but the adjusted-column rebuilds
@@ -229,13 +239,16 @@ class PredictionService {
   /// concurrently with serving (workers guard their stats with a mutex).
   ServiceStats Stats() const;
 
-  /// Drops every cached forward plan — the checkpoint hot-swap hook: call
-  /// after overwriting model weights so the next request re-traces against
-  /// the new storage. (Plans are also revalidated per use against a
-  /// weight-pointer fingerprint, so a swap that *reallocates* tensor
-  /// storage is caught even without this call; an in-place overwrite keeps
-  /// plans valid and needs neither.)
-  void InvalidatePlans() { planner_.InvalidateAll(); }
+  /// Drops every cached forward plan and every user's prefix state — the
+  /// checkpoint hot-swap hook: call after overwriting model weights, in
+  /// place or not, so the next request re-traces against the new storage
+  /// and re-encodes whole windows. (A swap that *reallocates* tensor
+  /// storage is also caught per use by the weight-pointer fingerprint; an
+  /// in-place overwrite is caught only by this call.)
+  void InvalidatePlans() {
+    planner_.InvalidateAll();
+    prefix_.Clear();
+  }
 
   /// The encode route of this service's model: kPlan whenever the planner
   /// compiles its encoder family, else kGraph (DESIGN.md §14).
@@ -296,6 +309,10 @@ class PredictionService {
   /// Service-owned plan cache, shared by all workers (thread-safe; keyed by
   /// sequence length, revalidated against the live weights per use).
   core::ForwardPlanner planner_;
+  /// Every user's encoder prefix state, keyed by the encoder's own input
+  /// user (sample.recent.front().user) and bounded by the store's
+  /// residency cap.
+  core::PrefixCache prefix_;
 
   common::Mutex mu_;
   common::CondVar not_empty_;

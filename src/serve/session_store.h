@@ -336,6 +336,10 @@ class SessionStore {
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
+  /// SessionStoreConfig::max_resident_users (0 = unbounded) — the residency
+  /// policy the serving encoder's prefix state follows too.
+  size_t max_resident_users() const { return config_.max_resident_users; }
+
   /// Shard index of a user — exposed so tests can construct colliding and
   /// non-colliding user sets deterministically.
   int ShardOf(int64_t user) const;

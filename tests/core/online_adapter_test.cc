@@ -46,6 +46,20 @@ TEST(OnlineAdapterTest, ObserveAccumulatesBoundedPatterns) {
   EXPECT_EQ(adapter.PatternCount(1), 0u);
 }
 
+TEST(OnlineAdapterTest, FullLocationStaysAtThirtyTwoSlots) {
+  // The FIFO drops the oldest candidate before appending, so a location
+  // that overflows keeps its 32 Entry slots instead of reallocating to 64.
+  OnlineAdapter adapter{PttaConfig{}};
+  const std::vector<float> pattern(8, 0.5f);
+  adapter.Observe(1, pattern, 3, 1000);
+  const size_t one_slot = adapter.ResidentBytes(1);
+  for (int i = 1; i < 40; ++i) adapter.Observe(1, pattern, 3, 1000 + i);
+  EXPECT_EQ(adapter.PatternCount(1), 32u);
+  const size_t per_slot =
+      sizeof(OnlineAdapter::Entry) + pattern.size() * sizeof(float);
+  EXPECT_EQ(adapter.ResidentBytes(1), one_slot + 31 * per_slot);
+}
+
 TEST(OnlineAdapterTest, PredictMatchesFrozenWhenEmpty) {
   LightMob model(SmallConfig());
   OnlineAdapter adapter{PttaConfig{}};

@@ -1,6 +1,7 @@
 // The tentpole pin (DESIGN.md §14): once warm, the plan-mode inference path
 // performs ZERO heap allocations per request — the static-plan encode
-// (ForwardPlanner::EncodeInto), the adapted predict
+// (ForwardPlanner::EncodeInto), the extend-by-one encode that resumes from
+// a prefix state (ForwardPlanner::ExtendInto), the adapted predict
 // (OnlineAdapter::PredictInto = CollectRebuildJobs + ScoreCollectedJobsInto
 // over the caller's scratch), and the frozen fallback (PredictFrozenInto).
 // Counted by the common/alloc_probe operator-new interposition; under
@@ -88,6 +89,38 @@ TEST_F(ZeroAllocPredictTest, SteadyStatePlanEncodeAllocatesNothing) {
   }
   EXPECT_EQ(scratch.rows, 6);
   EXPECT_EQ(scratch.cols, 8);
+}
+
+TEST_F(ZeroAllocPredictTest, WarmExtendByOneEncodeAllocatesNothing) {
+  // A user's window grows one check-in per request from 20 to 40 points,
+  // then a session boundary restarts it. The warm-up cycle compiles the
+  // 20-step and 1-step plans and grows the state and scratch to 40 rows.
+  const data::Sample full = MakeSample(1, 40, 1333238400);
+  auto window = [&](int len) {
+    data::Sample sample = full;
+    sample.recent.resize(static_cast<size_t>(len));
+    return sample;
+  };
+  std::vector<data::Sample> cycle;
+  for (int len = 20; len <= 40; ++len) cycle.push_back(window(len));
+  PrefixState state;
+  PlanScratch scratch;
+  for (const data::Sample& sample : cycle) {
+    ASSERT_TRUE(planner_->ExtendInto(sample, &state, &scratch));
+  }
+  EXPECT_EQ(scratch.reused, 39);
+  common::AllocProbeScope probe;
+  for (int i = 0; i < 5; ++i) {
+    for (const data::Sample& sample : cycle) {
+      ASSERT_TRUE(planner_->ExtendInto(sample, &state, &scratch));
+    }
+  }
+  if (common::AllocProbeAvailable()) {
+    EXPECT_EQ(probe.allocations(), 0u) << "extend-by-one encode allocated";
+    EXPECT_EQ(probe.frees(), 0u);
+  }
+  EXPECT_EQ(scratch.rows, 40);
+  EXPECT_EQ(scratch.reused, 39);
 }
 
 TEST_F(ZeroAllocPredictTest, SteadyStatePredictAllocatesNothing) {

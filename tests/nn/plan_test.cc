@@ -2,11 +2,17 @@
 // BIT-IDENTICAL to the autograd graph walk it replaces — same op order,
 // same kernels, same roundings — across every encoder family the tracer
 // supports, hidden sizes 1..17 (every vector-width remainder class), both
-// kernel backends, and 1 vs 8 kernel threads. Also here: the plan cache's
-// behaviour (one compile per sequence length, revalidation, invalidation)
+// kernel backends, and 1 vs 8 kernel threads. A continuation plan resumed
+// from a prefix's carry must equal the stateless plan at every split
+// point. Also here: the plan cache's behaviour (one compile per sequence
+// length, revalidation, invalidation), prefix-state validity and bounds,
 // and the untraceable family, which is routed to the graph walk.
 
+#include <bit>
 #include <cstdint>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -199,6 +205,176 @@ TEST_F(PlanTest, CachedPlanTracksInPlaceWeightUpdates) {
   for (int64_t i = 0; i < graph.rows() * graph.cols(); ++i) {
     ASSERT_EQ(scratch.reps.data()[i], graph.data()[static_cast<size_t>(i)]);
   }
+}
+
+data::Sample Prefix(const data::Sample& sample, int len) {
+  data::Sample prefix = sample;
+  prefix.recent.resize(static_cast<size_t>(len));
+  return prefix;
+}
+
+// Bit patterns, not float ==, so a -0 / +0 swap fails too.
+void ExpectSameFloats(const float* got, const float* want, size_t n,
+                      const std::string& context) {
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(std::bit_cast<uint32_t>(got[i]),
+              std::bit_cast<uint32_t>(want[i]))
+        << context << " element " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+// Continuation == stateless plan == graph walk. For a window of T points
+// and every split point P in 1..T: encode the first P points (a miss, from
+// the zero carry), then the whole window resumes from that state — P rows
+// copied, a T-P step plan from the P-point carry (none when P == T). The
+// rows must equal the graph walk's, and the carry the state left must
+// equal the stateless full run's carry-out.
+void ExpectEverySplitMatches(LightMob& model, ForwardPlanner& planner,
+                             const data::Sample& sample,
+                             const std::string& context) {
+  const int t = static_cast<int>(sample.recent.size());
+  const nn::Tensor graph = GraphReps(model, sample);
+  PlanScratch full;
+  ASSERT_TRUE(planner.EncodeInto(sample, &full)) << context;
+  ExpectSameFloats(full.reps.data(), graph.data().data(),
+                   graph.data().size(), context + " stateless");
+  for (int p = 1; p <= t; ++p) {
+    const std::string where = context + " split " + std::to_string(p);
+    PrefixState state;
+    PlanScratch scratch;
+    ASSERT_TRUE(planner.ExtendInto(Prefix(sample, p), &state, &scratch))
+        << where;
+    EXPECT_EQ(scratch.reused, 0) << where;
+    ASSERT_TRUE(planner.ExtendInto(sample, &state, &scratch)) << where;
+    EXPECT_EQ(scratch.reused, p) << where;
+    ASSERT_EQ(scratch.rows, graph.rows()) << where;
+    ExpectSameFloats(scratch.reps.data(), graph.data().data(),
+                     graph.data().size(), where);
+    ASSERT_EQ(state.carry.size(), full.carry.size()) << where;
+    ExpectSameFloats(state.carry.data(), full.carry.data(),
+                     full.carry.size(), where + " carry");
+    ASSERT_EQ(state.points.size(), sample.recent.size()) << where;
+    ExpectSameFloats(state.rows.data(), graph.data().data(),
+                     graph.data().size(), where + " stored rows");
+  }
+}
+
+TEST_F(PlanTest, ContinuationMatchesStatelessPlanAtEverySplitPoint) {
+  std::vector<k::Backend> backends = {k::Backend::kScalar};
+  if (SimdAvailable()) backends.push_back(k::Backend::kSimd);
+  for (const k::Backend backend : backends) {
+    k::SetBackendForTest(backend);
+    for (const EncoderType encoder : kTraceableFamilies) {
+      for (int64_t layers = 1; layers <= 3; ++layers) {
+        LightMob model(Config(encoder, 5, layers));
+        ForwardPlanner planner(model);
+        const std::string context =
+            EncoderTypeName(encoder) + " layers " + std::to_string(layers) +
+            " backend " + k::BackendName(backend);
+        for (int t = 1; t <= 17; ++t) {
+          ExpectEverySplitMatches(model, planner, MakeSample(1, t),
+                                  context + " T " + std::to_string(t));
+        }
+        ExpectEverySplitMatches(model, planner, MakeSample(2, 64),
+                                context + " T 64");
+      }
+    }
+  }
+}
+
+TEST_F(PlanTest, FullRunCarryOutIsTheLastHiddenState) {
+  for (const EncoderType encoder : kTraceableFamilies) {
+    LightMob model(Config(encoder, 7));
+    ForwardPlanner planner(model);
+    PlanScratch scratch;
+    ASSERT_TRUE(planner.EncodeInto(MakeSample(3, 6), &scratch));
+    // Layout: h first (then c for an LSTM).
+    const size_t hidden = 7;
+    ASSERT_EQ(scratch.carry.size(),
+              encoder == EncoderType::kLstm ? 2 * hidden : hidden);
+    ExpectSameFloats(scratch.carry.data(),
+                     scratch.reps.data() + 5 * hidden, hidden,
+                     EncoderTypeName(encoder));
+  }
+}
+
+/// A prefix state serves only the generation and backend that computed it:
+/// InvalidateAll, a weight reallocation and a backend switch all turn the
+/// next extension into a full encode, and a window that does not extend the
+/// state point for point is one too.
+TEST_F(PlanTest, PrefixStateServesOnlyItsGenerationBackendAndPrefix) {
+  LightMob model(Config(EncoderType::kLstm, 6));
+  ForwardPlanner planner(model);
+  const data::Sample sample = MakeSample(1, 9);
+  PrefixState state;
+  PlanScratch scratch;
+  auto extend = [&](int len) {
+    EXPECT_TRUE(planner.ExtendInto(Prefix(sample, len), &state, &scratch));
+    return scratch.reused;
+  };
+  EXPECT_EQ(extend(3), 0);
+  EXPECT_EQ(extend(4), 3);
+  EXPECT_EQ(extend(4), 4);  // exact repeat: no plan runs
+
+  planner.InvalidateAll();
+  EXPECT_EQ(extend(5), 0);
+
+  if (SimdAvailable()) {
+    k::SetBackendForTest(k::Backend::kSimd);
+    EXPECT_EQ(extend(6), 0);
+    EXPECT_EQ(extend(7), 6);
+    k::SetBackendForTest(k::Backend::kScalar);
+    EXPECT_EQ(extend(8), 0);
+  }
+
+  // Not a prefix: one point of the stored window differs.
+  data::Sample moved = Prefix(sample, 9);
+  moved.recent[1].timestamp += 1;
+  ASSERT_TRUE(planner.ExtendInto(moved, &state, &scratch));
+  EXPECT_EQ(scratch.reused, 0);
+  // Shorter than the stored window: a miss, and the state shrinks to it.
+  EXPECT_EQ(extend(2), 0);
+  EXPECT_EQ(state.points.size(), 2u);
+
+  // A weight reallocation (hot-swap into fresh storage) bumps the
+  // generation through the fingerprint check, without InvalidateAll.
+  const uint64_t before = planner.generation();
+  std::vector<nn::Tensor> params = model.encoder().Parameters();
+  std::vector<float> fresh = params.front().data();
+  params.front().data() = std::move(fresh);  // same values, new storage
+  EXPECT_NE(planner.generation(), before);
+  EXPECT_EQ(extend(3), 0);
+  const nn::Tensor graph = GraphReps(model, Prefix(sample, 3));
+  ExpectSameFloats(scratch.reps.data(), graph.data().data(),
+                   graph.data().size(), "after reallocation");
+}
+
+TEST_F(PlanTest, PrefixCacheHoldsAtMostItsBoundAndDropsOnClear) {
+  LightMob model(Config(EncoderType::kGru, 5));
+  ForwardPlanner planner(model);
+  PlanScratch scratch;
+  PrefixCache bounded(4);
+  PrefixCache unbounded(0);
+  for (int round = 0; round < 3; ++round) {
+    for (int64_t key = 0; key < 20; ++key) {
+      const data::Sample sample = MakeSample(key % 4, 3 + round);
+      ASSERT_TRUE(bounded.Encode(planner, key, sample, &scratch));
+      ASSERT_TRUE(unbounded.Encode(planner, key, sample, &scratch));
+      EXPECT_EQ(scratch.reused, round == 0 ? 0 : 2 + round);
+      EXPECT_LE(bounded.entries(), 4u);
+    }
+  }
+  EXPECT_EQ(unbounded.entries(), 20u);
+  EXPECT_GT(unbounded.bytes(), 20 * 5 * 5 * sizeof(float));
+  unbounded.Clear();
+  EXPECT_EQ(unbounded.entries(), 0u);
+  EXPECT_EQ(unbounded.bytes(), 0u);
+  // The planner's generation moving drops a shard's entries on its next
+  // encode, so the miss re-encodes the whole window.
+  ASSERT_TRUE(bounded.Encode(planner, 0, MakeSample(0, 5), &scratch));
+  planner.InvalidateAll();
+  ASSERT_TRUE(bounded.Encode(planner, 0, MakeSample(0, 6), &scratch));
+  EXPECT_EQ(scratch.reused, 0);
 }
 
 }  // namespace

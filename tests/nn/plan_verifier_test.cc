@@ -291,6 +291,65 @@ TEST_F(PlanMutationTest, DishonestLiveIntervalRejected) {
   ExpectRejected("interval", "value " + std::to_string(victim));
 }
 
+// --- the carry buffers: each corruption names the check meant for it ----
+
+/// Index of the last op writing the plan's carry-out: the Copy that stores
+/// the final layer's h.
+size_t LastCarryOutWrite(const CompiledPlan& plan) {
+  size_t idx = plan.ops.size();
+  for (size_t i = 0; i < plan.ops.size(); ++i) {
+    if (plan.ops[i].dst == plan.carry_out) idx = i;
+  }
+  return idx;
+}
+
+TEST_F(PlanMutationTest, CarryInWrittenRejected) {
+  const size_t copy = LastCarryOutWrite(plan_);
+  ASSERT_LT(copy, plan_.ops.size());
+  ASSERT_EQ(plan_.ops[copy].kind, OpKind::kCopy);
+  plan_.ops[copy].dst = plan_.carry_in;
+  ExpectRejected("carry", "op " + std::to_string(copy));
+}
+
+TEST_F(PlanMutationTest, CarryOutLeftUnwrittenRejected) {
+  const size_t copy = LastCarryOutWrite(plan_);
+  ASSERT_LT(copy, plan_.ops.size());
+  plan_.ops.erase(plan_.ops.begin() + static_cast<std::ptrdiff_t>(copy));
+  ExpectRejected("carry", "value " + std::to_string(plan_.carry_out));
+}
+
+TEST_F(PlanMutationTest, CarryOutWrittenTwiceRejected) {
+  const size_t copy = LastCarryOutWrite(plan_);
+  ASSERT_LT(copy, plan_.ops.size());
+  plan_.ops.push_back(plan_.ops[copy]);
+  ExpectRejected("single-def",
+                 "op " + std::to_string(plan_.ops.size() - 1));
+}
+
+TEST_F(PlanMutationTest, CarryAliasingATempRejected) {
+  const ValueId temp = FirstTemp();
+  ASSERT_NE(temp, kNoValue);
+  plan_.values[static_cast<size_t>(plan_.carry_out)].arena_offset =
+      plan_.values[static_cast<size_t>(temp)].arena_offset;
+  ExpectRejected("carry", "value " + std::to_string(plan_.carry_out));
+}
+
+TEST(PlanVerifierTest, OutputLeftUnwrittenRejected) {
+  // In a traced plan every output row is read later (by the next step or
+  // the carry copy), so a hand-built plan isolates the check: it writes
+  // half of its {2, 2} output.
+  const Tensor w = Tensor::Zeros({1, 2});
+  PlanBuilder b;
+  const ValueId weight = b.Weight(w);
+  const ValueId out = b.Output(2, 2);
+  b.Copy(weight, 0, out, 0, 2);
+  const CompiledPlan plan = std::move(b).Finalize();
+  const VerifyResult result = VerifyPlan(plan);
+  ASSERT_FALSE(result.ok);
+  EXPECT_NE(result.message.find("plan-verify[output]"), std::string::npos)
+      << result.message;
+}
+
 TEST_F(PlanMutationTest, EmptyPlanRejected) {
   plan_.ops.clear();
   ExpectRejected("structure", "empty");

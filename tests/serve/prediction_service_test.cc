@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <future>
 #include <string>
 #include <thread>
@@ -11,6 +12,7 @@
 #include "core/lightmob.h"
 #include "core/online_adapter.h"
 #include "nn/autograd_mode.h"
+#include "nn/kernels.h"
 #include "serve/load_gen.h"
 
 namespace adamove::serve {
@@ -269,6 +271,152 @@ TEST(PredictionServiceTest, LoadGenReportsThroughputAndLatency) {
   EXPECT_GT(result.qps, 0.0);
   EXPECT_EQ(result.e2e_us.Count(), 100u);
   EXPECT_GT(result.e2e_us.QuantileUs(0.5), 0.0);
+}
+
+/// One encoder user's check-in walk for the prefix-state differential runs.
+struct Walk {
+  std::vector<data::Point> window;
+  int64_t t = 1333238400;
+  int steps = 0;
+};
+
+/// Advances encoder user `u`'s window by one request: mostly one more
+/// check-in (an extension), an exact repeat every ninth request, a session
+/// restart at user 1's 23rd and 51st requests, and a slide once the window
+/// holds 64 points. The sample's knowledge-base key is left to the caller.
+data::Sample NextWindow(int64_t u, Walk* walk) {
+  const int step = walk->steps++;
+  if (step == 0 || (step + u) % 9 != 4) {
+    if (u == 1 && (step == 23 || step == 51)) walk->window.clear();
+    walk->window.push_back({u, (u * 5 + step * 7) % 12, walk->t});
+    if (walk->window.size() > 64) walk->window.erase(walk->window.begin());
+    walk->t += 3 * data::kSecondsPerHour + u * 60;
+  }
+  data::Sample sample;
+  sample.recent = walk->window;
+  sample.target = {u, (u * 5 + step * 7 + 3) % 12, walk->t};
+  return sample;
+}
+
+/// Serves one round — every request in flight together, so the workers
+/// race — and checks each answer bit for bit against `reference`, one
+/// sequential OnlineAdapter encoding through the stateless plan
+/// (PrefixRepresentations). Each knowledge-base key appears at most once
+/// per round, so per-key order matches the reference's.
+void ServeRoundAgainstReference(core::LightMob& model,
+                                PredictionService& service,
+                                core::OnlineAdapter& reference,
+                                const std::vector<data::Sample>& round,
+                                const std::string& where) {
+  std::vector<std::future<Prediction>> futures;
+  for (const data::Sample& sample : round) {
+    futures.push_back(service.Submit(sample));
+  }
+  for (size_t i = 0; i < round.size(); ++i) {
+    const Prediction got = futures[i].get();
+    const std::vector<float> want =
+        reference.ObserveAndPredict(model, round[i]);
+    ASSERT_EQ(got.outcome, RequestOutcome::kOk) << where;
+    ASSERT_EQ(got.scores.size(), want.size()) << where;
+    ASSERT_EQ(std::memcmp(got.scores.data(), want.data(),
+                          want.size() * sizeof(float)),
+              0)
+        << where << " request " << i << " differs in its bits";
+  }
+}
+
+ServiceConfig TwoWorkers() {
+  ServiceConfig config;
+  config.workers = 2;
+  config.max_batch = 4;
+  config.max_wait_us = 200;
+  return config;
+}
+
+/// The prefix state is invisible in the answers: 2 workers serving
+/// interleaved users — each encoder user's two knowledge-base keys send the
+/// same window in the same round, so two workers race on one prefix entry —
+/// answer bit-identically to the stateless reference through extensions,
+/// session restarts, exact repeats and 64-point slides. Between drained
+/// phases the encoder weights are overwritten in place and InvalidatePlans()
+/// called, then the kernel backend switched; a stale entry surviving either
+/// would change the encoded rows and so the answers.
+TEST(PredictionServiceTest, PrefixStateAnswersMatchStatelessReference) {
+  namespace k = ::adamove::nn::kernels;
+  core::LightMob model(SmallConfig());
+  SessionStore store{SessionStoreConfig{}};
+  PredictionService service(model, store, TwoWorkers());
+  core::OnlineAdapter reference{core::PttaConfig{}};
+  std::vector<Walk> walks(3);
+  uint64_t reused_before = 0;
+  uint64_t window_rows = 0;
+  for (int phase = 0; phase < 3; ++phase) {
+    if (phase == 1) {
+      for (float& x : model.encoder().Parameters().front().data()) {
+        x += 0.125f;
+      }
+      service.InvalidatePlans();
+      EXPECT_EQ(service.Stats().prefix_state_entries, 0u);
+    }
+    if (phase == 2) {
+      k::SetBackendForTest(k::ActiveBackend() == k::Backend::kSimd
+                               ? k::Backend::kScalar
+                               : k::Backend::kSimd);
+    }
+    for (int r = 0; r < 32; ++r) {
+      std::vector<data::Sample> round;
+      for (int64_t u = 0; u < 3; ++u) {
+        data::Sample sample = NextWindow(u, &walks[static_cast<size_t>(u)]);
+        for (int64_t key = 0; key < 2; ++key) {
+          sample.user = u * 2 + key;
+          round.push_back(sample);
+          window_rows += sample.recent.size();
+        }
+      }
+      ServeRoundAgainstReference(
+          model, service, reference, round,
+          "phase " + std::to_string(phase) + " round " + std::to_string(r));
+    }
+    const ServiceStats stats = service.Stats();
+    EXPECT_GT(stats.reused_rows, reused_before) << "phase " << phase;
+    reused_before = stats.reused_rows;
+    EXPECT_LE(stats.prefix_state_entries, 3u);
+    EXPECT_GT(stats.prefix_state_bytes, 0u);
+  }
+  EXPECT_GE(walks[0].window.size(), 64u);  // the cap slide was exercised
+  service.Shutdown();
+  // The row ledger: every window row was either encoded or reused.
+  const ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.encoded_rows + stats.reused_rows, window_rows);
+  k::RefreshBackendFromEnv();
+}
+
+/// The prefix state follows the store's residency cap: with a store capped
+/// at 4 users, 8 encoder users (4 knowledge-base keys, so the store itself
+/// never evicts) leave at most 4 prefix entries, and the answers stay
+/// bit-identical while entries are evicted and re-encoded.
+TEST(PredictionServiceTest, CappedStoreBoundsPrefixStateAndStaysBitIdentical) {
+  core::LightMob model(SmallConfig());
+  SessionStoreConfig store_config;
+  store_config.max_resident_users = 4;
+  SessionStore store{store_config};
+  PredictionService service(model, store, TwoWorkers());
+  core::OnlineAdapter reference{core::PttaConfig{}};
+  std::vector<Walk> walks(8);
+  for (int r = 0; r < 60; ++r) {
+    const int64_t first = r % 6 == 5 ? 4 : 0;
+    std::vector<data::Sample> round;
+    for (int64_t u = first; u < first + 4; ++u) {
+      round.push_back(NextWindow(u, &walks[static_cast<size_t>(u)]));
+      round.back().user = u % 4;
+    }
+    ServeRoundAgainstReference(model, service, reference, round,
+                               "round " + std::to_string(r));
+    EXPECT_LE(service.Stats().prefix_state_entries, 4u);
+  }
+  service.Shutdown();
+  EXPECT_GT(service.Stats().reused_rows, 0u);
+  EXPECT_EQ(store.EvictionCount(), 0u);
 }
 
 }  // namespace
