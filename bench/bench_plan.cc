@@ -1,7 +1,8 @@
 // Static-plan inference microbenchmarks (DESIGN.md §14): the graph walk vs
 // the compiled plan for the encoder forward, the extend-by-one encode that
-// resumes from a prefix state, and the full request path (encode + adapted
-// predict) both ways. Every row carries the `allocs/op`
+// resumes from a prefix state, the full request path (encode + adapted
+// predict) both ways, and the store's adapt stage for a window that
+// extends by one check-in. Every row carries the `allocs/op`
 // column from the common/alloc_probe interposition — the plan rows must
 // show 0, and main() enforces that as a hard gate before the timed runs:
 // `bench_plan` exits non-zero if a warmed plan-mode request allocates.
@@ -38,6 +39,7 @@
 #include "nn/plan/encoder_trace.h"
 #include "nn/plan/verifier.h"
 #include "nn/tensor.h"
+#include "serve/session_store.h"
 
 namespace {
 
@@ -234,6 +236,66 @@ BENCHMARK(BM_PredictRequest)
     ->Args({8, kPlan})
     ->Args({32, kGraph})
     ->Args({32, kPlan});
+
+// The serving adapt stage for one warmed key (DESIGN.md §4.3): one
+// SessionStore::BatchObserveAndPredictEncoded call whose window is the
+// key's previous window extended by one check-in, sliding once it holds
+// `len` points — the request shape of the serving stream. Prefix rows are
+// fixed random patterns (the store never looks inside them), so the row
+// times only KB ingest, rebuild collect and the scoring sweep. The key is
+// warmed with 1,000 requests first; `resident_bytes` is its
+// ResidentBytes after the warm-up. Args({len}).
+void BM_StoreRequestExtendByOne(benchmark::State& state) {
+  const auto length = static_cast<size_t>(state.range(0));
+  constexpr int64_t kHidden = 64;
+  constexpr size_t kStreamPoints = 4096;  // point j reuses row j % 4096
+  constexpr size_t kWarmRequests = 1000;
+  const core::ModelConfig config = BenchConfig(kHidden);
+  core::LightMob model(config);
+  common::Rng rng(29);
+  // Rows of a doubled ring, so any `length` consecutive points of the
+  // stream read one contiguous block.
+  std::vector<float> rows(2 * kStreamPoints * kHidden);
+  for (size_t i = 0; i < kStreamPoints * kHidden; ++i) {
+    rows[i] = static_cast<float>(rng.Uniform() * 2.0 - 1.0);
+    rows[i + kStreamPoints * kHidden] = rows[i];
+  }
+  std::vector<int64_t> locations(kStreamPoints);
+  for (int64_t& l : locations) l = rng.UniformInt(0, 99);
+  const auto point_at = [&](size_t j) {
+    return data::Point{3, locations[j % kStreamPoints],
+                       1333238400 + static_cast<int64_t>(j) * 2 *
+                                        data::kSecondsPerHour};
+  };
+  serve::SessionStore store{serve::SessionStoreConfig{}};
+  data::Sample sample;
+  sample.user = 3;
+  std::vector<serve::SessionStore::BatchRequest> batch(1);
+  size_t next = 1;  // the window ends at point next-1
+  const auto request = [&] {
+    const size_t first = next > length ? next - length : 0;
+    sample.recent.resize(next - first);
+    for (size_t j = first; j < next; ++j) {
+      sample.recent[j - first] = point_at(j);
+    }
+    sample.target = point_at(next);
+    batch[0] = {&sample, serve::SessionStore::RepsView(
+                             rows.data() + (first % kStreamPoints) * kHidden,
+                             static_cast<int64_t>(next - first), kHidden)};
+    ++next;
+    return store.BatchObserveAndPredictEncoded(model, batch);
+  };
+  for (size_t i = 0; i < kWarmRequests; ++i) request();
+  state.counters["resident_bytes"] =
+      static_cast<double>(store.ResidentBytes());
+  common::AllocProbeScope allocs;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(request());
+  }
+  ReportAllocsPerOp(state, allocs);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_StoreRequestExtendByOne)->Arg(8)->Arg(36)->Arg(64);
 
 std::vector<const nn::Embedding*> EncoderTables(const core::LightMob& model) {
   const core::PointEmbedding& e = model.trajectory_encoder()->embedding();

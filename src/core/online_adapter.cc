@@ -50,19 +50,52 @@ float Cosine(const float* a, size_t n, const std::vector<float>& b) {
 
 }  // namespace
 
+void OnlineAdapter::Append(UserState& state, int64_t location,
+                           Entry&& entry) {
+  auto& entries = state.by_location[location];
+  // FIFO: drop the oldest candidate before appending, so a full location
+  // never grows past kMaxCandidatesPerLocation slots. Under the ingest rule
+  // arrival order is label order, so the dropped entry is never the newest
+  // one; only an interleaving that lands an inline observation ahead of
+  // older pending deltas can make it so, and then the watermark is rederived.
+  bool dropped_newest = false;
+  if (entries.size() >= kMaxCandidatesPerLocation) {
+    dropped_newest = entries.front().timestamp >= state.watermark;
+    entries.erase(entries.begin());
+  }
+  state.watermark = std::max(state.watermark, entry.timestamp);
+  entries.push_back(std::move(entry));
+  if (dropped_newest) state.watermark = MaxLabelTimestamp(state);
+}
+
+int64_t OnlineAdapter::MaxLabelTimestamp(const UserState& state) {
+  int64_t newest = kNoWatermark;
+  for (const auto& [location, entries] : state.by_location) {
+    for (const Entry& entry : entries) {
+      newest = std::max(newest, entry.timestamp);
+    }
+  }
+  for (const PendingDelta& delta : state.pending) {
+    newest = std::max(newest, delta.timestamp);
+  }
+  return newest;
+}
+
+int64_t OnlineAdapter::Watermark(int64_t user) const {
+  auto it = users_.find(user);
+  return it == users_.end() ? kNoWatermark : it->second.watermark;
+}
+
 void OnlineAdapter::Observe(int64_t user, const std::vector<float>& pattern,
                             int64_t next_location, int64_t timestamp) {
   ADAMOVE_CHECK(!pattern.empty());
+  // Ingest once: a label no later than the watermark was already absorbed.
+  if (timestamp <= Watermark(user)) return;
   // Simulated ingestion failure: the pattern is dropped, the knowledge base
-  // stays consistent (it just never saw this transition).
+  // stays consistent (it just never saw this transition, so the watermark
+  // does not move and a re-send ingests it).
   if (common::FaultPoint("core.kb.ingest")) return;
-  auto& entries = users_[user].by_location[next_location];
-  // FIFO: drop the oldest candidate before appending, so a full location
-  // never grows past kMaxCandidatesPerLocation slots.
-  if (entries.size() >= kMaxCandidatesPerLocation) {
-    entries.erase(entries.begin());
-  }
-  entries.push_back(Entry{pattern, timestamp});
+  Append(users_[user], next_location, Entry{pattern, timestamp});
 }
 
 size_t OnlineAdapter::ObserveDeferred(int64_t user,
@@ -70,14 +103,17 @@ size_t OnlineAdapter::ObserveDeferred(int64_t user,
                                       int64_t next_location,
                                       int64_t timestamp) {
   ADAMOVE_CHECK(!pattern.empty());
+  if (timestamp <= Watermark(user)) return 0;
   UserState& state = users_[user];
   state.pending.push_back(
       PendingDelta{std::move(pattern), next_location, timestamp});
+  state.watermark = timestamp;
   dirty_.insert(user);
-  // Exact coalescing: Observe's per-location FIFO cap keeps only the newest
+  // Exact coalescing: the per-location FIFO cap keeps only the newest
   // kMaxCandidatesPerLocation entries, so once that many deltas for one
   // location are buffered, the oldest buffered delta for it could never
   // survive the drain — drop it now and the post-drain state is unchanged.
+  // It is never the newest delta, so the watermark stands.
   size_t for_location = 0;
   for (const PendingDelta& delta : state.pending) {
     if (delta.next_location == next_location) ++for_location;
@@ -95,14 +131,25 @@ size_t OnlineAdapter::ObserveDeferred(int64_t user,
 size_t OnlineAdapter::DrainPending(int64_t user) {
   auto it = users_.find(user);
   if (it == users_.end() || it->second.pending.empty()) return 0;
-  // Move the buffer out first: Observe touches users_ and could in
-  // principle rehash the map under us.
-  std::vector<PendingDelta> pending = std::move(it->second.pending);
-  it->second.pending.clear();
+  UserState& state = it->second;
+  std::vector<PendingDelta> pending = std::move(state.pending);
+  state.pending.clear();
   dirty_.erase(user);
+  // Every delta passed the ingest rule when it was buffered, and the
+  // watermark already counts it, so the deltas land unchecked — only the
+  // ingest fault can still drop one.
+  bool dropped = false;
   for (PendingDelta& delta : pending) {
-    Observe(user, delta.pattern, delta.next_location, delta.timestamp);
+    if (common::FaultPoint("core.kb.ingest")) {
+      dropped = true;
+      continue;
+    }
+    Append(state, delta.next_location,
+           Entry{std::move(delta.pattern), delta.timestamp});
   }
+  // A dropped delta may have held the watermark; rederive it so a re-send
+  // of that check-in is ingested.
+  if (dropped) state.watermark = MaxLabelTimestamp(state);
   return pending.size();
 }
 
@@ -146,7 +193,12 @@ void OnlineAdapter::StoreRebuildCache(
     }
   }
   if (width == 0) return;
+  size_t total = 0;
+  for (const RebuildJob& job : jobs) {
+    total += static_cast<size_t>(job.keep) * width;
+  }
   cache.jobs.reserve(jobs.size());
+  cache.patterns.reserve(total);
   for (const RebuildJob& job : jobs) {
     const size_t len = static_cast<size_t>(job.keep) * width;
     ADAMOVE_CHECK_LE(job.arena_offset + len, arena.size());
@@ -367,6 +419,7 @@ void OnlineAdapter::Adopt(UserSnapshot&& snap) {
   } else {
     dirty_.insert(snap.user);
   }
+  state.watermark = MaxLabelTimestamp(state);
   users_[snap.user] = std::move(state);
 }
 
@@ -522,6 +575,8 @@ size_t OnlineAdapter::StateBytes(const UserState& state) {
   for (const PendingDelta& delta : state.pending) {
     bytes += delta.pattern.capacity() * sizeof(float);
   }
+  bytes += state.cache.jobs.capacity() * sizeof(RebuildJob);
+  bytes += state.cache.patterns.capacity() * sizeof(float);
   return bytes;
 }
 

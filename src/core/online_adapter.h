@@ -2,6 +2,7 @@
 #define ADAMOVE_CORE_ONLINE_ADAPTER_H_
 
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <string>
 #include <string_view>
@@ -23,6 +24,14 @@ struct AdapterStats;  // core/ptta.h
 /// the adapter keeps a *persistent per-user knowledge base* that absorbs
 /// each observed transition once (pattern h_t with the next location as its
 /// label) and answers queries from the accumulated state.
+///
+/// Ingest-once rule (DESIGN.md §4.3): a transition is *new* for a user only
+/// if its label timestamp is strictly later than the user's watermark — the
+/// newest label timestamp its state holds, over stored entries and pending
+/// deltas. Observe and ObserveDeferred return without effect for anything
+/// else, so re-sending an overlapping window (every serving request carries
+/// the user's whole recent window) stores each check-in exactly once. The
+/// watermark is derived state: never serialized, recomputed by Adopt.
 ///
 /// Differences from the per-sample TestTimeAdapter:
 ///  * O(1) incremental updates per new check-in instead of O(N) per query;
@@ -53,8 +62,9 @@ class OnlineAdapter {
 
   /// One buffered (not yet ingested) transition of a deferred-mode user:
   /// exactly Observe's arguments, queued in arrival order. Draining the
-  /// buffer replays them through Observe, so a drained user's knowledge
-  /// base is bit-identical to an inline run of the same observations.
+  /// buffer lands them through Observe's FIFO append, so a drained user's
+  /// knowledge base is bit-identical to an inline run of the same
+  /// observations.
   struct PendingDelta {
     std::vector<float> pattern;
     int64_t next_location = 0;
@@ -80,27 +90,42 @@ class OnlineAdapter {
 
   /// Ingests one observed transition of `user`: the trajectory pattern
   /// `pattern` (the encoder state before the visit) whose true next
-  /// location turned out to be `next_location` at `timestamp`.
+  /// location turned out to be `next_location` at `timestamp`. Idempotent:
+  /// a transition whose `timestamp` is not strictly later than
+  /// Watermark(user) was already absorbed (or is older than what was) and
+  /// returns without effect — core.kb.ingest is probed only for new ones.
   void Observe(int64_t user, const std::vector<float>& pattern,
                int64_t next_location, int64_t timestamp);
 
   /// Deferred-mode ingest: buffers the transition into the user's pending
-  /// queue instead of touching the knowledge base. Pending deltas are
-  /// coalesced exactly: at most kMaxCandidatesPerLocation deltas per next
-  /// location are kept (dropping the oldest), because Observe's FIFO cap
-  /// would discard anything older on drain anyway — so coalescing changes
-  /// nothing about the post-drain state. Returns the number of deltas
-  /// dropped by coalescing (0 or 1). Does not probe core.kb.ingest; the
-  /// probe happens at drain time, when the observation actually lands.
+  /// queue instead of touching the knowledge base, under Observe's rule (a
+  /// transition that is not new returns 0 without effect; a buffered one
+  /// advances the watermark, so a later re-send is not buffered twice).
+  /// Pending deltas are coalesced exactly: at most kMaxCandidatesPerLocation
+  /// deltas per next location are kept (dropping the oldest), because the
+  /// FIFO cap would discard anything older on drain anyway — so coalescing
+  /// changes nothing about the post-drain state. Returns the number of
+  /// deltas dropped by coalescing (0 or 1). Does not probe core.kb.ingest;
+  /// the probe happens at drain time, when the observation actually lands.
   size_t ObserveDeferred(int64_t user, std::vector<float>&& pattern,
                          int64_t next_location, int64_t timestamp);
 
-  /// Replays the user's pending deltas through Observe in arrival order and
-  /// clears the buffer. Returns the number of deltas drained. With faults
+  /// Lands the user's pending deltas in arrival order (each already passed
+  /// the ingest rule when it was buffered, so none is re-checked) and clears
+  /// the buffer. Returns the number of deltas drained. With faults
   /// disarmed, Drain after any mix of ObserveDeferred calls leaves the
   /// knowledge base bit-identical to inline Observe calls of the same
   /// sequence (the deferred-drain parity invariant, pinned by tests).
   size_t DrainPending(int64_t user);
+
+  /// The user's watermark: the newest label timestamp over its stored
+  /// entries and pending deltas, or kNoWatermark for a user without state.
+  /// A transition is new iff its label timestamp is strictly later.
+  int64_t Watermark(int64_t user) const;
+
+  /// Watermark of a user without state: every transition is new.
+  static constexpr int64_t kNoWatermark =
+      std::numeric_limits<int64_t>::min();
 
   /// Drains up to `max_users` dirty users (ascending user id — the
   /// deterministic order; 0 = all). Returns the number of users drained.
@@ -188,7 +213,7 @@ class OnlineAdapter {
   /// re-ranking. `jobs` and `arena` are a CollectRebuildJobs result for
   /// this user; the kept patterns are copied out of `arena`, so the cache
   /// survives any later arena reuse. Purely derived state: it is never
-  /// serialized, and Forget/Adopt drop it.
+  /// serialized, and Forget/Adopt drop it. ResidentBytes counts it.
   void StoreRebuildCache(int64_t user, const std::vector<RebuildJob>& jobs,
                          const common::AlignedBuffer<float>& arena);
 
@@ -243,7 +268,9 @@ class OnlineAdapter {
                    AdapterStats* stats = nullptr) const;
 
   /// Convenience: encode `sample.recent` with the model, observe all of
-  /// its transitions (idempotence is the caller's concern), and predict.
+  /// its transitions, and predict. Idempotent by Observe's rule: sending a
+  /// window again, or one that overlaps an earlier one, absorbs only the
+  /// check-ins the user has not reported yet.
   std::vector<float> ObserveAndPredict(AdaptableModel& model,
                                        const data::Sample& sample);
 
@@ -251,7 +278,8 @@ class OnlineAdapter {
   size_t PatternCount(int64_t user) const;
 
   /// Heap-byte estimate of one user's resident state (0 if unknown):
-  /// pattern payloads plus container payloads and fixed per-node overheads.
+  /// pattern payloads (stored, pending and cached-rebuild) plus container
+  /// payloads and fixed per-node overheads.
   /// Deterministic accounting rather than malloc truth — close enough to
   /// compare the dense representation against the shard subsystem's compact
   /// tier (AdapterStats::resident_bytes, BENCH_capacity.json).
@@ -282,7 +310,9 @@ class OnlineAdapter {
   /// Installs `snap` as the user's complete state, replacing whatever was
   /// stored. Enforces the per-location candidate cap (keeping the newest
   /// entries, matching Observe's FIFO policy), so even a hostile snapshot
-  /// cannot inflate memory past the normal bound.
+  /// cannot inflate memory past the normal bound, and derives the watermark
+  /// from what it keeps — an adopted user resumes exactly where the
+  /// exporting one stood.
   void Adopt(UserSnapshot&& snap);
 
   /// Snapshot wire format (DESIGN.md §11): user id, then per location the
@@ -317,7 +347,17 @@ class OnlineAdapter {
     std::vector<PendingDelta> pending;
     // Last inline rebuild, reusable by deferred predicts (may be empty).
     CachedRebuild cache;
+    // Newest label timestamp over by_location and pending (see Watermark);
+    // a cache of MaxLabelTimestamp, equal to it at every call boundary.
+    int64_t watermark = kNoWatermark;
   };
+
+  /// Stores one transition that already passed the ingest rule under the
+  /// per-location FIFO cap, keeping `state.watermark` exact.
+  static void Append(UserState& state, int64_t location, Entry&& entry);
+
+  /// Newest label timestamp over a state's entries and pending deltas.
+  static int64_t MaxLabelTimestamp(const UserState& state);
 
   /// The ResidentBytes accounting for one user's state.
   static size_t StateBytes(const UserState& state);

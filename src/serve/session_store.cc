@@ -15,6 +15,25 @@
 
 namespace adamove::serve {
 
+namespace {
+
+/// Row k of the first window transition (pattern h_k, labelled by point
+/// k+1) whose label is newer than `watermark`, or t-1 when none is. Every
+/// label before it is no later than the watermark, so the adapter's ingest
+/// rule would skip it: starting here absorbs exactly what observing the
+/// whole window would, without building the skipped patterns.
+int64_t FirstNewTransition(const data::Sample& sample, int64_t watermark) {
+  const int64_t t = static_cast<int64_t>(sample.recent.size());
+  int64_t k = 0;
+  while (k + 1 < t &&
+         sample.recent[static_cast<size_t>(k + 1)].timestamp <= watermark) {
+    ++k;
+  }
+  return k;
+}
+
+}  // namespace
+
 SessionStore::SessionStore(const SessionStoreConfig& config)
     : config_(config) {
   ADAMOVE_CHECK_GT(config.num_shards, 0);
@@ -197,8 +216,13 @@ std::vector<std::vector<float>> SessionStore::BatchObserveAndPredictEncoded(
 
     if (defer) {
       if (!generate_fault) {
+        // Only transitions the key has not absorbed or buffered yet are
+        // buffered (the ingest-once rule, DESIGN.md §4.3).
+        const size_t pending_before = shard.adapter.PendingCount(sample.user);
         uint64_t coalesced = 0;
-        for (int64_t k = 0; k + 1 < t; ++k) {
+        for (int64_t k = FirstNewTransition(
+                 sample, shard.adapter.Watermark(sample.user));
+             k + 1 < t; ++k) {
           std::vector<float> pattern(reps.data + k * hidden,
                                      reps.data + (k + 1) * hidden);
           if (config_.canonicalize_patterns) {
@@ -211,7 +235,8 @@ std::vector<std::vector<float>> SessionStore::BatchObserveAndPredictEncoded(
         }
         if (adapt_stats != nullptr) {
           adapt_stats->deferred_ingests +=
-              t > 1 ? static_cast<uint64_t>(t - 1) : 0;
+              shard.adapter.PendingCount(sample.user) + coalesced -
+              pending_before;
           adapt_stats->coalesced_ingests += coalesced;
         }
         if (statuses != nullptr) (*statuses)[r] = AdaptStatus::kStaleAdapt;
@@ -239,10 +264,15 @@ std::vector<std::vector<float>> SessionStore::BatchObserveAndPredictEncoded(
     // Mirrors OnlineAdapter::ObserveAndPredict exactly (the determinism
     // test depends on bit-identical arithmetic): each prefix representation
     // is a labeled pattern for the *next* point, the final row is the
-    // query. A `serve.ptta_generate` fault skips ingestion of this
-    // request's transitions — the prediction then answers from stale state.
+    // query. Transitions at or below the key's watermark were absorbed by
+    // earlier requests and are skipped before their patterns are built. A
+    // `serve.ptta_generate` fault skips ingestion of this request's
+    // transitions — the prediction then answers from stale state, and the
+    // next request of the key sends them again.
     if (!generate_fault) {
-      for (int64_t k = 0; k + 1 < t; ++k) {
+      for (int64_t k = FirstNewTransition(
+               sample, shard.adapter.Watermark(sample.user));
+           k + 1 < t; ++k) {
         std::vector<float> pattern(reps.data + k * hidden,
                                    reps.data + (k + 1) * hidden);
         // Canonical ingest projects the stored pattern onto the q8 grid

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
+#include "common/fault_injection.h"
 #include "core/lightmob.h"
 #include "data/point.h"
 
@@ -290,6 +294,213 @@ TEST(OnlineAdapterTest, DrainSomePendingHonoursBudgetInUserOrder) {
   EXPECT_EQ(adapter.DrainSomePending(0), 1u);  // 0 = the rest
   EXPECT_EQ(adapter.DirtyUserCount(), 0u);
   EXPECT_EQ(adapter.PendingTotal(), 0u);
+}
+
+// ---- ingest once (DESIGN.md §4.3) ---------------------------------------
+
+/// Newest label timestamp over a user's exported entries and pending deltas
+/// — the watermark's definition, recomputed from scratch.
+int64_t MaxLabel(const OnlineAdapter& adapter, int64_t user) {
+  const OnlineAdapter::UserSnapshot snap = adapter.ExportUser(user);
+  int64_t newest = OnlineAdapter::kNoWatermark;
+  for (const auto& [location, entries] : snap.locations) {
+    for (const auto& entry : entries) {
+      newest = std::max(newest, entry.timestamp);
+    }
+  }
+  for (const auto& delta : snap.pending) {
+    newest = std::max(newest, delta.timestamp);
+  }
+  return newest;
+}
+
+TEST(OnlineAdapterTest, SameWindowTwiceLeavesStateUnchanged) {
+  LightMob model(SmallConfig());
+  OnlineAdapter adapter{PttaConfig{}};
+  const data::Sample s = MakeSample(1, {2, 7, 2, 7, 3, 1}, 4);
+  const std::vector<float> first = adapter.ObserveAndPredict(model, s);
+  const std::string bytes = StateBytes(adapter, 1);
+  EXPECT_EQ(adapter.PatternCount(1), s.recent.size() - 1);
+  const std::vector<float> second = adapter.ObserveAndPredict(model, s);
+  EXPECT_EQ(StateBytes(adapter, 1), bytes);
+  EXPECT_EQ(second, first);  // same state, same query: same answer
+}
+
+TEST(OnlineAdapterTest, WindowExtendedByOneCheckInAddsOneEntry) {
+  LightMob model(SmallConfig());
+  OnlineAdapter adapter{PttaConfig{}};
+  const data::Sample s = MakeSample(1, {2, 7, 2, 7, 3}, 4);
+  adapter.ObserveAndPredict(model, s);
+  ASSERT_EQ(adapter.PatternCount(1), 4u);
+  // The next request carries the same window plus the check-in the last
+  // one predicted: exactly one transition is new.
+  data::Sample next = s;
+  next.recent.push_back(s.target);
+  next.target = {1, 5, s.target.timestamp + 3 * data::kSecondsPerHour};
+  adapter.ObserveAndPredict(model, next);
+  EXPECT_EQ(adapter.PatternCount(1), 5u);
+  EXPECT_EQ(adapter.Watermark(1), s.target.timestamp);
+  // A slid window (oldest point dropped) adds nothing it already holds.
+  data::Sample slid = next;
+  slid.recent.erase(slid.recent.begin());
+  adapter.ObserveAndPredict(model, slid);
+  EXPECT_EQ(adapter.PatternCount(1), 5u);
+}
+
+/// Edge cases of the rule: a label equal to the watermark counts as seen
+/// (the NYC-like stream has 52 of 1,540,329 window transitions sharing a
+/// timestamp with the point before them), and a label older than the
+/// watermark is skipped, inline and deferred alike.
+TEST(OnlineAdapterTest, EqualOrOlderLabelThanTheWatermarkCountsAsSeen) {
+  OnlineAdapter adapter{PttaConfig{}};
+  EXPECT_EQ(adapter.Watermark(1), OnlineAdapter::kNoWatermark);
+  adapter.Observe(1, {1, 0, 0, 0}, 3, 1000);
+  EXPECT_EQ(adapter.Watermark(1), 1000);
+  const std::string bytes = StateBytes(adapter, 1);
+  adapter.Observe(1, {0, 1, 0, 0}, 4, 1000);  // same timestamp, new place
+  adapter.Observe(1, {0, 0, 1, 0}, 5, 999);   // older than the watermark
+  EXPECT_EQ(adapter.ObserveDeferred(1, {0, 0, 0, 1}, 6, 1000), 0u);
+  EXPECT_EQ(adapter.ObserveDeferred(1, {0, 0, 0, 1}, 6, 10), 0u);
+  EXPECT_EQ(adapter.PendingCount(1), 0u);
+  EXPECT_EQ(adapter.DirtyUserCount(), 0u);
+  EXPECT_EQ(StateBytes(adapter, 1), bytes);
+  // Strictly later is new; a buffered delta advances the watermark too, so
+  // the same check-in sent inline afterwards is not stored twice.
+  EXPECT_EQ(adapter.ObserveDeferred(1, {0, 1, 0, 0}, 4, 1001), 0u);
+  EXPECT_EQ(adapter.Watermark(1), 1001);
+  adapter.Observe(1, {0, 1, 0, 0}, 4, 1001);
+  EXPECT_EQ(adapter.PendingCount(1), 1u);
+  EXPECT_EQ(adapter.PatternCount(1), 1u);
+  adapter.DrainPending(1);
+  EXPECT_EQ(adapter.PatternCount(1), 2u);
+  EXPECT_EQ(adapter.Watermark(1), 1001);
+}
+
+/// core.kb.ingest is probed only for new transitions, and a transition the
+/// fault dropped — inline or at drain time — is ingested when it is sent
+/// again, because the watermark never advanced past it.
+TEST(OnlineAdapterTest, IngestFaultDropIsIngestedWhenSentAgain) {
+  common::FaultRegistry& faults = common::FaultRegistry::Instance();
+  faults.DisarmAll();
+  OnlineAdapter adapter{PttaConfig{}};
+  adapter.Observe(1, {1, 0, 0, 0}, 3, 1000);
+
+  faults.Arm("core.kb.ingest", common::FaultSpec{1.0, 0, true});
+  adapter.Observe(1, {1, 0, 0, 0}, 3, 1000);  // seen: not probed
+  EXPECT_EQ(faults.StatsFor("core.kb.ingest").evaluations, 0u);
+  adapter.Observe(1, {0, 1, 0, 0}, 4, 2000);  // new: probed and dropped
+  EXPECT_EQ(faults.StatsFor("core.kb.ingest").evaluations, 1u);
+  EXPECT_EQ(adapter.PatternCount(1), 1u);
+  EXPECT_EQ(adapter.Watermark(1), 1000);
+
+  // Deferred: buffering never probes; the drain does, and drops both.
+  adapter.ObserveDeferred(1, {0, 1, 0, 0}, 4, 2000);
+  adapter.ObserveDeferred(1, {0, 0, 1, 0}, 5, 3000);
+  EXPECT_EQ(faults.StatsFor("core.kb.ingest").evaluations, 1u);
+  EXPECT_EQ(adapter.Watermark(1), 3000);
+  EXPECT_EQ(adapter.DrainPending(1), 2u);
+  EXPECT_EQ(faults.StatsFor("core.kb.ingest").evaluations, 3u);
+  EXPECT_EQ(adapter.PatternCount(1), 1u);
+  EXPECT_EQ(adapter.Watermark(1), 1000);  // rederived after the drops
+  faults.DisarmAll();
+
+  adapter.Observe(1, {0, 1, 0, 0}, 4, 2000);
+  adapter.ObserveDeferred(1, {0, 0, 1, 0}, 5, 3000);
+  adapter.DrainPending(1);
+  EXPECT_EQ(adapter.PatternCount(1), 3u);
+  EXPECT_EQ(adapter.Watermark(1), 3000);
+}
+
+/// The watermark is derived state: after every step of a seeded mix of
+/// inline observes, deferrals, drains, export/adopt round trips and armed
+/// ingest faults it equals the newest label over entries and pending
+/// deltas. Few locations and a slow clock exercise the FIFO cap, exact
+/// coalescing, equal and older labels, and inline observations landing
+/// ahead of older pending deltas.
+TEST(OnlineAdapterTest, WatermarkIsTheNewestLabelAfterEveryStep) {
+  common::FaultRegistry& faults = common::FaultRegistry::Instance();
+  faults.DisarmAll();
+  faults.SetSeed(7);
+  OnlineAdapter adapter{PttaConfig{}};
+  // The one interleaving in which the FIFO drops the newest label: an
+  // inline observation lands ahead of 32 older pending deltas for its
+  // location, and the drain overflows that location.
+  for (int64_t ts = 1; ts <= 32; ++ts) {
+    adapter.ObserveDeferred(9, {1, 0, 0, 0}, 2, ts);
+  }
+  adapter.Observe(9, {0, 1, 0, 0}, 2, 33);
+  adapter.DrainPending(9);
+  EXPECT_EQ(adapter.PatternCount(9), 32u);
+  EXPECT_EQ(adapter.Watermark(9), 32);
+  EXPECT_EQ(adapter.Watermark(9), MaxLabel(adapter, 9));
+  adapter.Reset();
+  std::mt19937_64 rng(42);
+  int64_t clock = 1000;
+  size_t drops = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const int64_t user = static_cast<int64_t>(rng() % 3);
+    const int64_t location = static_cast<int64_t>(rng() % 3);
+    clock += static_cast<int64_t>(rng() % 3);  // 0 repeats the timestamp
+    const int64_t timestamp = clock - static_cast<int64_t>(rng() % 2) * 5;
+    std::vector<float> pattern(4, static_cast<float>(step % 17));
+    switch (rng() % 8) {
+      case 0:
+      case 1:
+      case 2:
+        adapter.Observe(user, pattern, location, timestamp);
+        break;
+      case 3:
+      case 4:
+      case 5:
+        adapter.ObserveDeferred(user, std::move(pattern), location, timestamp);
+        break;
+      case 6:
+        adapter.DrainPending(user);
+        break;
+      default:
+        adapter.Adopt(adapter.ExportUser(user));
+        break;
+    }
+    if (rng() % 50 == 0) {
+      if (faults.IsArmed("core.kb.ingest")) {
+        drops += faults.StatsFor("core.kb.ingest").fired;
+        faults.DisarmAll();
+      } else {
+        faults.Arm("core.kb.ingest", common::FaultSpec{0.3, 0, true});
+      }
+    }
+    for (int64_t u = 0; u < 3; ++u) {
+      ASSERT_EQ(adapter.Watermark(u), MaxLabel(adapter, u))
+          << "user " << u << " after step " << step;
+    }
+  }
+  faults.DisarmAll();
+  EXPECT_GT(drops, 0u);  // the faults really fired
+}
+
+/// The elastic rung's cached rebuild is resident memory: ResidentBytes
+/// grows by exactly its jobs and kept-pattern bytes.
+TEST(OnlineAdapterTest, RebuildCacheCountsInResidentBytes) {
+  OnlineAdapter adapter{PttaConfig{}};
+  const int64_t hidden = 4;
+  for (int i = 0; i < 12; ++i) {
+    adapter.Observe(1, {1, static_cast<float>(i), 0, 1}, i % 3, 1000 + i);
+  }
+  const std::vector<float> query = {1, 1, 0, 0};
+  common::AlignedBuffer<float> arena;
+  std::vector<OnlineAdapter::RebuildJob> jobs;
+  std::vector<std::pair<float, const OnlineAdapter::Entry*>> fresh;
+  adapter.CollectRebuildJobs(1, query.data(), hidden, 2000, &arena, &jobs,
+                             &fresh);
+  ASSERT_EQ(jobs.size(), 3u);
+  size_t kept = 0;
+  for (const auto& job : jobs) kept += static_cast<size_t>(job.keep);
+  const size_t before = adapter.ResidentBytes(1);
+  adapter.StoreRebuildCache(1, jobs, arena);
+  ASSERT_TRUE(adapter.HasRebuildCache(1));
+  EXPECT_EQ(adapter.ResidentBytes(1) - before,
+            jobs.size() * sizeof(OnlineAdapter::RebuildJob) +
+                kept * static_cast<size_t>(hidden) * sizeof(float));
 }
 
 }  // namespace

@@ -10,8 +10,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/fault_injection.h"
 #include "core/lightmob.h"
 #include "serve/adapt_scheduler.h"
+#include "shard/compact_store.h"
 #include "tests/serve/predict_only.h"
 
 namespace adamove::serve {
@@ -450,24 +452,28 @@ TEST(SessionStoreTest, MaxStaleDepthForcesInlineRebuilds) {
   BatchAdaptOptions deferred;
   deferred.mode = AdaptExecMode::kDeferred;
 
-  // One user with a sliding 6-point window: each request buffers at most 5
-  // transitions, spread over all 10 locations (so nothing coalesces before
-  // the bound), and ~52 requests reach kMaxStaleDepth.
+  // One user whose every request brings 6 fresh points: each request
+  // buffers 5 new transitions (an overlapping window would only repeat
+  // transitions the key already holds, which the ingest rule skips), spread
+  // over all 10 locations (so nothing coalesces before the bound), and ~52
+  // requests reach kMaxStaleDepth.
   constexpr size_t kMaxTransitions = 5;
   constexpr uint32_t kDepthBound = kMaxStaleDepth - 1 + kMaxTransitions;
-  std::vector<data::Point> window;
   int64_t t = 1333238400;
+  int64_t point = 0;
   uint64_t forced = 0;
   uint64_t stale = 0;
   uint32_t max_depth = 0;
   for (int s = 0; s < 80; ++s) {
-    window.push_back({7, s % 10, t});
-    if (window.size() > kMaxTransitions + 1) window.erase(window.begin());
-    t += 3 * data::kSecondsPerHour;
+    std::vector<data::Point> window;
+    for (size_t i = 0; i <= kMaxTransitions; ++i, ++point) {
+      window.push_back({7, point % 10, t});
+      t += 3 * data::kSecondsPerHour;
+    }
     data::Sample sample;
     sample.user = 7;
     sample.recent = window;
-    sample.target = {7, (s + 1) % 10, t};
+    sample.target = {7, point % 10, t};
     const nn::Tensor reps = model.PrefixRepresentations(sample);
     std::vector<AdaptStatus> statuses;
     BatchAdaptStats adapt_stats;
@@ -490,6 +496,193 @@ TEST(SessionStoreTest, MaxStaleDepthForcesInlineRebuilds) {
   EXPECT_GT(stale, 0u);
   EXPECT_LE(max_depth, kDepthBound);
   EXPECT_GE(max_depth, kMaxStaleDepth);  // the bound was reached, not idle
+}
+
+// ---- ingest once (DESIGN.md §4.3) ---------------------------------------
+
+/// `count` requests of one key whose `width`-point windows slide over one
+/// check-in stream by one point each: consecutive windows share all but
+/// one transition, as the serving stream's do. Point i is at location
+/// i % 10, 3 h after point i-1; each window's target is the next point.
+std::vector<data::Sample> SlidingWindows(int64_t user, size_t count,
+                                         size_t width, int64_t t0) {
+  std::vector<data::Point> stream;
+  for (size_t i = 0; i < count + width; ++i) {
+    stream.push_back({user, static_cast<int64_t>(i % 10),
+                      t0 + static_cast<int64_t>(i) * 3 *
+                               data::kSecondsPerHour});
+  }
+  std::vector<data::Sample> samples(count);
+  for (size_t j = 0; j < count; ++j) {
+    samples[j].user = user;
+    samples[j].recent.assign(stream.begin() + static_cast<ptrdiff_t>(j),
+                             stream.begin() + static_cast<ptrdiff_t>(j + width));
+    samples[j].target = stream[j + width];
+  }
+  return samples;
+}
+
+std::vector<float> ServeOne(SessionStore& store, core::LightMob& model,
+                            const data::Sample& sample,
+                            const BatchAdaptOptions& options,
+                            AdaptStatus* status) {
+  const nn::Tensor reps = model.PrefixRepresentations(sample);
+  std::vector<AdaptStatus> statuses;
+  std::vector<std::vector<float>> scores = store.BatchObserveAndPredictEncoded(
+      model, {{&sample, SessionStore::RepsView(reps)}}, options, &statuses,
+      nullptr);
+  *status = statuses[0];
+  return std::move(scores[0]);
+}
+
+std::string ExtractedBytes(SessionStore& store, int64_t user) {
+  core::OnlineAdapter::UserSnapshot snap;
+  EXPECT_TRUE(store.ExtractUser(user, &snap));
+  std::string bytes;
+  core::OnlineAdapter::EncodeUser(snap, &bytes);
+  return bytes;
+}
+
+/// N overlapping windows of one key store each distinct transition once:
+/// every stream point but the first labels exactly one entry.
+TEST(SessionStoreTest, OverlappingWindowsStoreEachTransitionOnce) {
+  core::LightMob model(SmallConfig());
+  SessionStore store{SessionStoreConfig{}};
+  const std::vector<data::Sample> windows =
+      SlidingWindows(5, 24, 8, 1333238400);
+  AdaptStatus status;
+  for (const data::Sample& sample : windows) {
+    (void)ServeOne(store, model, sample, BatchAdaptOptions{}, &status);
+    ASSERT_EQ(status, AdaptStatus::kAdapted);
+  }
+  // 31 stream points in the windows over 10 locations: no FIFO is full.
+  EXPECT_EQ(store.PatternCount(5), windows.size() + 8 - 2);
+}
+
+/// The (location, label timestamp) of every entry a key holds, in wire
+/// order (ExtractUser removes the key).
+std::vector<std::pair<int64_t, int64_t>> ExtractedLabels(SessionStore& store,
+                                                         int64_t user) {
+  core::OnlineAdapter::UserSnapshot snap;
+  EXPECT_TRUE(store.ExtractUser(user, &snap));
+  std::vector<std::pair<int64_t, int64_t>> labels;
+  for (const auto& [location, entries] : snap.locations) {
+    for (const auto& entry : entries) {
+      labels.emplace_back(location, entry.timestamp);
+    }
+  }
+  return labels;
+}
+
+/// A request hit by the serve.ptta_generate fault ingests nothing; the
+/// key's next request carries those transitions again and ingests them, so
+/// the key ends up holding the same labelled transitions as one that never
+/// faulted (each pattern is the one its first ingesting request encoded).
+/// A key forgotten by LRU eviction without a cold tier has no watermark
+/// left: its next window is ingested whole.
+TEST(SessionStoreTest, FaultedOrForgottenKeysIngestTheirNextWindow) {
+  core::LightMob model(SmallConfig());
+  const std::vector<data::Sample> windows =
+      SlidingWindows(2, 6, 8, 1333238400);
+  common::FaultRegistry& faults = common::FaultRegistry::Instance();
+  faults.DisarmAll();
+  SessionStore reference{SessionStoreConfig{}};
+  SessionStore faulted{SessionStoreConfig{}};
+  AdaptStatus status;
+  for (size_t j = 0; j < windows.size(); ++j) {
+    (void)ServeOne(reference, model, windows[j], BatchAdaptOptions{}, &status);
+    if (j == 3) {
+      faults.Arm("serve.ptta_generate", common::FaultSpec{1.0, 0, true});
+    }
+    (void)ServeOne(faulted, model, windows[j], BatchAdaptOptions{}, &status);
+    faults.DisarmAll();
+    EXPECT_EQ(status,
+              j == 3 ? AdaptStatus::kStaleState : AdaptStatus::kAdapted);
+    EXPECT_EQ(faulted.PatternCount(2) + (j == 3 ? 1 : 0),
+              reference.PatternCount(2))
+        << "request " << j;
+  }
+  EXPECT_EQ(ExtractedLabels(faulted, 2), ExtractedLabels(reference, 2));
+
+  SessionStoreConfig capped_config;
+  capped_config.num_shards = 1;
+  capped_config.max_resident_users = 1;
+  SessionStore capped(capped_config);
+  (void)ServeOne(capped, model, windows[0], BatchAdaptOptions{}, &status);
+  capped.Observe(9, Pattern(1), 3, 1000);  // evicts key 2: forgotten
+  ASSERT_EQ(capped.PatternCount(2), 0u);
+  (void)ServeOne(capped, model, windows[1], BatchAdaptOptions{}, &status);
+  EXPECT_EQ(capped.PatternCount(2), windows[1].recent.size() - 1);
+}
+
+/// Deferring overlapping windows buffers only their new transitions, and
+/// draining them (lazily, at an inline request, or in the background)
+/// leaves state bit-identical to serving every window inline.
+TEST(SessionStoreTest, DeferredOverlappingWindowsDrainToTheInlineState) {
+  core::LightMob model(SmallConfig());
+  const std::vector<data::Sample> windows =
+      SlidingWindows(6, 40, 8, 1333238400);
+  SessionStore inline_store{SessionStoreConfig{}};
+  SessionStore deferred_store{SessionStoreConfig{}};
+  BatchAdaptOptions deferred;
+  deferred.mode = AdaptExecMode::kDeferred;
+  AdaptStatus status;
+  for (size_t j = 0; j < windows.size(); ++j) {
+    (void)ServeOne(inline_store, model, windows[j], BatchAdaptOptions{},
+                   &status);
+    const bool lazy_drain = j % 7 == 6;  // an inline request drains first
+    const size_t pending = deferred_store.PendingDeltaCount();
+    (void)ServeOne(deferred_store, model, windows[j],
+                   lazy_drain ? BatchAdaptOptions{} : deferred, &status);
+    ASSERT_EQ(status,
+              lazy_drain ? AdaptStatus::kAdapted : AdaptStatus::kStaleAdapt);
+    if (!lazy_drain && j > 0) {
+      // One new check-in per slid window: exactly one delta is buffered.
+      EXPECT_EQ(deferred_store.PendingDeltaCount(), pending + 1) << j;
+    }
+  }
+  EXPECT_GT(deferred_store.PendingDeltaCount(), 0u);
+  EXPECT_EQ(deferred_store.DrainDirtyUsers(0), 1u);
+  EXPECT_EQ(deferred_store.PatternCount(6), inline_store.PatternCount(6));
+  EXPECT_EQ(ExtractedBytes(deferred_store, 6), ExtractedBytes(inline_store, 6));
+}
+
+/// A capped store with a compact cold tier answers overlapping windows
+/// bit-identically to a flat store: two keys alternate on one single-user
+/// shard, so every request hydrates its key from the compact tier, and the
+/// watermark Adopt derives from the hydrated state skips exactly what the
+/// flat store's live watermark skips.
+TEST(SessionStoreTest, CompactColdTierMatchesFlatStoreOnOverlappingWindows) {
+  core::LightMob model(SmallConfig());
+  shard::CompactStore cold;
+  SessionStoreConfig capped_config;
+  capped_config.num_shards = 1;
+  capped_config.max_resident_users = 1;
+  capped_config.cold_tier = &cold;
+  capped_config.canonicalize_patterns = true;
+  SessionStore capped(capped_config);
+  SessionStoreConfig flat_config;
+  flat_config.canonicalize_patterns = true;
+  SessionStore flat(flat_config);
+
+  const std::vector<data::Sample> a = SlidingWindows(3, 30, 8, 1333238400);
+  const std::vector<data::Sample> b = SlidingWindows(4, 30, 6, 1333240000);
+  AdaptStatus s1;
+  AdaptStatus s2;
+  for (size_t j = 0; j < a.size(); ++j) {
+    for (const data::Sample* sample : {&a[j], &b[j]}) {
+      const std::vector<float> got =
+          ServeOne(capped, model, *sample, BatchAdaptOptions{}, &s1);
+      const std::vector<float> want =
+          ServeOne(flat, model, *sample, BatchAdaptOptions{}, &s2);
+      ASSERT_EQ(s1, AdaptStatus::kAdapted);
+      ASSERT_EQ(s2, AdaptStatus::kAdapted);
+      ASSERT_EQ(got, want) << "user " << sample->user << " request " << j;
+    }
+  }
+  EXPECT_GE(capped.HydrationCount(), 2 * a.size() - 2);
+  EXPECT_EQ(capped.PatternCount(4), flat.PatternCount(4));
+  EXPECT_EQ(flat.PatternCount(3), a.size() + 8 - 2);
 }
 
 }  // namespace
