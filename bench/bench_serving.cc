@@ -297,7 +297,6 @@ OverloadRun RunOverloadOnce(core::AdaptableModel& model,
   serve::ServiceConfig svc;
   svc.workers = 4;
   svc.max_batch = 8;
-  svc.max_wait_us = 500;
   svc.queue_capacity = queue_capacity;
   svc.deadline_us = deadline_us;
   svc.adapt.mode =
@@ -443,7 +442,8 @@ OverloadGate RunOverloadPass(core::AdaptableModel& model,
   const double saturation_qps = std::max(saturation.qps, 1.0);
 
   // Phase B: the unloaded latency baseline — the same inline service paced
-  // far below saturation, so p99 is pure service time plus batching wait.
+  // far below saturation, so p99 is pure service time. It and both burst
+  // postures run the default work-conserving batching policy.
   serve::LoadGenConfig paced = closed;
   paced.target_qps = std::max(saturation_qps * 0.3, 10.0);
   const RunReport unloaded = RunOnce(model, stream, 4, 8, paced, 0);

@@ -5,15 +5,14 @@
 namespace adamove::serve {
 
 void PressureGauge::Update(size_t queue_depth, size_t queue_capacity,
-                           double oldest_wait_us, double slack_ref_us) {
+                           double oldest_wait_us, double deadline_us) {
   const double depth_ratio =
       queue_capacity == 0
           ? 0.0
           : static_cast<double>(queue_depth) /
                 static_cast<double>(queue_capacity);
-  const double wait_ratio =
-      slack_ref_us <= 0.0 ? 0.0 : oldest_wait_us / slack_ref_us;
-  const double instant = std::max(depth_ratio, wait_ratio);
+  const double instant =
+      std::max(depth_ratio, oldest_wait_us / deadline_us);
   bool tripped;
   bool recovered;
   {

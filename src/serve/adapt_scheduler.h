@@ -46,11 +46,11 @@ struct AdaptSchedulerConfig {
 /// The per-service load signal: a queue-pressure EWMA with hysteresis.
 ///
 /// Each batch formation reports two saturation ratios — queue depth over
-/// capacity, and the oldest queued request's wait over its deadline slack —
-/// and the gauge folds max(both) into an EWMA. Crossing kHighWatermark trips
-/// `deferred()`; it stays tripped until the EWMA falls back to
-/// kLowWatermark, so a load hovering at the boundary cannot flap the
-/// scheduler (the classic hysteresis band).
+/// capacity, and the oldest queued request's wait over the request
+/// deadline — and the gauge folds max(both) into an EWMA. Crossing
+/// kHighWatermark trips `deferred()`; it stays tripped until the EWMA falls
+/// back to kLowWatermark, so a load hovering at the boundary cannot flap
+/// the scheduler (the classic hysteresis band).
 ///
 /// deferred() is one relaxed-ish atomic load, so the worker hot path reads
 /// it for free; Update runs under a private mutex (workers race to report,
@@ -59,10 +59,10 @@ class PressureGauge {
  public:
   /// Folds one batch-formation observation into the gauge.
   /// `oldest_wait_us` is how long the oldest request of the batch queued;
-  /// `slack_ref_us` is the wait considered fully saturated (the deadline
-  /// when one is configured, else a multiple of max_wait_us).
+  /// `deadline_us` (> 0) is the per-request deadline, the wait that reads
+  /// as fully saturated.
   void Update(size_t queue_depth, size_t queue_capacity,
-              double oldest_wait_us, double slack_ref_us);
+              double oldest_wait_us, double deadline_us);
 
   /// Whether the scheduler is currently in deferred adaptation.
   bool deferred() const { return deferred_.load(std::memory_order_acquire); }

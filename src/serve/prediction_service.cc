@@ -36,6 +36,9 @@ PredictionService::PredictionService(core::AdaptableModel& model,
   ADAMOVE_CHECK_GT(config_.workers, 0);
   ADAMOVE_CHECK_GT(config_.max_batch, 0);
   ADAMOVE_CHECK_GT(config_.queue_capacity, 0u);
+  if (config_.adapt.mode == AdaptMode::kElastic) {
+    ADAMOVE_CHECK_GT(config_.deadline_us, 0);
+  }
   worker_stats_.reserve(static_cast<size_t>(config_.workers));
   workers_.reserve(static_cast<size_t>(config_.workers));
   for (int i = 0; i < config_.workers; ++i) {
@@ -153,7 +156,9 @@ void PredictionService::WorkerLoop(int worker_index) {
       while (!stop_ && queue_.empty()) not_empty_.Wait(mu_);
       if (queue_.empty()) return;  // stop_ set and fully drained
       // Dynamic flush: grow the batch until max_batch requests are queued
-      // or the *oldest* request's deadline passes — whichever comes first.
+      // or the *oldest* request has waited max_wait_us — whichever comes
+      // first. At the default 0 that deadline has already passed, so the
+      // worker takes what is queued.
       const auto deadline =
           queue_.front().enqueue +
           std::chrono::microseconds(config_.max_wait_us);
@@ -196,15 +201,11 @@ void PredictionService::ProcessBatch(std::vector<Request>& batch,
   // evaluation sequence (bit-identity with the pre-scheduler path).
   AdaptExecMode exec_mode = AdaptExecMode::kInline;
   if (config_.adapt.mode == AdaptMode::kElastic) {
-    const double oldest_wait_us = ElapsedUs(batch.front().enqueue, picked_up);
-    // Saturation reference for the wait ratio: the request deadline when one
-    // is configured, else several flush windows' worth of queueing.
-    const double slack_ref_us =
-        config_.deadline_us > 0
-            ? static_cast<double>(config_.deadline_us)
-            : 4.0 * static_cast<double>(config_.max_wait_us);
-    gauge_.Update(queue_depth, config_.queue_capacity, oldest_wait_us,
-                  slack_ref_us);
+    // The wait ratio's saturation reference is the request deadline, which
+    // the constructor requires of an elastic service.
+    gauge_.Update(queue_depth, config_.queue_capacity,
+                  ElapsedUs(batch.front().enqueue, picked_up),
+                  static_cast<double>(config_.deadline_us));
     const bool forced = common::FaultPoint("serve.adapt_schedule");
     exec_mode = gauge_.deferred() || forced ? AdaptExecMode::kDeferred
                                             : AdaptExecMode::kInlineElastic;

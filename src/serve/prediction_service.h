@@ -44,11 +44,14 @@ enum class RequestOutcome : uint8_t {
 struct ServiceConfig {
   /// Serving worker threads; each forms and executes whole micro-batches.
   int workers = 4;
-  /// Flush a micro-batch at this many requests…
+  /// Largest micro-batch a worker takes from the queue at once.
   int max_batch = 8;
-  /// …or when the oldest queued request has waited this long, whichever
-  /// comes first (the classic size-or-deadline policy).
-  int64_t max_wait_us = 1000;
+  /// Batch-formation wait. 0 (the default) serves on arrival: a free
+  /// worker takes up to max_batch of whatever is queued, so bursts still
+  /// form full batches. A positive value opts into the size-or-deadline
+  /// flush: hold the batch until max_batch requests are queued or the
+  /// oldest has waited this long.
+  int64_t max_wait_us = 0;
   /// Bounded admission queue: at capacity Submit blocks and TrySubmit
   /// rejects.
   size_t queue_capacity = 1024;
@@ -57,7 +60,8 @@ struct ServiceConfig {
   /// and is served the base-model fallback as kTimedOut.
   int64_t deadline_us = 0;
   /// Elastic adaptation scheduling (DESIGN.md §16); the default
-  /// AdaptMode::kInline is the legacy bit-identical path.
+  /// AdaptMode::kInline is the legacy bit-identical path. kElastic requires
+  /// deadline_us > 0: the deadline is the pressure gauge's wait reference.
   AdaptSchedulerConfig adapt;
 };
 
@@ -150,10 +154,11 @@ struct ServiceStats {
 };
 
 /// The online request path: a bounded queue feeding worker threads that
-/// flush dynamic micro-batches (on max_batch or max_wait_us). A batch first
-/// encodes each request, resuming the encoder from the state the same
-/// user's previous request left (the prefix state, DESIGN.md §14: an
-/// extended window runs only its new points, an exact repeat none), then
+/// each take up to max_batch queued requests as one micro-batch, on
+/// arrival unless ServiceConfig::max_wait_us opts into a flush window. A
+/// batch first encodes each request, resuming the encoder from the state
+/// the same user's previous request left (the prefix state, DESIGN.md §14:
+/// an extended window runs only its new points, an exact repeat none), then
 /// the PTTA adjustment for the whole batch goes through
 /// SessionStore::BatchObserveAndPredictEncoded: per-user knowledge-base
 /// updates still run in request order under their shard locks (per-user
@@ -178,6 +183,8 @@ struct ServiceStats {
 /// synchronization. All mutable state lives in the SessionStore shards.
 class PredictionService {
  public:
+  /// Checks `config` (positive workers, max_batch and queue_capacity; a
+  /// deadline when adapt.mode is kElastic) before any worker starts.
   PredictionService(core::AdaptableModel& model, SessionStore& store,
                     const ServiceConfig& config);
 

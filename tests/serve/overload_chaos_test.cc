@@ -107,7 +107,7 @@ TEST_F(OverloadChaosTest, PressureGaugeTripsWithHysteresisAndCountsSwitches) {
   EXPECT_FALSE(gauge.deferred());
   EXPECT_EQ(gauge.mode_switches(), 2u);
   // The wait arm saturates the gauge even with an empty queue: a 3x
-  // overrun of the slack reference is instant 3.0, and
+  // overrun of the deadline is instant 3.0, and
   // 0.9 + 0.7 * 0.2606457 = 1.0824520 trips in one report.
   gauge.Update(0, 100, 3000.0, 1000.0);
   EXPECT_TRUE(gauge.deferred());
@@ -160,6 +160,9 @@ TEST_F(OverloadChaosTest, SchedulerMisfireFaultDefersButLosesNothing) {
   ServiceConfig config;
   config.workers = 1;
   config.max_batch = 1;
+  // Elastic needs a deadline; requests are sequential, so nothing queues
+  // near this one and the gauge reads calm.
+  config.deadline_us = 10 * 1000 * 1000;
   config.adapt.mode = AdaptMode::kElastic;
   PredictionService service(model, store, config);
   uint32_t max_depth = 0;
@@ -219,6 +222,11 @@ TEST_F(OverloadChaosTest, OpenLoopBurstsKeepExactAccountingUnderChaos) {
     config.max_batch = 8;
     config.max_wait_us = 500;
     config.queue_capacity = 32;
+    // Elastic needs a deadline. 25 ms (perfbench overload's) is well above
+    // a burst's queueing even under TSan, so requests reach the elastic
+    // adapt path instead of the kTimedOut fallback; the full 32-slot queue
+    // still reads as pressure through the gauge's depth arm.
+    config.deadline_us = 25000;
     config.adapt.mode = AdaptMode::kElastic;
     PredictionService service(model, store, config);
 
@@ -247,6 +255,9 @@ TEST_F(OverloadChaosTest, OpenLoopBurstsKeepExactAccountingUnderChaos) {
     EXPECT_EQ(stats.accounted(), result.completed + result.shed)
         << "qps " << qps;
     EXPECT_EQ(stats.completed, result.completed) << "qps " << qps;
+    // The deadline must not turn the burst into frozen-model fallbacks:
+    // some requests still reach the elastic adapt path.
+    EXPECT_LT(stats.timeouts, stats.completed) << "qps " << qps;
     EXPECT_EQ(stats.stale_adapt_requests, stats.stale_depth.Count());
     stale_total += stats.stale_adapt_requests;
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <future>
 #include <string>
@@ -225,6 +227,65 @@ TEST(PredictionServiceTest, TrySubmitRejectsWhenFullInsteadOfBlocking) {
   EXPECT_EQ(stats.shed_requests, static_cast<uint64_t>(rejected));
   EXPECT_EQ(stats.completed, accepted.size());
   EXPECT_EQ(stats.accounted(), stream.size());
+}
+
+/// The default batching policy is work-conserving: a lone request is taken
+/// as soon as a worker is free instead of waiting out a flush window for
+/// batch-mates that never come.
+TEST(PredictionServiceTest, LoneRequestsAreServedOnArrivalByDefault) {
+  core::LightMob model(SmallConfig());
+  SessionStore store{SessionStoreConfig{}};
+  ServiceConfig config;
+  config.workers = 1;
+  config.max_batch = 8;
+  PredictionService service(model, store, config);
+  const std::vector<data::Sample> stream = MakeStream(5, 10);
+  ASSERT_EQ(stream.size(), 50u);
+  std::vector<double> queue_us;
+  for (const auto& sample : stream) {
+    queue_us.push_back(service.Submit(sample).get().queue_us);
+  }
+  service.Shutdown();
+  std::nth_element(queue_us.begin(), queue_us.begin() + 25, queue_us.end());
+  EXPECT_LT(queue_us[25], 1000.0);
+  EXPECT_EQ(service.Stats().batches, stream.size());
+}
+
+/// A positive max_wait_us opts into the size-or-deadline flush: with a
+/// 10 s window and max_batch 2, a lone request waits for its batch-mate and
+/// the two are served as one batch.
+TEST(PredictionServiceTest, PositiveMaxWaitHoldsALoneRequestForItsBatchMate) {
+  core::LightMob model(SmallConfig());
+  SessionStore store{SessionStoreConfig{}};
+  ServiceConfig config;
+  config.workers = 1;
+  config.max_batch = 2;
+  config.max_wait_us = 10 * 1000 * 1000;
+  PredictionService service(model, store, config);
+  const std::vector<data::Sample> stream = MakeStream(2, 3);
+  std::future<Prediction> first = service.Submit(stream[2]);
+  EXPECT_EQ(first.wait_for(std::chrono::milliseconds(200)),
+            std::future_status::timeout);
+  std::future<Prediction> second = service.Submit(stream[5]);
+  EXPECT_EQ(first.get().scores.size(), 12u);
+  EXPECT_EQ(second.get().scores.size(), 12u);
+  service.Shutdown();
+  const ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.MeanBatchSize(), 2.0);
+}
+
+/// The pressure gauge reads queueing against the request deadline, so an
+/// elastic service without one is a configuration error, rejected before
+/// any worker starts.
+TEST(PredictionServiceDeathTest, ElasticWithoutDeadlineAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  core::LightMob model(SmallConfig());
+  SessionStore store{SessionStoreConfig{}};
+  ServiceConfig config;
+  config.adapt.mode = AdaptMode::kElastic;
+  EXPECT_DEATH({ PredictionService service(model, store, config); },
+               "deadline_us");
 }
 
 TEST(PredictionServiceTest, ShutdownDrainsOutstandingRequests) {
