@@ -7,12 +7,14 @@
 # Two passes:
 #
 #   1. tools/adamove_lint — the compiled repo invariant linter. It owns the
-#      eight per-line rules this script used to express as grep pipelines
+#      per-line rules this script used to express as grep pipelines
 #      (raw-mutex, naked-new, rand, raw-write, session-store-construction,
 #      raw-intrinsics-x86, plan-executor-alloc, todo-label — see
-#      tools/adamove_lint/lint.h for each rule's rationale), running them
-#      over a real comment- and string-literal-aware tokenizer with per-rule
-#      NOLINT(rule) scoping, plus the cross-registry checks no grep can do:
+#      tools/adamove_lint/lint.h for each rule's rationale) plus
+#      qfloat-quantize (pattern quantization only at its three homes),
+#      running them over a real comment- and string-literal-aware tokenizer
+#      with per-rule NOLINT(rule) scoping, plus the cross-registry checks no
+#      grep can do:
 #      every FaultPoint in src/ documented in DESIGN.md and exercised under
 #      tests/, every ADAMOVE_* knob documented in README.md (and every
 #      README knob read by code or declared as a CMake option), every ctest

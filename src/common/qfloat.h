@@ -7,7 +7,9 @@
 
 namespace adamove::common {
 
-/// Power-of-two int8 block quantization for pattern vectors (DESIGN.md §12).
+/// Power-of-two int8 block quantization for pattern vectors (DESIGN.md §4.3,
+/// §12) — the one representation of a knowledge-base pattern, from ingest
+/// through the hot tier to the compact cold tier.
 ///
 /// A vector is stored as one shared exponent e plus one int8 per element,
 /// reconstructing x_i = q_i * 2^e. The exponent is chosen so the magnitude
@@ -24,16 +26,18 @@ namespace adamove::common {
 ///   * Decode(Encode(x)) is a deterministic canonical vector x';
 ///   * Encode(x') reproduces exactly the same (e, q) — the codec is
 ///     idempotent on its own image (pinned by tests/shard/compact_state_test);
-///   * dehydrate -> rehydrate round trips of canonical state are therefore
-///     bit-identical, which is what lets the shard subsystem's compact tier
-///     promise bit-identical Predict outputs across eviction cycles.
+///   * every consumer that dequantizes a block (similarity ranking, the
+///     rebuild arena, the f32 snapshot wire) sees exactly x', so state that
+///     moves between tiers as int8 answers bit-identically.
 ///
 /// Vectors containing non-finite values (or empty ones) are not quantizable;
-/// callers fall back to raw f32 storage (CompactState's per-entry mode byte).
+/// the knowledge base never stores them (core::OnlineAdapter::Observe).
 struct QfloatBlock {
   /// Shared exponent: scale = 2^exponent.
   int exponent = 0;
   std::vector<int8_t> q;
+
+  friend bool operator==(const QfloatBlock&, const QfloatBlock&) = default;
 };
 
 /// True iff every element is finite (quantization would otherwise produce
@@ -75,20 +79,53 @@ inline void QfloatEncode(const float* x, size_t n, QfloatBlock* out) {
   }
 }
 
-/// Decodes (e, q) back to floats; exact (see header comment).
-inline void QfloatDecode(const QfloatBlock& block, std::vector<float>* out) {
+/// Decodes (e, q) into `out`, which must hold block.q.size() floats; exact
+/// (see header comment).
+inline void QfloatDecodeInto(const QfloatBlock& block, float* out) {
   const float scale = std::ldexp(1.0f, block.exponent);
-  out->resize(block.q.size());
   for (size_t i = 0; i < block.q.size(); ++i) {
-    (*out)[i] = static_cast<float>(block.q[i]) * scale;
+    out[i] = static_cast<float>(block.q[i]) * scale;
   }
 }
 
-/// Projects `x` onto the codec's image in place: x -> Decode(Encode(x)).
-/// The serving layer applies this once at pattern-ingest time (see
-/// serve::SessionStoreConfig::canonicalize_patterns); every later
-/// encode/decode cycle of the canonical vector is then lossless. Vectors
-/// that are not encodable are left untouched (they stay raw-f32 forever).
+/// Decodes (e, q) back to floats; exact (see header comment).
+inline void QfloatDecode(const QfloatBlock& block, std::vector<float>* out) {
+  out->resize(block.q.size());
+  QfloatDecodeInto(block, out->data());
+}
+
+/// Cosine similarity, in double, of `x` (block.q.size() floats whose
+/// Euclidean norm, accumulated in double in ascending order, is `x_norm`)
+/// and QfloatDecode(block), computed without decoding and bit-identical to
+/// computing it over the decoded floats the same way. A decoded element is
+/// exactly q_i * 2^e, and while no partial result leaves double's normal
+/// range, rounding commutes with scaling by a power of two: the dot product
+/// is 2^e times the dot with the int8 values, and the block's norm is 2^e
+/// times sqrt(sum of q_i^2). Below e = -149 the float scale QfloatDecode
+/// multiplies by underflows to zero, so the decoded block is all zeros and
+/// its cosine 0, as is every cosine whose denominator is at most 1e-12.
+inline float QfloatCosine(const float* x, double x_norm,
+                          const QfloatBlock& block) {
+  if (block.exponent < -149) return 0.0f;
+  double dot = 0;
+  int64_t q_squares = 0;
+  for (size_t i = 0; i < block.q.size(); ++i) {
+    const int q = block.q[i];
+    dot += static_cast<double>(x[i]) * q;
+    q_squares += q * q;
+  }
+  const double denom =
+      x_norm * std::ldexp(std::sqrt(static_cast<double>(q_squares)),
+                          block.exponent);
+  return denom > 1e-12
+             ? static_cast<float>(std::ldexp(dot, block.exponent) / denom)
+             : 0.0f;
+}
+
+/// Projects `x` onto the codec's image in place: x -> Decode(Encode(x)) —
+/// the float values the knowledge base holds for an observed pattern, for
+/// references and tests that reason about stored values in float. Vectors
+/// that are not encodable are left untouched.
 inline void QfloatCanonicalize(std::vector<float>* x) {
   if (!QfloatEncodable(x->data(), x->size())) return;
   QfloatBlock block;

@@ -6,6 +6,7 @@
 #include "common/check.h"
 #include "common/fault_injection.h"
 #include "common/parallel_for.h"
+#include "common/qfloat.h"
 #include "core/ptta.h"
 #include "nn/kernels.h"
 
@@ -36,16 +37,30 @@ void AddBias(const nn::Linear& classifier, std::vector<float>* scores) {
   for (size_t l = 0; l < scores->size(); ++l) (*scores)[l] += bias[l];
 }
 
-float Cosine(const float* a, size_t n, const std::vector<float>& b) {
-  ADAMOVE_CHECK_EQ(n, b.size());
-  double dot = 0, na = 0, nb = 0;
-  for (size_t i = 0; i < n; ++i) {
-    dot += static_cast<double>(a[i]) * b[i];
-    na += static_cast<double>(a[i]) * a[i];
-    nb += static_cast<double>(b[i]) * b[i];
-  }
-  const double denom = std::sqrt(na) * std::sqrt(nb);
-  return denom > 1e-12 ? static_cast<float>(dot / denom) : 0.0f;
+/// Euclidean norm of `n` floats, accumulated in double in ascending order —
+/// the query's half of every cosine denominator, computed once per query.
+double Norm(const float* x, size_t n) {
+  double sum = 0;
+  for (size_t i = 0; i < n; ++i) sum += static_cast<double>(x[i]) * x[i];
+  return std::sqrt(sum);
+}
+
+/// The stored form of an observed pattern: quantizes it into `block`, or
+/// returns false for a pattern with a non-finite (or no) element, which has
+/// no q8 form and is never stored.
+bool Quantize(const std::vector<float>& pattern, common::QfloatBlock* block) {
+  if (!common::QfloatEncodable(pattern.data(), pattern.size())) return false;
+  common::QfloatEncode(pattern.data(), pattern.size(), block);
+  return true;
+}
+
+/// Appends one pattern to the f32 snapshot wire: its length, then its
+/// dequantized values (`scratch` is reused across calls).
+void AppendWirePattern(const common::QfloatBlock& pattern,
+                       std::vector<float>* scratch, std::string* out) {
+  common::QfloatDecode(pattern, scratch);
+  common::AppendU32(out, static_cast<uint32_t>(scratch->size()));
+  common::AppendF32Array(out, scratch->data(), scratch->size());
 }
 
 }  // namespace
@@ -93,20 +108,26 @@ void OnlineAdapter::Observe(int64_t user, const std::vector<float>& pattern,
   if (timestamp <= Watermark(user)) return;
   // Simulated ingestion failure: the pattern is dropped, the knowledge base
   // stays consistent (it just never saw this transition, so the watermark
-  // does not move and a re-send ingests it).
-  if (common::FaultPoint("core.kb.ingest")) return;
-  Append(users_[user], next_location, Entry{pattern, timestamp});
+  // does not move and a re-send ingests it). A non-finite pattern, which
+  // has no stored form, is dropped the same way.
+  Entry entry{{}, timestamp};
+  if (common::FaultPoint("core.kb.ingest") ||
+      !Quantize(pattern, &entry.pattern)) {
+    return;
+  }
+  Append(users_[user], next_location, std::move(entry));
 }
 
 size_t OnlineAdapter::ObserveDeferred(int64_t user,
-                                      std::vector<float>&& pattern,
+                                      const std::vector<float>& pattern,
                                       int64_t next_location,
                                       int64_t timestamp) {
   ADAMOVE_CHECK(!pattern.empty());
   if (timestamp <= Watermark(user)) return 0;
+  PendingDelta delta{{}, next_location, timestamp};
+  if (!Quantize(pattern, &delta.pattern)) return 0;
   UserState& state = users_[user];
-  state.pending.push_back(
-      PendingDelta{std::move(pattern), next_location, timestamp});
+  state.pending.push_back(std::move(delta));
   state.watermark = timestamp;
   dirty_.insert(user);
   // Exact coalescing: the per-location FIFO cap keeps only the newest
@@ -188,7 +209,7 @@ void OnlineAdapter::StoreRebuildCache(
   size_t width = 0;
   for (const auto& [location, entries] : it->second.by_location) {
     if (!entries.empty()) {
-      width = entries.front().pattern.size();
+      width = entries.front().pattern.q.size();
       break;
     }
   }
@@ -253,6 +274,7 @@ size_t OnlineAdapter::CollectRebuildJobs(
                                                  : users_.find(user);
   if (it == users_.end()) return 0;
   const size_t width = static_cast<size_t>(hidden);
+  const double query_norm = Norm(query, width);
   size_t appended = 0;
   for (const auto& [location, entries] : it->second.by_location) {
     // Fresh candidates ranked by similarity to the query pattern.
@@ -262,7 +284,9 @@ size_t OnlineAdapter::CollectRebuildJobs(
           query_time - entry.timestamp > max_age_seconds_) {
         continue;
       }
-      fresh->emplace_back(Cosine(query, width, entry.pattern), &entry);
+      ADAMOVE_CHECK_EQ(width, entry.pattern.q.size());
+      fresh->emplace_back(
+          common::QfloatCosine(query, query_norm, entry.pattern), &entry);
     }
     if (fresh->empty()) continue;
     const size_t keep =
@@ -274,12 +298,14 @@ size_t OnlineAdapter::CollectRebuildJobs(
     RebuildJob job;
     job.location = location;
     job.keep = static_cast<int64_t>(keep);
-    // Copy the kept patterns out in ranking order: the job survives any
-    // later adapter mutation, and the centroid kernel reads them as one
-    // contiguous {keep, hidden} block.
+    // Dequantize the kept patterns out in ranking order: the job survives
+    // any later adapter mutation, and the centroid kernel reads them as one
+    // contiguous {keep, hidden} block of exact decoded floats.
     job.arena_offset = arena->size();
+    arena->Resize(job.arena_offset + keep * width);
     for (size_t k = 0; k < keep; ++k) {
-      arena->Append((*fresh)[k].second->pattern.data(), width);
+      common::QfloatDecodeInto((*fresh)[k].second->pattern,
+                               arena->data() + job.arena_offset + k * width);
     }
     jobs->push_back(job);
     ++appended;
@@ -383,6 +409,8 @@ OnlineAdapter::UserSnapshot OnlineAdapter::ExportUser(int64_t user) const {
 void OnlineAdapter::Adopt(UserSnapshot&& snap) {
   UserState state;
   for (auto& [location, entries] : snap.locations) {
+    std::erase_if(entries,
+                  [](const Entry& entry) { return entry.pattern.q.empty(); });
     if (entries.empty()) continue;
     if (entries.size() > kMaxCandidatesPerLocation) {
       // Same FIFO policy as Observe: the newest candidates win.
@@ -395,7 +423,7 @@ void OnlineAdapter::Adopt(UserSnapshot&& snap) {
   // ObserveDeferred enforces (newest win), so a hostile snapshot cannot
   // inflate the buffer past what a live deferral could hold.
   for (PendingDelta& delta : snap.pending) {
-    if (delta.pattern.empty()) continue;
+    if (delta.pattern.q.empty()) continue;
     size_t for_location = 0;
     for (const PendingDelta& kept : state.pending) {
       if (kept.next_location == delta.next_location) ++for_location;
@@ -424,6 +452,7 @@ void OnlineAdapter::Adopt(UserSnapshot&& snap) {
 }
 
 void OnlineAdapter::EncodeUser(const UserSnapshot& snap, std::string* out) {
+  std::vector<float> decoded;
   common::AppendU64(out, static_cast<uint64_t>(snap.user));
   common::AppendU32(out, static_cast<uint32_t>(snap.locations.size()));
   for (const auto& [location, entries] : snap.locations) {
@@ -431,8 +460,7 @@ void OnlineAdapter::EncodeUser(const UserSnapshot& snap, std::string* out) {
     common::AppendU32(out, static_cast<uint32_t>(entries.size()));
     for (const Entry& entry : entries) {
       common::AppendU64(out, static_cast<uint64_t>(entry.timestamp));
-      common::AppendU32(out, static_cast<uint32_t>(entry.pattern.size()));
-      common::AppendF32Array(out, entry.pattern.data(), entry.pattern.size());
+      AppendWirePattern(entry.pattern, &decoded, out);
     }
   }
   // Pending-delta section, appended only when non-empty: a clean user's
@@ -444,8 +472,7 @@ void OnlineAdapter::EncodeUser(const UserSnapshot& snap, std::string* out) {
   for (const PendingDelta& delta : snap.pending) {
     common::AppendU64(out, static_cast<uint64_t>(delta.timestamp));
     common::AppendU64(out, static_cast<uint64_t>(delta.next_location));
-    common::AppendU32(out, static_cast<uint32_t>(delta.pattern.size()));
-    common::AppendF32Array(out, delta.pattern.data(), delta.pattern.size());
+    AppendWirePattern(delta.pattern, &decoded, out);
   }
 }
 
@@ -471,6 +498,7 @@ common::IoResult OnlineAdapter::DecodeUser(std::string_view bytes,
         " larger than the frame could hold");
   }
   out->locations.reserve(location_count);
+  std::vector<float> raw;
   for (uint32_t l = 0; l < location_count; ++l) {
     uint64_t location = 0;
     uint32_t entry_count = 0;
@@ -496,14 +524,18 @@ common::IoResult OnlineAdapter::DecodeUser(std::string_view bytes,
       if (pattern_len == 0) {
         return common::IoResult::Fail("user frame: zero-length pattern");
       }
-      if (!reader.ReadF32Array(pattern_len, &entry.pattern)) {
+      if (!reader.ReadF32Array(pattern_len, &raw)) {
         return common::IoResult::Fail(
             "user frame: pattern length " + std::to_string(pattern_len) +
             " larger than the remaining frame");
       }
+      // Canonicalize: store what Observe would; a non-finite pattern has
+      // no stored form and is dropped.
+      if (!Quantize(raw, &entry.pattern)) continue;
       entry.timestamp = static_cast<int64_t>(timestamp);
       entries.push_back(std::move(entry));
     }
+    if (entries.empty()) continue;
     out->locations.emplace_back(static_cast<int64_t>(location),
                                 std::move(entries));
   }
@@ -531,11 +563,12 @@ common::IoResult OnlineAdapter::DecodeUser(std::string_view bytes,
     if (pattern_len == 0) {
       return common::IoResult::Fail("user frame: zero-length pending pattern");
     }
-    if (!reader.ReadF32Array(pattern_len, &delta.pattern)) {
+    if (!reader.ReadF32Array(pattern_len, &raw)) {
       return common::IoResult::Fail(
           "user frame: pending pattern length " + std::to_string(pattern_len) +
           " larger than the remaining frame");
     }
+    if (!Quantize(raw, &delta.pattern)) continue;
     delta.timestamp = static_cast<int64_t>(timestamp);
     delta.next_location = static_cast<int64_t>(location);
     out->pending.push_back(std::move(delta));
@@ -567,13 +600,11 @@ size_t OnlineAdapter::StateBytes(const UserState& state) {
   for (const auto& [location, entries] : state.by_location) {
     bytes += kMapNodeOverhead + sizeof(location) + sizeof(entries);
     bytes += entries.capacity() * sizeof(Entry);
-    for (const Entry& entry : entries) {
-      bytes += entry.pattern.capacity() * sizeof(float);
-    }
+    for (const Entry& entry : entries) bytes += entry.pattern.q.capacity();
   }
   bytes += state.pending.capacity() * sizeof(PendingDelta);
   for (const PendingDelta& delta : state.pending) {
-    bytes += delta.pattern.capacity() * sizeof(float);
+    bytes += delta.pattern.q.capacity();
   }
   bytes += state.cache.jobs.capacity() * sizeof(RebuildJob);
   bytes += state.cache.patterns.capacity() * sizeof(float);

@@ -12,6 +12,7 @@
 
 #include "common/aligned_buffer.h"
 #include "common/durable_io.h"
+#include "common/qfloat.h"
 #include "core/config.h"
 #include "core/model.h"
 
@@ -33,6 +34,14 @@ struct AdapterStats;  // core/ptta.h
 /// the user's whole recent window) stores each check-in exactly once. The
 /// watermark is derived state: never serialized, recomputed by Adopt.
 ///
+/// Stored form (DESIGN.md §4.3): every pattern is quantized once, where it
+/// enters the adapter (Observe, ObserveDeferred), into a common::QfloatBlock
+/// — one power-of-two exponent and one int8 per element — and stays in that
+/// form through snapshots, eviction, migration and the compact cold tier.
+/// Everything that reads a pattern sees its exact dequantized floats, so
+/// answers are those of an adapter fed QfloatCanonicalize(pattern). A
+/// pattern with a non-finite element has no q8 form and is never stored.
+///
 /// Differences from the per-sample TestTimeAdapter:
 ///  * O(1) incremental updates per new check-in instead of O(N) per query;
 ///  * patterns age out: each entry's importance is its similarity to the
@@ -52,21 +61,21 @@ struct AdapterStats;  // core/ptta.h
 /// owner.
 class OnlineAdapter {
  public:
-  /// One stored candidate: the trajectory pattern plus the timestamp it was
-  /// observed at (freshness ages out against this). Public because it is
-  /// also the unit persisted by snapshots.
+  /// One stored candidate: the trajectory pattern, quantized, plus the
+  /// timestamp it was observed at (freshness ages out against this). Public
+  /// because it is also the unit persisted by snapshots.
   struct Entry {
-    std::vector<float> pattern;
+    common::QfloatBlock pattern;
     int64_t timestamp = 0;
   };
 
   /// One buffered (not yet ingested) transition of a deferred-mode user:
-  /// exactly Observe's arguments, queued in arrival order. Draining the
-  /// buffer lands them through Observe's FIFO append, so a drained user's
-  /// knowledge base is bit-identical to an inline run of the same
-  /// observations.
+  /// exactly Observe's arguments with the pattern already quantized, queued
+  /// in arrival order. Draining the buffer lands them through Observe's FIFO
+  /// append, so a drained user's knowledge base is bit-identical to an
+  /// inline run of the same observations.
   struct PendingDelta {
-    std::vector<float> pattern;
+    common::QfloatBlock pattern;
     int64_t next_location = 0;
     int64_t timestamp = 0;
   };
@@ -94,20 +103,23 @@ class OnlineAdapter {
   /// a transition whose `timestamp` is not strictly later than
   /// Watermark(user) was already absorbed (or is older than what was) and
   /// returns without effect — core.kb.ingest is probed only for new ones.
+  /// The pattern is stored as its q8 block; one with a non-finite element
+  /// is dropped as if the ingest fault had fired.
   void Observe(int64_t user, const std::vector<float>& pattern,
                int64_t next_location, int64_t timestamp);
 
   /// Deferred-mode ingest: buffers the transition into the user's pending
   /// queue instead of touching the knowledge base, under Observe's rule (a
   /// transition that is not new returns 0 without effect; a buffered one
-  /// advances the watermark, so a later re-send is not buffered twice).
+  /// advances the watermark, so a later re-send is not buffered twice). The
+  /// pattern is quantized here; a non-finite one is not buffered.
   /// Pending deltas are coalesced exactly: at most kMaxCandidatesPerLocation
   /// deltas per next location are kept (dropping the oldest), because the
   /// FIFO cap would discard anything older on drain anyway — so coalescing
   /// changes nothing about the post-drain state. Returns the number of
   /// deltas dropped by coalescing (0 or 1). Does not probe core.kb.ingest;
   /// the probe happens at drain time, when the observation actually lands.
-  size_t ObserveDeferred(int64_t user, std::vector<float>&& pattern,
+  size_t ObserveDeferred(int64_t user, const std::vector<float>& pattern,
                          int64_t next_location, int64_t timestamp);
 
   /// Lands the user's pending deltas in arrival order (each already passed
@@ -159,7 +171,7 @@ class OnlineAdapter {
   ///
   /// `stats`, when non-null, reports capacity diagnostics for this call:
   /// columns_updated / weight_bytes_touched as in TestTimeAdapter, plus
-  /// resident_bytes = this user's dense knowledge-base footprint.
+  /// resident_bytes = this user's knowledge-base footprint (ResidentBytes).
   std::vector<float> Predict(const AdaptableModel& model, int64_t user,
                              const std::vector<float>& query,
                              int64_t query_time,
@@ -190,17 +202,18 @@ class OnlineAdapter {
   /// Phase 1 of Predict, factored out so the serving layer can run it for a
   /// whole micro-batch under the shard lock and defer the arithmetic: ranks
   /// each location's fresh-at-`query_time` candidates by similarity to
-  /// `query`, copies the kept patterns into `arena` (contiguous, descending
-  /// similarity — the order the centroid sums them) and appends one
-  /// RebuildJob per touched location to `jobs`. Probes the core.kb.lookup
-  /// fault point exactly as Predict does (on fault: appends nothing). Jobs
-  /// record arena *offsets*, never pointers, so later appends (other
-  /// requests in the batch) and subsequent adapter mutation (eviction,
-  /// ingestion) cannot invalidate them. Returns the number of jobs
-  /// appended. `query` must point at `hidden` floats — the serving path
-  /// feeds it straight from a plan-encoded representation buffer — and the
-  /// ranking scratch `fresh` is the caller's, so its capacity is reused
-  /// across requests and steady state allocates nothing.
+  /// `query` (over their dequantized values), dequantizes the kept patterns
+  /// into `arena` (contiguous, descending similarity — the order the
+  /// centroid sums them) and appends one RebuildJob per touched location to
+  /// `jobs`. Probes the core.kb.lookup fault point exactly as Predict does
+  /// (on fault: appends nothing). Jobs record arena *offsets*, never
+  /// pointers, so later appends (other requests in the batch) and
+  /// subsequent adapter mutation (eviction, ingestion) cannot invalidate
+  /// them. Returns the number of jobs appended. `query` must point at
+  /// `hidden` floats — the serving path feeds it straight from a
+  /// plan-encoded representation buffer — and the ranking scratch `fresh` is
+  /// the caller's, so its capacity is reused across requests and steady
+  /// state allocates nothing.
   size_t CollectRebuildJobs(int64_t user, const float* query, int64_t hidden,
                             int64_t query_time,
                             common::AlignedBuffer<float>* arena,
@@ -278,10 +291,11 @@ class OnlineAdapter {
   size_t PatternCount(int64_t user) const;
 
   /// Heap-byte estimate of one user's resident state (0 if unknown):
-  /// pattern payloads (stored, pending and cached-rebuild) plus container
-  /// payloads and fixed per-node overheads.
+  /// pattern payloads (one byte per stored or pending element, four per
+  /// cached-rebuild float) plus container payloads and fixed per-node
+  /// overheads — a stored dim-64 pattern costs sizeof(Entry) + 64 bytes.
   /// Deterministic accounting rather than malloc truth — close enough to
-  /// compare the dense representation against the shard subsystem's compact
+  /// compare the hot representation against the shard subsystem's compact
   /// tier (AdapterStats::resident_bytes, BENCH_capacity.json).
   size_t ResidentBytes(int64_t user) const;
 
@@ -304,23 +318,27 @@ class OnlineAdapter {
   std::vector<int64_t> Users() const;
 
   /// Deep copy of one user's stored state (empty snapshot for unknown
-  /// users), locations ascending.
+  /// users), locations ascending — int8 blocks copied, nothing converted.
   UserSnapshot ExportUser(int64_t user) const;
 
   /// Installs `snap` as the user's complete state, replacing whatever was
   /// stored. Enforces the per-location candidate cap (keeping the newest
   /// entries, matching Observe's FIFO policy), so even a hostile snapshot
-  /// cannot inflate memory past the normal bound, and derives the watermark
-  /// from what it keeps — an adopted user resumes exactly where the
-  /// exporting one stood.
+  /// cannot inflate memory past the normal bound, drops empty patterns
+  /// (which Observe never stores), and derives the watermark from what it
+  /// keeps — an adopted user resumes exactly where the exporting one stood.
   void Adopt(UserSnapshot&& snap);
 
   /// Snapshot wire format (DESIGN.md §11): user id, then per location the
-  /// id and its candidate entries. Encode/Decode are pure byte functions —
-  /// no adapter state — so the serving layer can decode a frame before
-  /// deciding which shard lock to take. Decode is strictly bounds-checked:
-  /// corrupt counts/lengths fail with a structured error naming the field,
-  /// never an allocation or out-of-range read.
+  /// id and its candidate entries, each pattern as its dequantized f32
+  /// values. Encode/Decode are pure byte functions — no adapter state — so
+  /// the serving layer can decode a frame before deciding which shard lock
+  /// to take. Decode canonicalizes what it reads: each pattern is quantized
+  /// exactly as Observe would (so canonical state round-trips bit-exactly)
+  /// and a non-finite one is dropped, with a location left empty omitted.
+  /// Decode is strictly bounds-checked: corrupt counts/lengths fail with a
+  /// structured error naming the field, never an allocation or out-of-range
+  /// read.
   static void EncodeUser(const UserSnapshot& snap, std::string* out);
   static common::IoResult DecodeUser(std::string_view bytes,
                                      UserSnapshot* out);
@@ -337,7 +355,7 @@ class OnlineAdapter {
   /// state only — never serialized, dropped on Forget/Adopt.
   struct CachedRebuild {
     std::vector<RebuildJob> jobs;
-    std::vector<float> patterns;
+    std::vector<float> patterns;  // dequantized, as the arena holds them
   };
 
   struct UserState {

@@ -20,8 +20,8 @@ struct AdapterStats {
   int64_t weight_bytes_touched = 0;
   /// Resident per-user state behind the call: the streaming OnlineAdapter
   /// fills it with the queried user's knowledge-base footprint
-  /// (OnlineAdapter::ResidentBytes) — the dense-representation number the
-  /// shard subsystem's compact tier is measured against (DESIGN.md §12).
+  /// (OnlineAdapter::ResidentBytes) — the hot-tier number the shard
+  /// subsystem's compact tier is measured against (DESIGN.md §12).
   /// The stateless per-sample TestTimeAdapter keeps nothing resident and
   /// leaves it 0.
   int64_t resident_bytes = 0;

@@ -9,7 +9,6 @@
 #include "common/check.h"
 #include "common/fault_injection.h"
 #include "common/parallel_for.h"
-#include "common/qfloat.h"
 #include "nn/kernels.h"
 #include "serve/adapt_scheduler.h"
 
@@ -104,12 +103,6 @@ void SessionStore::Observe(int64_t user, const std::vector<float>& pattern,
   // pin is "stale or frozen, never forked").
   if (!EnsureResidentLocked(shard, user)) return;
   TouchLocked(shard, user);
-  if (config_.canonicalize_patterns) {
-    std::vector<float> canonical(pattern);
-    common::QfloatCanonicalize(&canonical);
-    shard.adapter.Observe(user, canonical, next_location, timestamp);
-    return;
-  }
   shard.adapter.Observe(user, pattern, next_location, timestamp);
 }
 
@@ -223,13 +216,10 @@ std::vector<std::vector<float>> SessionStore::BatchObserveAndPredictEncoded(
         for (int64_t k = FirstNewTransition(
                  sample, shard.adapter.Watermark(sample.user));
              k + 1 < t; ++k) {
-          std::vector<float> pattern(reps.data + k * hidden,
-                                     reps.data + (k + 1) * hidden);
-          if (config_.canonicalize_patterns) {
-            common::QfloatCanonicalize(&pattern);
-          }
+          const std::vector<float> pattern(reps.data + k * hidden,
+                                           reps.data + (k + 1) * hidden);
           coalesced += shard.adapter.ObserveDeferred(
-              sample.user, std::move(pattern),
+              sample.user, pattern,
               sample.recent[static_cast<size_t>(k + 1)].location,
               sample.recent[static_cast<size_t>(k + 1)].timestamp);
         }
@@ -273,14 +263,8 @@ std::vector<std::vector<float>> SessionStore::BatchObserveAndPredictEncoded(
       for (int64_t k = FirstNewTransition(
                sample, shard.adapter.Watermark(sample.user));
            k + 1 < t; ++k) {
-        std::vector<float> pattern(reps.data + k * hidden,
-                                   reps.data + (k + 1) * hidden);
-        // Canonical ingest projects the stored pattern onto the q8 grid
-        // (the query stays untouched — it is never stored), making every
-        // later dehydrate→rehydrate cycle of this entry bit-exact.
-        if (config_.canonicalize_patterns) {
-          common::QfloatCanonicalize(&pattern);
-        }
+        const std::vector<float> pattern(reps.data + k * hidden,
+                                         reps.data + (k + 1) * hidden);
         shard.adapter.Observe(
             sample.user, pattern,
             sample.recent[static_cast<size_t>(k + 1)].location,
@@ -471,7 +455,7 @@ common::IoResult SessionStore::Snapshot(const std::string& path,
         patterns += entries.size();
         if (pattern_dim == 0 && !entries.empty()) {
           pattern_dim =
-              static_cast<uint32_t>(entries.front().pattern.size());
+              static_cast<uint32_t>(entries.front().pattern.q.size());
         }
       }
       // A dirty user's buffered deltas persist too (frozen mid-deferral is
@@ -479,7 +463,7 @@ common::IoResult SessionStore::Snapshot(const std::string& path,
       // nothing else yet.
       if (pattern_dim == 0 && !snap.pending.empty()) {
         pattern_dim =
-            static_cast<uint32_t>(snap.pending.front().pattern.size());
+            static_cast<uint32_t>(snap.pending.front().pattern.q.size());
       }
     }
   }
@@ -551,12 +535,12 @@ common::IoResult SessionStore::Restore(const std::string& path,
     bool dim_ok = true;
     for (const auto& [location, entries] : snap.locations) {
       for (const auto& entry : entries) {
-        if (entry.pattern.size() != pattern_dim) dim_ok = false;
+        if (entry.pattern.q.size() != pattern_dim) dim_ok = false;
         ++user_patterns;
       }
     }
     for (const auto& delta : snap.pending) {
-      if (delta.pattern.size() != pattern_dim) dim_ok = false;
+      if (delta.pattern.q.size() != pattern_dim) dim_ok = false;
     }
     if (!dim_ok) {
       if (stats != nullptr) {

@@ -56,11 +56,9 @@ struct SessionStoreConfig {
   /// path hydrates from it, so the cap bounds the *hot* footprint without
   /// forgetting anyone. Null = today's drop-on-evict behaviour.
   ColdTier* cold_tier = nullptr;
-  /// Projects every ingested pattern onto the q8 power-of-two grid
-  /// (common/qfloat.h) before it enters the knowledge base. With this on,
-  /// dehydrating a user compresses patterns ~4x losslessly — the canonical
-  /// floats round-trip bit-identically through the compact tier. Off (the
-  /// default) keeps the legacy bit-exact ingest path.
+  /// Ignored. Every pattern is stored q8 from ingest on (core::OnlineAdapter,
+  /// DESIGN.md §4.3), which is what this switch used to select; the field
+  /// remains only because the frozen benchmark revision assigns it.
   bool canonicalize_patterns = false;
 };
 

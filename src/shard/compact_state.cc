@@ -1,6 +1,5 @@
 #include "shard/compact_state.h"
 
-#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -12,6 +11,8 @@ namespace {
 
 using core::OnlineAdapter;
 
+/// Legacy: raw f32 at the header dimension, from encoders that predate the
+/// q8 knowledge base. Still decoded (canonicalized), never written.
 constexpr uint8_t kModeRawF32 = 0;
 constexpr uint8_t kModeQ8 = 1;
 /// Raw f32 with an explicit per-entry length, for entries whose pattern
@@ -23,80 +24,62 @@ constexpr uint8_t kModeRawVar = 2;
 /// is corruption, rejected before any allocation.
 constexpr uint64_t kMaxPatternDim = 1u << 20;
 
-/// True iff (block) decodes back to exactly `x` — the losslessness gate for
-/// q8 storage.
-bool Q8RoundTripsExactly(const std::vector<float>& x,
-                         const common::QfloatBlock& block) {
-  const float scale = std::ldexp(1.0f, block.exponent);
-  for (size_t i = 0; i < x.size(); ++i) {
-    if (static_cast<float>(block.q[i]) * scale != x[i]) return false;
-  }
-  return true;
-}
-
 /// Appends one pattern as mode byte + payload (shared by stored entries and
-/// pending deltas, so both sections keep the same lossless-quantize rules).
-/// Returns whether the q8 mode was used.
-bool AppendPattern(const std::vector<float>& pattern, uint64_t dim,
-                   const CompactOptions& options, common::QfloatBlock* block,
-                   std::string* out) {
-  const size_t size = pattern.size();
-  // q8 payloads are implicitly `dim` bytes, so only uniform-size patterns
-  // qualify; off-dimension patterns fall through to the explicit-length raw
-  // mode and the blob stays decodable.
-  if (options.quantize && size == dim &&
-      common::QfloatEncodable(pattern.data(), size)) {
-    common::QfloatEncode(pattern.data(), size, block);
-    if (Q8RoundTripsExactly(pattern, *block)) {
-      out->push_back(static_cast<char>(kModeQ8));
-      common::AppendZigzag(out, block->exponent);
-      out->append(reinterpret_cast<const char*>(block->q.data()),
-                  block->q.size());
-      return true;
-    }
+/// pending deltas): the q8 block itself at the header dimension, else its
+/// exact dequantized floats with an explicit length. Returns whether the q8
+/// mode was used.
+bool AppendPattern(const common::QfloatBlock& pattern, uint64_t dim,
+                   std::vector<float>* scratch, std::string* out) {
+  if (pattern.q.size() == dim) {
+    out->push_back(static_cast<char>(kModeQ8));
+    common::AppendZigzag(out, pattern.exponent);
+    out->append(reinterpret_cast<const char*>(pattern.q.data()),
+                pattern.q.size());
+    return true;
   }
-  if (size == dim) {
-    out->push_back(static_cast<char>(kModeRawF32));
-  } else {
-    out->push_back(static_cast<char>(kModeRawVar));
-    common::AppendVarint(out, size);
-  }
-  common::AppendF32Array(out, pattern.data(), size);
+  out->push_back(static_cast<char>(kModeRawVar));
+  common::AppendVarint(out, pattern.q.size());
+  common::QfloatDecode(pattern, scratch);
+  common::AppendF32Array(out, scratch->data(), scratch->size());
   return false;
 }
 
 /// Reads one mode byte + pattern payload (the inverse of AppendPattern).
+/// Raw payloads are canonicalized into `pattern`: an empty one stays empty,
+/// and a non-finite one, which the knowledge base never stores, sets
+/// `*kept` to false. `raw` is float scratch reused across calls.
 common::IoResult ReadPattern(common::WireReader* reader, uint64_t dim,
-                             std::vector<float>* pattern) {
+                             std::vector<float>* raw,
+                             common::QfloatBlock* pattern, bool* kept) {
+  *kept = true;
   std::string_view mode_byte;
   if (!reader->ReadBytes(1, &mode_byte)) {
     return common::IoResult::Fail("compact user: truncated pattern mode");
   }
   const auto mode = static_cast<uint8_t>(mode_byte[0]);
-  if (mode == kModeRawF32) {
-    if (!reader->ReadF32Array(dim, pattern)) {
-      return common::IoResult::Fail(
-          "compact user: raw pattern larger than the remaining blob");
-    }
-  } else if (mode == kModeQ8) {
+  if (mode == kModeQ8) {
     int64_t exponent = 0;
     std::string_view q_bytes;
     if (!reader->ReadZigzag(&exponent) || !reader->ReadBytes(dim, &q_bytes)) {
       return common::IoResult::Fail(
           "compact user: q8 pattern larger than the remaining blob");
     }
-    // Float exponents live in a narrow band; anything else is corrupt (and
-    // would push ldexp into inf/0, breaking the exactness contract).
-    if (exponent < -160 || exponent > 140) {
+    // QfloatEncode of finite floats yields exponents in [-155, 121] (frexp
+    // exponents of nonzero floats span [-148, 128]); anything else is
+    // corrupt, and a larger one would decode to inf in the knowledge base.
+    if (exponent < -155 || exponent > 121) {
       return common::IoResult::Fail("compact user: q8 exponent " +
                                     std::to_string(exponent) +
                                     " out of range");
     }
-    const float scale = std::ldexp(1.0f, static_cast<int>(exponent));
-    pattern->resize(dim);
-    for (uint64_t i = 0; i < dim; ++i) {
-      (*pattern)[i] =
-          static_cast<float>(static_cast<int8_t>(q_bytes[i])) * scale;
+    pattern->exponent = static_cast<int>(exponent);
+    pattern->q.assign(q_bytes.begin(), q_bytes.end());
+    return common::IoResult::Ok();
+  }
+  if (mode == kModeRawF32) {
+    if (!reader->ReadF32Array(dim, raw)) {
+      return common::IoResult::Fail(
+          "compact user: raw pattern larger than the remaining blob");
     }
   } else if (mode == kModeRawVar) {
     uint64_t size = 0;
@@ -108,7 +91,7 @@ common::IoResult ReadPattern(common::WireReader* reader, uint64_t dim,
                                     std::to_string(size) +
                                     " exceeds the cap");
     }
-    if (!reader->ReadF32Array(size, pattern)) {
+    if (!reader->ReadF32Array(size, raw)) {
       return common::IoResult::Fail(
           "compact user: raw pattern larger than the remaining blob");
     }
@@ -116,31 +99,37 @@ common::IoResult ReadPattern(common::WireReader* reader, uint64_t dim,
     return common::IoResult::Fail("compact user: unknown pattern mode " +
                                   std::to_string(mode));
   }
+  if (raw->empty()) {
+    *pattern = common::QfloatBlock{};
+  } else if (common::QfloatEncodable(raw->data(), raw->size())) {
+    common::QfloatEncode(raw->data(), raw->size(), pattern);
+  } else {
+    *kept = false;
+  }
   return common::IoResult::Ok();
 }
 
 }  // namespace
 
 void EncodeCompactUser(const OnlineAdapter::UserSnapshot& snap,
-                       const CompactOptions& options, std::string* out,
-                       CompactEncodeStats* stats) {
+                       std::string* out, CompactEncodeStats* stats) {
   uint64_t dim = 0;
   for (const auto& [location, entries] : snap.locations) {
     if (!entries.empty()) {
-      dim = entries.front().pattern.size();
+      dim = entries.front().pattern.q.size();
       break;
     }
   }
   // A pending-only user (dirty, nothing drained yet) still has a natural
   // dimension; taking it keeps q8 available for the buffered deltas.
   if (dim == 0 && !snap.pending.empty()) {
-    dim = snap.pending.front().pattern.size();
+    dim = snap.pending.front().pattern.q.size();
   }
   common::AppendZigzag(out, snap.user);
   common::AppendVarint(out, dim);
   common::AppendVarint(out, snap.locations.size());
   int64_t prev_location = 0;
-  common::QfloatBlock block;
+  std::vector<float> scratch;
   for (const auto& [location, entries] : snap.locations) {
     common::AppendZigzag(out, location - prev_location);
     prev_location = location;
@@ -149,8 +138,7 @@ void EncodeCompactUser(const OnlineAdapter::UserSnapshot& snap,
     for (const OnlineAdapter::Entry& entry : entries) {
       common::AppendZigzag(out, entry.timestamp - prev_timestamp);
       prev_timestamp = entry.timestamp;
-      const bool quantized =
-          AppendPattern(entry.pattern, dim, options, &block, out);
+      const bool quantized = AppendPattern(entry.pattern, dim, &scratch, out);
       if (stats != nullptr) {
         stats->patterns += 1;
         if (!quantized) stats->raw_patterns += 1;
@@ -170,8 +158,7 @@ void EncodeCompactUser(const OnlineAdapter::UserSnapshot& snap,
     common::AppendZigzag(out, delta.timestamp - prev_timestamp);
     prev_timestamp = delta.timestamp;
     common::AppendZigzag(out, delta.next_location);
-    const bool quantized =
-        AppendPattern(delta.pattern, dim, options, &block, out);
+    const bool quantized = AppendPattern(delta.pattern, dim, &scratch, out);
     if (stats != nullptr) {
       stats->patterns += 1;
       if (!quantized) stats->raw_patterns += 1;
@@ -210,6 +197,8 @@ common::IoResult DecodeCompactUser(std::string_view bytes,
   // store accepts patterns of any size); entries of other sizes carry
   // their own length via kModeRawVar.
   out->locations.reserve(location_count);
+  std::vector<float> raw;
+  bool kept = true;
   int64_t prev_location = 0;
   for (uint64_t l = 0; l < location_count; ++l) {
     int64_t delta = 0;
@@ -245,10 +234,13 @@ common::IoResult DecodeCompactUser(std::string_view bytes,
       }
       entry.timestamp = prev_timestamp + ts_delta;
       prev_timestamp = entry.timestamp;
-      common::IoResult read = ReadPattern(&reader, dim, &entry.pattern);
+      common::IoResult read =
+          ReadPattern(&reader, dim, &raw, &entry.pattern, &kept);
       if (!read.ok) return read;
-      entries.push_back(std::move(entry));
+      if (kept) entries.push_back(std::move(entry));
     }
+    // A legacy location whose every pattern was non-finite holds nothing.
+    if (entries.empty()) continue;
     out->locations.emplace_back(location, std::move(entries));
   }
   // Pending-delta section: absent (end of blob — the pre-deferral layout
@@ -281,9 +273,10 @@ common::IoResult DecodeCompactUser(std::string_view bytes,
     }
     delta.timestamp = prev_timestamp + ts_delta;
     prev_timestamp = delta.timestamp;
-    common::IoResult read = ReadPattern(&reader, dim, &delta.pattern);
+    common::IoResult read =
+        ReadPattern(&reader, dim, &raw, &delta.pattern, &kept);
     if (!read.ok) return read;
-    out->pending.push_back(std::move(delta));
+    if (kept) out->pending.push_back(std::move(delta));
   }
   if (!reader.AtEnd()) {
     return common::IoResult::Fail("compact user: trailing bytes");

@@ -23,9 +23,10 @@ namespace adamove::shard {
 ///     varint  entry count (>= 1)
 ///     per entry (FIFO order, timestamps delta-encoded within the location):
 ///       zigzag  timestamp delta vs previous entry
-///       u8      mode: 0 = raw f32 (4·D bytes), 1 = q8 (zigzag exponent
-///               followed by D int8 bytes — common/qfloat.h), 2 = raw f32
-///               with an explicit varint length (entries whose size != D)
+///       u8      mode: 1 = q8 (zigzag exponent followed by D int8 bytes —
+///               common/qfloat.h), 2 = raw f32 with an explicit varint
+///               length (entries whose size != D), 0 = raw f32 (4·D bytes;
+///               legacy, read but no longer written)
 ///   pending-delta section (present only when the user carries deferred
 ///   ingests — DESIGN.md §16; clean users end after the locations, keeping
 ///   their blobs byte-identical to the pre-deferral layout):
@@ -36,16 +37,18 @@ namespace adamove::shard {
 ///       zigzag  next location (raw, arrival order is not sorted)
 ///       u8      mode + payload, same modes as entries above
 ///
-/// Encode is *unconditionally lossless and unconditionally decodable*: a
-/// pattern is stored as q8 only when it has the header dimension and the
-/// quantized form decodes back to bit-identical floats (always true for
-/// patterns the serving layer canonicalized at ingest — see
-/// serve::SessionStoreConfig::canonicalize_patterns); anything else keeps
-/// raw f32, with a per-entry length when sizes are heterogeneous (the
-/// store accepts patterns of any size, so one user may mix dimensions).
-/// Dehydrate -> rehydrate round trips are therefore bit-identical by
-/// construction, and Predict over rehydrated state matches Predict over
-/// the live state bit for bit (pinned by tests/shard/compact_state_test).
+/// The knowledge base holds every pattern as a q8 block already
+/// (core::OnlineAdapter::Entry), so Encode copies each block's exponent and
+/// int8 bytes (mode 1) and Decode copies them back — no float conversion on
+/// either side. Only an entry whose size differs from D (the store accepts
+/// patterns of any size, so one user may mix dimensions) is written as its
+/// exact dequantized floats in mode 2 and re-quantized on decode, which
+/// reproduces the block (the codec is idempotent on its image). Raw modes
+/// 0 and 2 from older encoders decode by canonicalizing: each pattern is
+/// quantized as Observe would, and a non-finite one is dropped. Dehydrate ->
+/// rehydrate round trips are therefore bit-identical, and Predict over
+/// rehydrated state matches Predict over the live state bit for bit
+/// (pinned by tests/shard/compact_state_test).
 ///
 /// Decode is strictly bounds-checked in the DecodeUser tradition: hostile
 /// counts, non-ascending locations, dimension mismatches and trailing bytes
@@ -54,20 +57,14 @@ namespace adamove::shard {
 struct CompactEncodeStats {
   size_t locations = 0;
   size_t patterns = 0;
-  /// Patterns that did not survive exact quantization and stayed raw f32.
+  /// Patterns written as raw f32 (mode 2) because their size differs from
+  /// the blob's dimension.
   size_t raw_patterns = 0;
-};
-
-struct CompactOptions {
-  /// Try q8 storage for each pattern (falling back per pattern when the
-  /// round trip would not be exact). Off = always raw f32.
-  bool quantize = true;
 };
 
 /// Serializes `snap` (locations must be ascending — ExportUser's order).
 void EncodeCompactUser(const core::OnlineAdapter::UserSnapshot& snap,
-                       const CompactOptions& options, std::string* out,
-                       CompactEncodeStats* stats = nullptr);
+                       std::string* out, CompactEncodeStats* stats = nullptr);
 
 /// Parses a compact blob back into a snapshot (locations ascending).
 common::IoResult DecodeCompactUser(std::string_view bytes,

@@ -32,7 +32,7 @@ void CompactStore::Accept(core::OnlineAdapter::UserSnapshot&& snap) {
   std::string encoded;
   CompactEncodeStats encode_stats;
   if (!snap.locations.empty()) {
-    EncodeCompactUser(snap, config_.options, &encoded, &encode_stats);
+    EncodeCompactUser(snap, &encoded, &encode_stats);
   }
   common::MutexLock lock(mu_);
   // An empty snapshot erases: "this user has no state" and "this user is

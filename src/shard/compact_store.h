@@ -24,15 +24,12 @@ inline constexpr uint32_t kCompactStoreMagic = 0xADA5C0DE;
 struct CompactStoreConfig {
   /// Slab granule of the backing arena (common::SlabArena).
   size_t slab_bytes = 64 * 1024;
-  /// Compact codec options (q8 quantization on by default — still lossless,
-  /// see compact_state.h).
-  CompactOptions options;
 };
 
 /// The cold tier behind a serve::SessionStore (DESIGN.md §12): evicted
 /// users live here as compact blobs (compact_state.h) carved out of a slab
-/// arena, ~4x smaller than the dense OnlineAdapter representation and freed
-/// in O(1) on rehydration. Implements serve::ColdTier, so the session store
+/// arena — the same int8 blocks the hot tier holds, without its per-entry
+/// containers — freed in O(1) on rehydration. Implements serve::ColdTier, so the session store
 /// calls Take/Accept without knowing the representation.
 ///
 /// Thread-safe: one internal mutex guards the arena and the blob map. The
@@ -49,7 +46,8 @@ class CompactStore : public serve::ColdTier {
     uint64_t accepts = 0;
     uint64_t takes = 0;
     /// Cumulative codec accounting across Accepts: patterns stored, and the
-    /// subset that failed exact quantization and stayed raw f32.
+    /// subset written raw f32 because their size differs from the blob's
+    /// dimension (CompactEncodeStats).
     uint64_t patterns = 0;
     uint64_t raw_patterns = 0;
   };

@@ -29,10 +29,9 @@ struct ShardedServiceConfig {
   /// Per-group serving config (each group runs its own PredictionService
   /// with `service.workers` threads).
   serve::ServiceConfig service;
-  /// Per-group session-store config. `cold_tier` and
-  /// `canonicalize_patterns` are owned by this layer: each group gets its
-  /// own CompactStore cold tier (unless `cold_tier` below is false), and
-  /// canonical ingest is switched on whenever quantized compact storage is.
+  /// Per-group session-store config. `cold_tier` is owned by this layer:
+  /// each group gets its own CompactStore cold tier (unless `cold_tier`
+  /// below is false).
   serve::SessionStoreConfig store;
   CompactStoreConfig compact;
   /// Attach a CompactStore behind every group's session store, turning the
@@ -140,7 +139,7 @@ class ShardedService {
   std::vector<GroupStats> Stats() const;
 
   /// Aggregate capacity diagnostics across live groups, reported through
-  /// the core stats type: resident_bytes = hot dense bytes + cold compact
+  /// the core stats type: resident_bytes = hot-tier bytes + cold compact
   /// payload bytes (the number BENCH_capacity.json divides by users).
   core::AdapterStats CapacityStats() const;
 

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <random>
 
 #include "common/fault_injection.h"
+#include "common/qfloat.h"
 #include "core/lightmob.h"
 #include "data/point.h"
 
@@ -59,9 +61,110 @@ TEST(OnlineAdapterTest, FullLocationStaysAtThirtyTwoSlots) {
   const size_t one_slot = adapter.ResidentBytes(1);
   for (int i = 1; i < 40; ++i) adapter.Observe(1, pattern, 3, 1000 + i);
   EXPECT_EQ(adapter.PatternCount(1), 32u);
-  const size_t per_slot =
-      sizeof(OnlineAdapter::Entry) + pattern.size() * sizeof(float);
+  // A slot is its Entry plus one int8 per element.
+  const size_t per_slot = sizeof(OnlineAdapter::Entry) + pattern.size();
   EXPECT_EQ(adapter.ResidentBytes(1), one_slot + 31 * per_slot);
+}
+
+// ---- stored form: q8 from ingest on (DESIGN.md §4.3) ----------------------
+
+/// The state two adapters hold for one user, as comparable bytes (the wire
+/// encoding is deterministic, so bit-identical state <=> identical bytes).
+std::string StateBytes(const OnlineAdapter& adapter, int64_t user) {
+  std::string bytes;
+  OnlineAdapter::EncodeUser(adapter.ExportUser(user), &bytes);
+  return bytes;
+}
+
+/// The q8 block the adapter stores for `pattern`.
+common::QfloatBlock Q8(const std::vector<float>& pattern) {
+  common::QfloatBlock block;
+  common::QfloatEncode(pattern.data(), pattern.size(), &block);
+  return block;
+}
+
+TEST(OnlineAdapterTest, IngestStoresTheCanonicalPattern) {
+  LightMob model(SmallConfig());
+  const data::Sample s = MakeSample(1, {2, 7, 2, 7, 3, 1}, 4);
+  nn::Tensor reps = model.PrefixRepresentations(s);
+  const int64_t hidden = reps.cols();
+  OnlineAdapter adapter{PttaConfig{}};
+  OnlineAdapter fed_canonical{PttaConfig{}};
+  size_t changed = 0;
+  for (int64_t k = 0; k + 1 < reps.rows(); ++k) {
+    const std::vector<float> pattern(reps.data().begin() + k * hidden,
+                                     reps.data().begin() + (k + 1) * hidden);
+    std::vector<float> canonical = pattern;
+    common::QfloatCanonicalize(&canonical);
+    if (canonical != pattern) ++changed;
+    const data::Point& label = s.recent[static_cast<size_t>(k + 1)];
+    adapter.Observe(1, pattern, label.location, label.timestamp);
+    fed_canonical.Observe(1, canonical, label.location, label.timestamp);
+
+    // The stored pattern decodes to exactly the canonical floats.
+    const OnlineAdapter::UserSnapshot snap = adapter.ExportUser(1);
+    bool found = false;
+    for (const auto& [location, entries] : snap.locations) {
+      for (const OnlineAdapter::Entry& entry : entries) {
+        if (entry.timestamp != label.timestamp) continue;
+        std::vector<float> stored;
+        common::QfloatDecode(entry.pattern, &stored);
+        EXPECT_EQ(stored, canonical) << "transition " << k;
+        found = true;
+      }
+    }
+    EXPECT_TRUE(found) << "transition " << k;
+  }
+  ASSERT_GT(changed, 0u);  // the encoder's floats really were off the grid
+  EXPECT_EQ(StateBytes(adapter, 1), StateBytes(fed_canonical, 1));
+
+  // And predictions are bit-identical to the canonically fed adapter.
+  const std::vector<float> query(reps.data().end() - hidden,
+                                 reps.data().end());
+  const std::vector<float> a =
+      adapter.Predict(model, 1, query, s.target.timestamp);
+  const std::vector<float> b =
+      fed_canonical.Predict(model, 1, query, s.target.timestamp);
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << i;
+}
+
+TEST(OnlineAdapterTest, StoredPatternCostsQ8Bytes) {
+  OnlineAdapter adapter{PttaConfig{}};
+  std::mt19937_64 rng(5);
+  std::uniform_real_distribution<float> uniform(-1.0f, 1.0f);
+  for (int i = 0; i < 32; ++i) {
+    std::vector<float> pattern(64);
+    for (float& x : pattern) x = uniform(rng);
+    adapter.Observe(1, pattern, 3, 1000 + i);
+  }
+  ASSERT_EQ(adapter.PatternCount(1), 32u);
+  // 64 int8 plus the Entry per pattern, and one location's fixed overhead;
+  // a float payload alone would be 256 bytes per pattern.
+  EXPECT_LE(adapter.ResidentBytes(1), 32u * 112u + 256u);
+}
+
+TEST(OnlineAdapterTest, NonFinitePatternIsNotStored) {
+  OnlineAdapter adapter{PttaConfig{}};
+  const std::vector<float> with_nan = {1.0f, std::nanf(""), 0.0f, 0.5f};
+  // A user whose only observation is non-finite gets no state at all.
+  adapter.Observe(2, with_nan, 3, 1000);
+  EXPECT_FALSE(adapter.HasUser(2));
+  EXPECT_EQ(adapter.Watermark(2), OnlineAdapter::kNoWatermark);
+
+  adapter.Observe(1, {1, 0, 0, 0}, 3, 1000);
+  adapter.Observe(1, with_nan, 4, 2000);
+  EXPECT_EQ(adapter.PatternCount(1), 1u);
+  EXPECT_EQ(adapter.Watermark(1), 1000);  // as if core.kb.ingest had fired
+  // Deferred ingest buffers nothing either, and the watermark stands.
+  EXPECT_EQ(adapter.ObserveDeferred(1, {INFINITY, 0, 0, 0}, 4, 2000), 0u);
+  EXPECT_EQ(adapter.PendingCount(1), 0u);
+  EXPECT_EQ(adapter.DirtyUserCount(), 0u);
+  EXPECT_EQ(adapter.Watermark(1), 1000);
+  // A finite re-send of the same check-in is ingested.
+  adapter.Observe(1, {0, 1, 0, 0}, 4, 2000);
+  EXPECT_EQ(adapter.PatternCount(1), 2u);
+  EXPECT_EQ(adapter.Watermark(1), 2000);
 }
 
 TEST(OnlineAdapterTest, PredictMatchesFrozenWhenEmpty) {
@@ -126,14 +229,6 @@ TEST(OnlineAdapterTest, OldPatternsAgeOut) {
   std::vector<float> scores =
       adapter.Predict(model, 1, query, future.target.timestamp);
   EXPECT_NEAR(scores[7], model.Scores(future)[7], 1e-4f);
-}
-
-/// The state two adapters hold for one user, as comparable bytes (the wire
-/// encoding is deterministic, so bit-identical state <=> identical bytes).
-std::string StateBytes(const OnlineAdapter& adapter, int64_t user) {
-  std::string bytes;
-  OnlineAdapter::EncodeUser(adapter.ExportUser(user), &bytes);
-  return bytes;
 }
 
 /// The deferred-drain parity invariant (DESIGN.md §16): buffering a mixed
@@ -257,7 +352,7 @@ TEST(OnlineAdapterTest, PendingOnlyUsersSurviveAdoptAndForgetClearsDirty) {
   OnlineAdapter::UserSnapshot snap;
   snap.user = 6;
   OnlineAdapter::PendingDelta delta;
-  delta.pattern = {1, 2, 3};
+  delta.pattern = Q8({1, 2, 3});
   delta.next_location = 4;
   delta.timestamp = 500;
   snap.pending.push_back(delta);

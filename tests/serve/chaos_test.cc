@@ -312,7 +312,6 @@ TEST_F(ChaosTest, StateHydrateFaultServesFrozenAndMutatesNeitherTier) {
   store_config.num_shards = 2;
   store_config.max_resident_users = 2;
   store_config.cold_tier = &cold;
-  store_config.canonicalize_patterns = true;
   SessionStore store(store_config);
 
   // Populate 6 users; the 2-user cap pushes most of them cold.

@@ -659,11 +659,8 @@ TEST(SessionStoreTest, CompactColdTierMatchesFlatStoreOnOverlappingWindows) {
   capped_config.num_shards = 1;
   capped_config.max_resident_users = 1;
   capped_config.cold_tier = &cold;
-  capped_config.canonicalize_patterns = true;
   SessionStore capped(capped_config);
-  SessionStoreConfig flat_config;
-  flat_config.canonicalize_patterns = true;
-  SessionStore flat(flat_config);
+  SessionStore flat(SessionStoreConfig{});
 
   const std::vector<data::Sample> a = SlidingWindows(3, 30, 8, 1333238400);
   const std::vector<data::Sample> b = SlidingWindows(4, 30, 6, 1333240000);

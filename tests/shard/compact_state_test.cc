@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -36,6 +37,13 @@ std::vector<float> RandomPattern(common::Rng& rng, size_t dim) {
   std::vector<float> p(dim);
   for (float& x : p) x = static_cast<float>(rng.Uniform() * 2.0 - 1.0);
   return p;
+}
+
+/// The q8 block the knowledge base stores for `pattern`.
+common::QfloatBlock Q8(const std::vector<float>& pattern) {
+  common::QfloatBlock block;
+  common::QfloatEncode(pattern.data(), pattern.size(), &block);
+  return block;
 }
 
 // ---- qfloat codec ---------------------------------------------------------
@@ -112,6 +120,56 @@ TEST(QfloatTest, NonFiniteVectorsAreNotEncodable) {
   common::QfloatCanonicalize(&copy);
   EXPECT_EQ(copy[0], with_nan[0]);
   EXPECT_EQ(copy[2], with_nan[2]);
+}
+
+/// The knowledge base's similarity over decoded floats: double
+/// accumulation in ascending order, zero below a 1e-12 denominator.
+float DecodedCosine(const std::vector<float>& x,
+                    const common::QfloatBlock& block) {
+  std::vector<float> b;
+  common::QfloatDecode(block, &b);
+  double dot = 0, nx = 0, nb = 0;
+  for (size_t i = 0; i < x.size(); ++i) {
+    dot += static_cast<double>(x[i]) * b[i];
+    nx += static_cast<double>(x[i]) * x[i];
+    nb += static_cast<double>(b[i]) * b[i];
+  }
+  const double denom = std::sqrt(nx) * std::sqrt(nb);
+  return denom > 1e-12 ? static_cast<float>(dot / denom) : 0.0f;
+}
+
+TEST(QfloatTest, CosineMatchesTheDecodedFloatsBitForBit) {
+  common::Rng rng(71);
+  // Magnitudes from the subnormal floor to near the float maximum, for both
+  // the query and the block, so scaled partial results cross every range
+  // the exactness argument covers.
+  const int exponents[] = {-160, -149, -140, -126, -60, -10, 0, 1, 40, 120};
+  size_t checked = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t dim = 1 + static_cast<size_t>(rng.UniformInt(0, 63));
+    const int xe = exponents[rng.UniformInt(0, 9)];
+    const int be = exponents[rng.UniformInt(0, 9)];
+    std::vector<float> x = RandomPattern(rng, dim);
+    std::vector<float> p = RandomPattern(rng, dim);
+    for (float& v : x) v = std::ldexp(v, xe);
+    for (float& v : p) v = std::ldexp(v, be);
+    if (trial % 7 == 0) p[0] = 0.0f;
+    common::QfloatBlock block;
+    common::QfloatEncode(p.data(), p.size(), &block);
+    double nx = 0;
+    for (float v : x) nx += static_cast<double>(v) * v;
+    const float got = common::QfloatCosine(x.data(), std::sqrt(nx), block);
+    const float want = DecodedCosine(x, block);
+    ASSERT_EQ(std::memcmp(&got, &want, sizeof(float)), 0)
+        << "trial " << trial << ": " << got << " vs " << want;
+    ++checked;
+  }
+  // Blocks whose scale underflows float decode to zeros: cosine 0.
+  common::QfloatBlock tiny{-152, {64, -3, 127}};
+  const std::vector<float> x = {1.0f, 2.0f, 3.0f};
+  EXPECT_EQ(common::QfloatCosine(x.data(), std::sqrt(14.0), tiny), 0.0f);
+  EXPECT_EQ(DecodedCosine(x, tiny), 0.0f);
+  EXPECT_EQ(checked, 300u);
 }
 
 // ---- varint/zigzag wire primitives ---------------------------------------
@@ -233,8 +291,7 @@ OnlineAdapter::UserSnapshot CanonicalSnapshot(int64_t user, int locations,
     int64_t t = 1333238400;
     for (int e = 0; e < entries_per_location; ++e) {
       OnlineAdapter::Entry entry;
-      entry.pattern = RandomPattern(rng, dim);
-      common::QfloatCanonicalize(&entry.pattern);
+      entry.pattern = Q8(RandomPattern(rng, dim));
       entry.timestamp = t;
       t += 3600;
       entries.push_back(std::move(entry));
@@ -257,7 +314,7 @@ bool SnapshotsBitIdentical(const OnlineAdapter::UserSnapshot& a,
     if (ea.size() != eb.size()) return false;
     for (size_t e = 0; e < ea.size(); ++e) {
       if (ea[e].timestamp != eb[e].timestamp) return false;
-      if (ea[e].pattern != eb[e].pattern) return false;  // exact float ==
+      if (ea[e].pattern != eb[e].pattern) return false;  // exact block ==
     }
   }
   if (a.pending.size() != b.pending.size()) return false;
@@ -274,10 +331,10 @@ TEST(CompactStateTest, CanonicalStateRoundTripsBitIdentically) {
       CanonicalSnapshot(-42, 6, 8, 16, 11);
   std::string encoded;
   CompactEncodeStats stats;
-  EncodeCompactUser(snap, CompactOptions{}, &encoded, &stats);
+  EncodeCompactUser(snap, &encoded, &stats);
   EXPECT_EQ(stats.locations, 6u);
   EXPECT_EQ(stats.patterns, 48u);
-  // Canonical patterns always survive exact quantization.
+  // Every pattern at the blob's dimension is written as its q8 block.
   EXPECT_EQ(stats.raw_patterns, 0u);
 
   OnlineAdapter::UserSnapshot back;
@@ -290,33 +347,69 @@ TEST(CompactStateTest, CanonicalStateRoundTripsBitIdentically) {
   EXPECT_EQ(user, -42);
 }
 
-TEST(CompactStateTest, NonCanonicalPatternsFallBackToLosslessRaw) {
+TEST(CompactStateTest, LegacyRawBlobDecodesToItsCanonicalQ8State) {
+  // Encoders before the q8 knowledge base wrote off-grid patterns as raw
+  // f32 (mode 0 at the header dimension, mode 2 with an explicit length).
+  // Such a blob decodes to the state Observe would have stored for those
+  // floats: each pattern quantized, a non-finite one dropped.
   common::Rng rng(23);
-  OnlineAdapter::UserSnapshot snap;
-  snap.user = 7;
-  std::vector<OnlineAdapter::Entry> entries;
-  OnlineAdapter::Entry entry;
-  entry.pattern = RandomPattern(rng, 16);  // NOT canonicalized
-  entry.pattern[0] = 0.1f;                 // inexact in any 2^e grid
-  entry.timestamp = 1000;
-  entries.push_back(entry);
-  snap.locations.emplace_back(5, std::move(entries));
-
-  std::string encoded;
-  CompactEncodeStats stats;
-  EncodeCompactUser(snap, CompactOptions{}, &encoded, &stats);
-  EXPECT_EQ(stats.raw_patterns, 1u);  // q8 refused: would not be exact
+  std::vector<float> raw = RandomPattern(rng, 16);
+  raw[0] = 0.1f;  // inexact in any 2^e grid
+  const std::vector<float> raw_var = RandomPattern(rng, 16);
+  const std::vector<float> raw_pending = RandomPattern(rng, 16);
+  std::vector<float> non_finite = RandomPattern(rng, 16);
+  non_finite[3] = std::nanf("");
+  std::string legacy;
+  common::AppendZigzag(&legacy, 7);    // user
+  common::AppendVarint(&legacy, 16);   // dim
+  common::AppendVarint(&legacy, 2);    // locations
+  common::AppendZigzag(&legacy, 5);    // location 5: two entries
+  common::AppendVarint(&legacy, 2);
+  common::AppendZigzag(&legacy, 1000);
+  legacy.push_back(0);                 // mode 0: raw f32 at dim
+  common::AppendF32Array(&legacy, raw.data(), raw.size());
+  common::AppendZigzag(&legacy, 500);  // timestamp 1500
+  legacy.push_back(2);                 // mode 2: explicit length
+  common::AppendVarint(&legacy, raw_var.size());
+  common::AppendF32Array(&legacy, raw_var.data(), raw_var.size());
+  common::AppendZigzag(&legacy, 4);    // location 9: non-finite only
+  common::AppendVarint(&legacy, 1);
+  common::AppendZigzag(&legacy, 1200);
+  legacy.push_back(0);
+  common::AppendF32Array(&legacy, non_finite.data(), non_finite.size());
+  common::AppendVarint(&legacy, 1);    // one pending delta, raw
+  common::AppendZigzag(&legacy, 2000);
+  common::AppendZigzag(&legacy, 9);
+  legacy.push_back(0);
+  common::AppendF32Array(&legacy, raw_pending.data(), raw_pending.size());
 
   OnlineAdapter::UserSnapshot back;
-  ASSERT_TRUE(static_cast<bool>(DecodeCompactUser(encoded, &back)));
-  EXPECT_TRUE(SnapshotsBitIdentical(snap, back));
+  const common::IoResult decoded = DecodeCompactUser(legacy, &back);
+  ASSERT_TRUE(static_cast<bool>(decoded)) << decoded.error;
+
+  OnlineAdapter::UserSnapshot want;
+  want.user = 7;
+  want.locations.emplace_back(5, std::vector<OnlineAdapter::Entry>{
+                                     {Q8(raw), 1000}, {Q8(raw_var), 1500}});
+  want.pending.push_back({Q8(raw_pending), 9, 2000});
+  EXPECT_TRUE(SnapshotsBitIdentical(want, back));
+
+  // Re-encoding the decoded state writes q8 only, and round-trips exactly.
+  std::string encoded;
+  CompactEncodeStats stats;
+  EncodeCompactUser(back, &encoded, &stats);
+  EXPECT_EQ(stats.patterns, 3u);
+  EXPECT_EQ(stats.raw_patterns, 0u);
+  OnlineAdapter::UserSnapshot again;
+  ASSERT_TRUE(static_cast<bool>(DecodeCompactUser(encoded, &again)));
+  EXPECT_TRUE(SnapshotsBitIdentical(want, again));
 }
 
-TEST(CompactStateTest, CompactBlobIsAtLeastFourTimesSmallerThanResident) {
+TEST(CompactStateTest, CompactBlobIsSmallerThanWireAndResident) {
   const size_t dim = 64;  // hidden sizes the serving models actually use
   OnlineAdapter::UserSnapshot snap = CanonicalSnapshot(1, 8, 16, dim, 3);
   std::string compact;
-  EncodeCompactUser(snap, CompactOptions{}, &compact);
+  EncodeCompactUser(snap, &compact);
   // The wire form is ~4x denser than the raw f32 wire encoding (1 byte per
   // element instead of 4, against small per-entry overheads)…
   std::string dense_wire;
@@ -324,13 +417,14 @@ TEST(CompactStateTest, CompactBlobIsAtLeastFourTimesSmallerThanResident) {
   EXPECT_GE(static_cast<double>(dense_wire.size()),
             3.5 * static_cast<double>(compact.size()))
       << "wire " << dense_wire.size() << " vs compact " << compact.size();
-  // …and the acceptance ratio — compact payload vs the *resident* dense
-  // OnlineAdapter representation the user would otherwise occupy (pattern
-  // payloads plus container overheads) — clears 4x with room to spare.
+  // …and smaller than the resident hot tier. Both hold the same int8
+  // payload, so what the blob saves is the hot tier's per-pattern Entry
+  // (vector header, exponent, timestamp) and per-location containers:
+  // ~1.6x at dim 64.
   core::OnlineAdapter adapter{core::PttaConfig{}};
   adapter.Adopt(std::move(snap));
   EXPECT_GE(static_cast<double>(adapter.ResidentBytes(1)),
-            4.0 * static_cast<double>(compact.size()))
+            1.5 * static_cast<double>(compact.size()))
       << "resident " << adapter.ResidentBytes(1) << " vs compact "
       << compact.size();
 }
@@ -347,11 +441,11 @@ TEST(CompactStateTest, HeterogeneousPatternSizesRoundTripBitIdentically) {
   for (size_t dim : {8u, 3u, 0u, 16u}) {
     std::vector<OnlineAdapter::Entry> entries;
     OnlineAdapter::Entry wide;
-    wide.pattern = RandomPattern(rng, dim);
+    wide.pattern = Q8(RandomPattern(rng, dim));
     wide.timestamp = 1000 + loc;
     entries.push_back(std::move(wide));
     OnlineAdapter::Entry narrow;  // second size within the same location
-    narrow.pattern = RandomPattern(rng, dim / 2);
+    narrow.pattern = Q8(RandomPattern(rng, dim / 2));
     narrow.timestamp = 2000 + loc;
     entries.push_back(std::move(narrow));
     snap.locations.emplace_back(loc, std::move(entries));
@@ -360,7 +454,7 @@ TEST(CompactStateTest, HeterogeneousPatternSizesRoundTripBitIdentically) {
 
   std::string encoded;
   CompactEncodeStats stats;
-  EncodeCompactUser(snap, CompactOptions{}, &encoded, &stats);
+  EncodeCompactUser(snap, &encoded, &stats);
   EXPECT_EQ(stats.patterns, 8u);
 
   OnlineAdapter::UserSnapshot back;
@@ -376,7 +470,7 @@ TEST(CompactStateTest, HeterogeneousPatternSizesRoundTripBitIdentically) {
 TEST(CompactStateTest, DecodeRejectsCorruptBlobsStructurally) {
   const OnlineAdapter::UserSnapshot snap = CanonicalSnapshot(9, 3, 4, 8, 7);
   std::string encoded;
-  EncodeCompactUser(snap, CompactOptions{}, &encoded);
+  EncodeCompactUser(snap, &encoded);
 
   OnlineAdapter::UserSnapshot out;
   // Every truncation point fails cleanly (never an allocation blow-up).
@@ -434,32 +528,33 @@ TEST(CompactStateTest, DecodeRejectsHostileCounts) {
 TEST(CompactStateTest, PendingDeltasRoundTripLosslessAndQuantized) {
   common::Rng rng(61);
   OnlineAdapter::UserSnapshot snap = CanonicalSnapshot(17, 3, 4, 8, 19);
-  // Canonical (q8-exact), non-canonical (raw fallback) and off-dimension
-  // (explicit-length raw) pending patterns, out-of-order locations, and a
-  // timestamp regression — arrival order is whatever arrived.
+  // Pending patterns from a random and an off-grid observation (both q8
+  // at the header dimension) and an off-dimension one (explicit-length
+  // raw), out-of-order locations, and a timestamp regression — arrival
+  // order is whatever arrived.
   OnlineAdapter::PendingDelta canonical;
-  canonical.pattern = RandomPattern(rng, 8);
-  common::QfloatCanonicalize(&canonical.pattern);
+  canonical.pattern = Q8(RandomPattern(rng, 8));
   canonical.next_location = 9;
   canonical.timestamp = 5000;
   snap.pending.push_back(std::move(canonical));
-  OnlineAdapter::PendingDelta raw;
-  raw.pattern = RandomPattern(rng, 8);
-  raw.pattern[2] = 0.1f;  // inexact in any 2^e grid
-  raw.next_location = 1;
-  raw.timestamp = 4000;  // earlier than the previous delta
-  snap.pending.push_back(std::move(raw));
+  OnlineAdapter::PendingDelta off_grid;
+  std::vector<float> observed = RandomPattern(rng, 8);
+  observed[2] = 0.1f;  // inexact in any 2^e grid
+  off_grid.pattern = Q8(observed);
+  off_grid.next_location = 1;
+  off_grid.timestamp = 4000;  // earlier than the previous delta
+  snap.pending.push_back(std::move(off_grid));
   OnlineAdapter::PendingDelta off_dim;
-  off_dim.pattern = RandomPattern(rng, 3);
+  off_dim.pattern = Q8(RandomPattern(rng, 3));
   off_dim.next_location = 9;
   off_dim.timestamp = 6000;
   snap.pending.push_back(std::move(off_dim));
 
   std::string encoded;
   CompactEncodeStats stats;
-  EncodeCompactUser(snap, CompactOptions{}, &encoded, &stats);
+  EncodeCompactUser(snap, &encoded, &stats);
   EXPECT_EQ(stats.patterns, 12u + 3u);
-  EXPECT_EQ(stats.raw_patterns, 2u);  // the inexact + off-dim deltas
+  EXPECT_EQ(stats.raw_patterns, 1u);  // the off-dim delta only
 
   OnlineAdapter::UserSnapshot back;
   const common::IoResult r = DecodeCompactUser(encoded, &back);
@@ -473,17 +568,17 @@ TEST(CompactStateTest, CleanBlobsStayByteIdenticalAndDecodeWithoutPending) {
   // yields an empty pending buffer, not an error.
   const OnlineAdapter::UserSnapshot snap = CanonicalSnapshot(3, 2, 3, 8, 29);
   std::string clean;
-  EncodeCompactUser(snap, CompactOptions{}, &clean);
+  EncodeCompactUser(snap, &clean);
 
   OnlineAdapter::UserSnapshot dirty = snap;
   common::Rng rng(7);
   OnlineAdapter::PendingDelta delta;
-  delta.pattern = RandomPattern(rng, 8);
+  delta.pattern = Q8(RandomPattern(rng, 8));
   delta.next_location = 2;
   delta.timestamp = 100;
   dirty.pending.push_back(std::move(delta));
   std::string dirty_encoded;
-  EncodeCompactUser(dirty, CompactOptions{}, &dirty_encoded);
+  EncodeCompactUser(dirty, &dirty_encoded);
   // The pending section strictly appends: the clean blob is a prefix.
   ASSERT_GT(dirty_encoded.size(), clean.size());
   EXPECT_EQ(dirty_encoded.compare(0, clean.size(), clean), 0);
@@ -501,15 +596,14 @@ TEST(CompactStateTest, PendingOnlyUserRoundTrips) {
   snap.user = 21;
   for (int i = 0; i < 4; ++i) {
     OnlineAdapter::PendingDelta delta;
-    delta.pattern = RandomPattern(rng, 8);
-    common::QfloatCanonicalize(&delta.pattern);
+    delta.pattern = Q8(RandomPattern(rng, 8));
     delta.next_location = i % 3;
     delta.timestamp = 1000 + i;
     snap.pending.push_back(std::move(delta));
   }
   std::string encoded;
   CompactEncodeStats stats;
-  EncodeCompactUser(snap, CompactOptions{}, &encoded, &stats);
+  EncodeCompactUser(snap, &encoded, &stats);
   EXPECT_EQ(stats.raw_patterns, 0u);  // dim came from the pending section
   OnlineAdapter::UserSnapshot back;
   const common::IoResult r = DecodeCompactUser(encoded, &back);
@@ -520,7 +614,7 @@ TEST(CompactStateTest, PendingOnlyUserRoundTrips) {
 TEST(CompactStateTest, DecodeRejectsHostilePendingSections) {
   OnlineAdapter::UserSnapshot snap = CanonicalSnapshot(5, 1, 1, 4, 53);
   std::string clean;
-  EncodeCompactUser(snap, CompactOptions{}, &clean);
+  EncodeCompactUser(snap, &clean);
   OnlineAdapter::UserSnapshot out;
 
   // Explicit zero pending count: the encoder omits the empty section, so a
@@ -539,10 +633,10 @@ TEST(CompactStateTest, DecodeRejectsHostilePendingSections) {
   EXPECT_NE(r1.error.find("pending count"), std::string::npos) << r1.error;
 
   // A complete dirty blob survives neither truncation nor trailing bytes.
-  snap.pending.push_back(OnlineAdapter::PendingDelta{{1.0f, 2.0f, 3.0f, 4.0f},
-                                                     2, 900});
+  snap.pending.push_back(
+      OnlineAdapter::PendingDelta{Q8({1.0f, 2.0f, 3.0f, 4.0f}), 2, 900});
   std::string dirty;
-  EncodeCompactUser(snap, CompactOptions{}, &dirty);
+  EncodeCompactUser(snap, &dirty);
   // (cut == clean.size() is the valid pending-free blob, so start past it.)
   for (size_t cut = clean.size() + 1; cut < dirty.size(); ++cut) {
     const common::IoResult r =
@@ -567,22 +661,19 @@ TEST(CompactStateTest, RehydratedAdapterPredictsBitIdentically) {
   const size_t hidden = 8;
   common::Rng rng(31);
 
-  // Live adapter with canonical ingest (exactly what the shard serving
-  // path does — serve::SessionStoreConfig::canonicalize_patterns).
+  // Live adapter fed off-grid floats: it stores them q8 from ingest on.
   core::OnlineAdapter live{core::PttaConfig{}};
   const int64_t user = 4;
   int64_t t = 1333238400;
   for (int i = 0; i < 60; ++i) {
-    std::vector<float> pattern = RandomPattern(rng, hidden);
-    common::QfloatCanonicalize(&pattern);
-    live.Observe(user, pattern, i % 12, t);
+    live.Observe(user, RandomPattern(rng, hidden), i % 12, t);
     t += 3600;
   }
 
   // Dehydrate through the compact codec, rehydrate into a fresh adapter.
   std::string blob;
   CompactEncodeStats stats;
-  EncodeCompactUser(live.ExportUser(user), CompactOptions{}, &blob, &stats);
+  EncodeCompactUser(live.ExportUser(user), &blob, &stats);
   EXPECT_EQ(stats.raw_patterns, 0u);  // fully quantized
   OnlineAdapter::UserSnapshot back;
   ASSERT_TRUE(static_cast<bool>(DecodeCompactUser(blob, &back)));

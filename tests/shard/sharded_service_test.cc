@@ -96,6 +96,14 @@ std::vector<float> RandomCanonicalPattern(common::Rng& rng, size_t dim) {
   return p;
 }
 
+/// A random pattern in its stored form.
+common::QfloatBlock RandomQ8Pattern(common::Rng& rng, size_t dim) {
+  const std::vector<float> p = RandomCanonicalPattern(rng, dim);
+  common::QfloatBlock block;
+  common::QfloatEncode(p.data(), p.size(), &block);
+  return block;
+}
+
 TEST(TwoTierStoreTest, EvictionAndRehydrationAreBitInvisible) {
   core::LightMob model(SmallConfig());
   const int kUsers = 12;
@@ -106,12 +114,10 @@ TEST(TwoTierStoreTest, EvictionAndRehydrationAreBitInvisible) {
   tiered_config.num_shards = 2;
   tiered_config.max_resident_users = 3;  // far fewer than kUsers
   tiered_config.cold_tier = &cold;
-  tiered_config.canonicalize_patterns = true;
   serve::SessionStore tiered(tiered_config);
 
   serve::SessionStoreConfig dense_config;
-  dense_config.num_shards = 2;
-  dense_config.canonicalize_patterns = true;  // same ingest, no cap
+  dense_config.num_shards = 2;  // no cap
   serve::SessionStore dense(dense_config);
 
   common::Rng rng(3);
@@ -152,9 +158,7 @@ TEST(TwoTierStoreTest, EvictionAndRehydrationAreBitInvisible) {
   // dense accounting against the blob bytes they occupied).
   const uint64_t cold_blob_bytes = cold.GetStats().blob_bytes;
   const std::vector<int64_t> hot_users = tiered.ResidentUsers();
-  serve::SessionStoreConfig probe_config;
-  probe_config.canonicalize_patterns = true;
-  serve::SessionStore probe(probe_config);
+  serve::SessionStore probe(serve::SessionStoreConfig{});
   for (int64_t user = 0; user < kUsers; ++user) {
     if (std::binary_search(hot_users.begin(), hot_users.end(), user)) {
       continue;  // hot — not in the compact tier
@@ -175,7 +179,6 @@ TEST(TwoTierStoreTest, ExtractAndInjectMoveStateBetweenStores) {
   serve::SessionStoreConfig config_a;
   config_a.max_resident_users = 2;
   config_a.cold_tier = &cold_a;
-  config_a.canonicalize_patterns = true;
   serve::SessionStore store_a(config_a);
 
   serve::SessionStore store_b(serve::SessionStoreConfig{});
@@ -229,7 +232,7 @@ TEST(TwoTierStoreTest, HeterogeneousPatternDimsSurviveDehydration) {
   for (size_t dim : {8u, 3u, 16u}) {
     std::vector<core::OnlineAdapter::Entry> entries;
     core::OnlineAdapter::Entry entry;
-    entry.pattern = RandomCanonicalPattern(rng, dim);
+    entry.pattern = RandomQ8Pattern(rng, dim);
     entry.timestamp = 1000 * loc;
     entries.push_back(std::move(entry));
     snap.locations.emplace_back(loc, std::move(entries));
@@ -248,7 +251,7 @@ TEST(TwoTierStoreTest, HeterogeneousPatternDimsSurviveDehydration) {
     ASSERT_EQ(got.size(), want.size());
     for (size_t e = 0; e < got.size(); ++e) {
       EXPECT_EQ(got[e].timestamp, want[e].timestamp);
-      EXPECT_EQ(got[e].pattern, want[e].pattern);  // exact float ==
+      EXPECT_EQ(got[e].pattern, want[e].pattern);  // exact block ==
     }
   }
 }
@@ -260,12 +263,12 @@ TEST(CompactStoreTest, LoadRejectsDuplicateUserFrames) {
   snap.user = 5;
   std::vector<core::OnlineAdapter::Entry> entries;
   core::OnlineAdapter::Entry entry;
-  entry.pattern = RandomCanonicalPattern(rng, 8);
+  entry.pattern = RandomQ8Pattern(rng, 8);
   entry.timestamp = 1000;
   entries.push_back(std::move(entry));
   snap.locations.emplace_back(2, std::move(entries));
   std::string blob;
-  EncodeCompactUser(snap, CompactOptions{}, &blob);
+  EncodeCompactUser(snap, &blob);
 
   // Hand-built file whose declared count matches the frame count, but the
   // same user appears twice: Save never writes that, so Load must treat it

@@ -1,4 +1,4 @@
-// adamove_lint: the tokenizer, NOLINT scoping, all eight rules with their
+// adamove_lint: the tokenizer, NOLINT scoping, all nine rules with their
 // path exemptions, and the cross-registry checks. The two named regressions
 // pin the defect classes of the old grep pipeline this tool replaced:
 //
@@ -166,7 +166,7 @@ TEST(CommentBlindnessTest, TrailingAndBlockCommentsDoNotTrip) {
                   "raw-mutex"));
 }
 
-// --- the eight rules and their path scoping --------------------------------
+// --- the nine rules and their path scoping ---------------------------------
 
 TEST(RuleTest, RawMutexScope) {
   const std::string src = "std::lock_guard<std::mutex> l(m_);\n";
@@ -214,6 +214,24 @@ TEST(RuleTest, IntrinsicsScope) {
   const std::string avx = "__m256 v = _mm256_loadu_ps(p);\n";
   EXPECT_TRUE(Hit(RulesHit("src/nn/kernels.cc", avx), "raw-intrinsics-x86"));
   EXPECT_TRUE(RulesHit("src/nn/kernels_avx2.cc", avx).empty());
+}
+
+TEST(RuleTest, QfloatQuantizeScope) {
+  const std::string encode = "common::QfloatEncode(x.data(), n, &block);\n";
+  const std::string canon = "common::QfloatCanonicalize(&pattern);\n";
+  // A second quantization site anywhere else under src/ fires...
+  EXPECT_TRUE(Hit(RulesHit("src/serve/session_store.cc", canon),
+                  "qfloat-quantize"));
+  EXPECT_TRUE(Hit(RulesHit("src/shard/compact_store.cc", encode),
+                  "qfloat-quantize"));
+  // ...while the codec's home, the ingest site and the compact codec may
+  // quantize, and decoding is free everywhere.
+  EXPECT_TRUE(RulesHit("src/common/qfloat.h", canon).empty());
+  EXPECT_TRUE(RulesHit("src/core/online_adapter.cc", encode).empty());
+  EXPECT_TRUE(RulesHit("src/shard/compact_state.cc", encode).empty());
+  EXPECT_TRUE(RulesHit("src/serve/session_store.cc",
+                       "common::QfloatDecode(block, &out);\n")
+                  .empty());
 }
 
 TEST(RuleTest, PlanExecutorAllocScope) {

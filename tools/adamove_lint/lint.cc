@@ -36,7 +36,7 @@ bool HasPrefix(const std::string& s, const std::string& prefix) {
 }
 
 // ---------------------------------------------------------------------------
-// The eight per-line rules.
+// The nine per-line rules.
 // ---------------------------------------------------------------------------
 
 struct Rule {
@@ -69,6 +69,11 @@ bool X86Scope(const std::string& p) {
   return InSrc(p) && p != "src/nn/kernels_avx2.cc";
 }
 
+bool QfloatScope(const std::string& p) {
+  return InSrc(p) && p != "src/common/qfloat.h" &&
+         p != "src/core/online_adapter.cc" && p != "src/shard/compact_state.cc";
+}
+
 bool PlanExecutorScope(const std::string& p) {
   return p == "src/nn/plan/executor.cc" || p == "src/nn/plan/executor.h";
 }
@@ -99,11 +104,18 @@ const std::vector<Rule>& Rules() {
        &SessionStoreScope,
        "direct SessionStore construction outside src/shard — production "
        "session state must be owned by a shard group so it gets the cold "
-       "tier, canonical ingest and capacity management (DESIGN.md §12)"},
+       "tier and capacity management (DESIGN.md §12)"},
       {"raw-intrinsics-x86", std::regex("_mm256_|_mm512_|__m256|__m512"),
        &X86Scope,
        "x86 vector intrinsic outside src/nn/kernels_avx2.cc — all SIMD "
        "lives behind the kernel dispatch table (DESIGN.md §13)"},
+      {"qfloat-quantize", std::regex("\\bQfloat(Encode|Canonicalize)\\b"),
+       &QfloatScope,
+       "pattern quantization outside core/online_adapter.cc and "
+       "shard/compact_state.cc — the knowledge base quantizes each pattern "
+       "once, at ingest, and holds it q8 through every tier; a second "
+       "quantization site would fork that one representation (DESIGN.md "
+       "§4.3)"},
       {"plan-executor-alloc",
        std::regex("\\bnew\\b|\\bTensor\\b|push_back|emplace_back|"
                   "\\.[Rr]esize\\(|\\.reserve\\(|make_unique|make_shared"),

@@ -8,7 +8,7 @@
 
 namespace adamove::lint {
 
-/// Compiled repo linter (check.sh stage 4). Reimplements the eight invariant
+/// Compiled repo linter (check.sh stage 4). Reimplements the invariant
 /// rules scripts/lint.sh used to express as grep pipelines, on top of a real
 /// comment- and string-literal-aware tokenizer, which removes the two known
 /// defect classes of the grep version:
@@ -65,7 +65,7 @@ struct Nolint {
 Nolint ParseNolint(const std::string& comment);
 bool Suppresses(const Nolint& n, const std::string& rule);
 
-/// Runs the eight per-line rules over one file. `path` is the repo-relative
+/// Runs the nine per-line rules over one file. `path` is the repo-relative
 /// path (forward slashes) — rule scoping (e.g. "not in common/mutex.h") is
 /// decided from it.
 std::vector<Diagnostic> LintSource(const std::string& path,

@@ -2,7 +2,7 @@
 //
 //   adamove_lint [--root <dir>]
 //
-// Runs the eight per-line rules over src/**/*.{h,cc} plus the cross-registry
+// Runs the nine per-line rules over src/**/*.{h,cc} plus the cross-registry
 // consistency checks (fault points vs DESIGN.md/tests, ADAMOVE_* knobs vs
 // README.md, ctest labels vs check.sh), printing one
 // `file:line: rule: message` diagnostic per finding. Exit 0 when clean,
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf(
-      "adamove_lint: clean (%d files, 8 rules + cross-registry checks)\n",
+      "adamove_lint: clean (%d files, 9 rules + cross-registry checks)\n",
       files);
   return 0;
 }
