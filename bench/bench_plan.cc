@@ -1,24 +1,17 @@
-// Static-plan inference microbenchmarks (DESIGN.md §14): the graph walk vs
-// the compiled plan for the encoder forward, the extend-by-one encode that
-// resumes from a prefix state, the full request path (encode + adapted
+// Raw-path inference microbenchmarks (DESIGN.md §14): the graph walk vs
+// the raw encoder path for the encoder forward, the extend-by-one encode
+// that resumes from a prefix state, the full request path (encode + adapted
 // predict) both ways, and the store's adapt stage for a window that
 // extends by one check-in. Every row carries the `allocs/op`
-// column from the common/alloc_probe interposition — the plan rows must
+// column from the common/alloc_probe interposition — the raw rows must
 // show 0, and main() enforces that as a hard gate before the timed runs:
-// `bench_plan` exits non-zero if a warmed plan-mode request allocates.
+// `bench_plan` exits non-zero if a warmed raw-path request allocates.
 //
 // Run with --bench_report to also write BENCH_plan.json (google-benchmark
-// JSON) next to the binary, with graph and plan rows side by side.
-//
-// The BM_PlanCompile rows price the one-time plan compile with and without
-// static verification (DESIGN.md §15), and main() enforces the verifier's
-// cost contract as a second hard gate: verification must add <10% to the
-// one-time compile and exactly zero verifier work per steady-state request.
+// JSON) next to the binary, with graph and raw rows side by side.
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -36,8 +29,6 @@
 #include "data/point.h"
 #include "nn/autograd_mode.h"
 #include "nn/kernels.h"
-#include "nn/plan/encoder_trace.h"
-#include "nn/plan/verifier.h"
 #include "nn/tensor.h"
 #include "serve/session_store.h"
 
@@ -46,7 +37,7 @@ namespace {
 using namespace adamove;
 
 // Mode axis shared by every benchmark here: 0 = autograd graph walk,
-// 1 = compiled static plan.
+// 1 = the raw path (ForwardPlanner).
 constexpr int64_t kGraph = 0;
 constexpr int64_t kPlan = 1;
 
@@ -76,7 +67,7 @@ data::Sample BenchSample(const core::ModelConfig& config, int length) {
 }
 
 // Same column as microbench_nn: heap allocations per iteration over the
-// timed loop. The whole point of this binary is graph rows > 0, plan
+// timed loop. The whole point of this binary is graph rows > 0, raw
 // rows == 0. Omitted under sanitizer builds (probe unavailable).
 void ReportAllocsPerOp(benchmark::State& state,
                        const common::AllocProbeScope& window) {
@@ -86,7 +77,7 @@ void ReportAllocsPerOp(benchmark::State& state,
       benchmark::Counter::kAvgIterations);
 }
 
-// Encoder forward alone: graph walk vs plan execute, over sequence length
+// Encoder forward alone: graph walk vs raw path, over sequence length
 // and hidden size. Args({len, hidden, mode}).
 void BM_EncoderForward(benchmark::State& state) {
   const int length = static_cast<int>(state.range(0));
@@ -98,7 +89,7 @@ void BM_EncoderForward(benchmark::State& state) {
   core::ForwardPlanner planner(model);
   core::PlanScratch scratch;
   if (mode == kPlan && !planner.EncodeInto(sample, &scratch)) {
-    state.SkipWithError("plan compile failed");
+    state.SkipWithError("no raw path");
     return;
   }
   nn::NoGradGuard no_grad;
@@ -131,11 +122,11 @@ BENCHMARK(BM_EncoderForward)
 
 // The serving encode of a window that extends the user's previous one by a
 // single check-in (DESIGN.md §14, "Prefix state"): ForwardPlanner::
-// ExtendInto copies the T-1 stored rows and runs the 1-step plan from the
+// ExtendInto copies the T-1 stored rows and runs one step from the
 // stored carry. Each iteration first truncates the state back to its T-1
 // points and restores their carry (a few hundred bytes of copying, inside
 // the timing). Compare with BM_EncoderForward/T/64/1, the full T-step
-// plan. Args({len, hidden}).
+// encode. Args({len, hidden}).
 void BM_EncoderExtendByOne(benchmark::State& state) {
   const int length = static_cast<int>(state.range(0));
   const int64_t hidden = state.range(1);
@@ -147,10 +138,10 @@ void BM_EncoderExtendByOne(benchmark::State& state) {
   core::ForwardPlanner planner(model);
   core::PlanScratch scratch;
   core::PrefixState prefix_state;
-  // Warm: compile both plans and grow every buffer to the full window.
+  // Warm: grow every buffer to the full window.
   if (!planner.ExtendInto(sample, &prefix_state, &scratch) ||
       !planner.ExtendInto(prefix, &prefix_state, &scratch)) {
-    state.SkipWithError("plan compile failed");
+    state.SkipWithError("no raw path");
     return;
   }
   const std::vector<float> prefix_carry = prefix_state.carry;
@@ -176,7 +167,7 @@ BENCHMARK(BM_EncoderExtendByOne)
 
 // The full steady-state request: encode the prefix, then the adapted
 // predict against a populated knowledge base. Graph mode is the legacy
-// vector-returning path; plan mode is EncodeInto + PredictInto over
+// vector-returning path; raw mode is EncodeInto + PredictInto over
 // caller-owned scratch. Args({len, mode}).
 void BM_PredictRequest(benchmark::State& state) {
   const int length = static_cast<int>(state.range(0));
@@ -200,7 +191,7 @@ void BM_PredictRequest(benchmark::State& state) {
   core::OnlineAdapter::PredictScratch predict;
   if (mode == kPlan) {
     if (!planner.EncodeInto(sample, &encode)) {
-      state.SkipWithError("plan compile failed");
+      state.SkipWithError("no raw path");
       return;
     }
     // One warm request so every scratch capacity is grown before timing.
@@ -297,115 +288,7 @@ void BM_StoreRequestExtendByOne(benchmark::State& state) {
 }
 BENCHMARK(BM_StoreRequestExtendByOne)->Arg(8)->Arg(36)->Arg(64);
 
-std::vector<const nn::Embedding*> EncoderTables(const core::LightMob& model) {
-  const core::PointEmbedding& e = model.trajectory_encoder()->embedding();
-  return {&e.location_embedding(), &e.time_embedding(), &e.user_embedding()};
-}
-
-// One-time plan compile, priced with and without the static verifier pass
-// so its cost contract stays visible in BENCH_plan.json. Args({len,
-// verify}); "items" are traced sequence steps.
-void BM_PlanCompile(benchmark::State& state) {
-  const int64_t length = state.range(0);
-  const bool verify = state.range(1) != 0;
-  const core::ModelConfig config = BenchConfig(64);
-  core::LightMob model(config);
-  const std::vector<const nn::Embedding*> tables = EncoderTables(model);
-  const nn::SequenceEncoder& seq = model.trajectory_encoder()->seq();
-  for (auto _ : state) {
-    auto plan = nn::plan::CompileEncoderForward(tables, seq, length);
-    if (verify) {
-      const nn::plan::VerifyResult result = nn::plan::VerifyPlan(*plan);
-      benchmark::DoNotOptimize(result.ok);
-    }
-    benchmark::DoNotOptimize(plan.get());
-  }
-  state.SetItemsProcessed(state.iterations() * length);
-}
-BENCHMARK(BM_PlanCompile)
-    ->Args({32, 0})
-    ->Args({32, 1})
-    ->Args({64, 0})
-    ->Args({64, 1});
-
-// The verifier's cost contract (DESIGN.md §15), enforced before the timed
-// runs like the zero-alloc gate below:
-//   (a) a steady-state request performs ZERO
-//       verifier work — counted exactly via ForwardPlanner::verifies(),
-//       not timed;
-//   (b) the one-time verification pass adds <10% to the plan compile —
-//       compared as per-rep minima: the min over many reps estimates the
-//       intrinsic cost of each side, so a scheduler preemption landing in
-//       one timing window cannot flip the verdict on a shared box.
-bool PlanVerifyGate() {
-  const core::ModelConfig config = BenchConfig(64);
-  core::LightMob model(config);
-  const data::Sample sample = BenchSample(config, 32);
-
-  core::ForwardPlanner planner(model);
-  core::PlanScratch scratch;
-  if (!planner.EncodeInto(sample, &scratch)) {
-    std::fprintf(stderr, "plan-verify gate: plan compile failed\n");
-    return false;
-  }
-  const int64_t after_warm = planner.verifies();
-  for (int i = 0; i < 100; ++i) planner.EncodeInto(sample, &scratch);
-  if (planner.verifies() != after_warm) {
-    std::fprintf(stderr,
-                 "plan-verify gate: FAILED — %lld verifier passes across "
-                 "100 steady-state requests (expected 0)\n",
-                 static_cast<long long>(planner.verifies() - after_warm));
-    return false;
-  }
-
-  const std::vector<const nn::Embedding*> tables = EncoderTables(model);
-  const nn::SequenceEncoder& seq = model.trajectory_encoder()->seq();
-  const auto min_ns = [](const std::vector<int64_t>& ns) {
-    return *std::min_element(ns.begin(), ns.end());
-  };
-  constexpr int kReps = 60;
-  constexpr int64_t kLen = 64;
-  std::vector<int64_t> compile_ns, verify_ns;
-  for (int i = 0; i < kReps; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    auto plan = nn::plan::CompileEncoderForward(tables, seq, kLen);
-    const auto t1 = std::chrono::steady_clock::now();
-    const nn::plan::VerifyResult result = nn::plan::VerifyPlan(*plan);
-    const auto t2 = std::chrono::steady_clock::now();
-    if (!result.ok) {
-      std::fprintf(stderr, "plan-verify gate: verifier rejected the traced "
-                           "plan: %s\n", result.message.c_str());
-      return false;
-    }
-    compile_ns.push_back(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-            .count());
-    verify_ns.push_back(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t2 - t1)
-            .count());
-  }
-  const int64_t compile_med = min_ns(compile_ns);
-  const int64_t verify_med = min_ns(verify_ns);
-  const double pct = compile_med > 0
-                         ? 100.0 * static_cast<double>(verify_med) /
-                               static_cast<double>(compile_med)
-                         : 0.0;
-  if (pct >= 10.0) {
-    std::fprintf(stderr,
-                 "plan-verify gate: FAILED — verification adds %.1f%% to "
-                 "the one-time compile (%lld ns vs %lld ns, gate <10%%)\n",
-                 pct, static_cast<long long>(verify_med),
-                 static_cast<long long>(compile_med));
-    return false;
-  }
-  std::printf("plan-verify gate: OK (verify %lld ns = %.1f%% of %lld ns "
-              "compile; 0 verifier passes per steady-state request)\n",
-              static_cast<long long>(verify_med), pct,
-              static_cast<long long>(compile_med));
-  return true;
-}
-
-// The hard gate behind the allocs/op column: a warmed plan-mode request
+// The hard gate behind the allocs/op column: a warmed raw-path request
 // must perform ZERO heap allocations. Returns false (and prints why) if it
 // allocated; bench_plan then exits non-zero without running the timed
 // benchmarks, so perf dashboards cannot silently ingest a regressed build.
@@ -433,7 +316,7 @@ bool ZeroAllocGate() {
   core::PlanScratch encode;
   core::OnlineAdapter::PredictScratch predict;
   if (!planner.EncodeInto(sample, &encode)) {
-    std::fprintf(stderr, "zero-alloc gate: plan compile failed\n");
+    std::fprintf(stderr, "zero-alloc gate: no raw path\n");
     return false;
   }
   adapter.PredictInto(model, sample.user,
@@ -449,13 +332,13 @@ bool ZeroAllocGate() {
   if (window.allocations() != 0 || window.frees() != 0) {
     std::fprintf(stderr,
                  "zero-alloc gate: FAILED — %llu allocations / %llu frees "
-                 "across 100 steady-state plan requests (expected 0/0)\n",
+                 "across 100 steady-state raw requests (expected 0/0)\n",
                  static_cast<unsigned long long>(window.allocations()),
                  static_cast<unsigned long long>(window.frees()));
     return false;
   }
   std::printf("zero-alloc gate: OK (0 allocations across 100 steady-state "
-              "plan requests)\n");
+              "raw requests)\n");
   return true;
 }
 
@@ -486,7 +369,6 @@ int main(int argc, char** argv) {
   benchmark::AddCustomContext("cpu_features",
                               adamove::common::CpuFeatureString());
   if (!ZeroAllocGate()) return 1;
-  if (!PlanVerifyGate()) return 1;
   int fake_argc = static_cast<int>(args.size());
   benchmark::Initialize(&fake_argc, args.data());
   if (benchmark::ReportUnrecognizedArguments(fake_argc, args.data())) {

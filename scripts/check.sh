@@ -6,21 +6,22 @@
 #              AVX2 hosts) and with ADAMOVE_KERNEL_BACKEND=scalar forced —
 #              so the golden pin and every numeric suite are exercised
 #              against both arithmetic classes (DESIGN.md §13). Inference
-#              runs static plans wherever the encoder traces (DESIGN.md
-#              §14), so both passes cover the plan path; the `plan` label
-#              (alloc-probe pins, plan/graph bit-identity) runs in both.
+#              runs the raw encoder path wherever the encoder has one
+#              (DESIGN.md §14), so both passes cover it; the `plan` label
+#              (alloc-probe pins, raw/graph bit-identity) runs in both.
 #              Then the perfbench correctness gates, every workload under
 #              both backends (scripts/perfbench_gates.sh).
 #   2. TSan:   `concurrency` + `persist` + `shard` + `plan` + `verify` +
 #              `overload` labels under -DADAMOVE_SANITIZE=thread (data races
 #              in the serving path / kernels / chaos suite, snapshot/restore
 #              racing live traffic, rebalance-while-serving in the shard
-#              subsystem, plan scratch/cache sharing across workers, and the
-#              elastic-adaptation scheduler under open-loop bursts)
+#              subsystem, encode scratch/prefix-state sharing across
+#              workers, and the elastic-adaptation scheduler under
+#              open-loop bursts)
 #   3. ASan+UBSan: `fault` + `persist` + `shard` + `plan` + `verify` +
 #              `overload` labels under -DADAMOVE_SANITIZE=address (memory
 #              errors on the fault-injection, degradation, checkpoint-parsing,
-#              compact codec, plan-arena and deferred-adaptation paths), then
+#              compact codec, raw-encoder and deferred-adaptation paths), then
 #              `nn` + `backend` + `fault` + `persist` + `shard` + `plan` +
 #              `verify` + `overload` under -DADAMOVE_SANITIZE=undefined with
 #              -fno-sanitize-recover=all (any UB aborts the test). The

@@ -9,7 +9,7 @@
 #   1. tools/adamove_lint — the compiled repo invariant linter. It owns the
 #      per-line rules this script used to express as grep pipelines
 #      (raw-mutex, naked-new, rand, raw-write, session-store-construction,
-#      raw-intrinsics-x86, plan-executor-alloc, todo-label — see
+#      raw-intrinsics-x86, raw-step-alloc, todo-label — see
 #      tools/adamove_lint/lint.h for each rule's rationale) plus
 #      qfloat-quantize (pattern quantization only at its three homes),
 #      running them over a real comment- and string-literal-aware tokenizer

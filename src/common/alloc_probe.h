@@ -12,8 +12,8 @@ namespace adamove::common {
 /// alloc_probe.cc replaces the global `operator new` / `operator delete`
 /// family with malloc-backed implementations that bump thread-local
 /// counters, so a test can assert that a scope performed zero heap
-/// allocations — the contract the static-forward-plan executor and the
-/// `*Into` adapter entry points promise for steady-state requests.
+/// allocations — the contract the raw encoder path and the `*Into` adapter
+/// entry points promise for steady-state requests.
 ///
 /// The replacement operators are compiled out under ASan/TSan/MSan: those
 /// runtimes interpose the allocator themselves, and stacking a second

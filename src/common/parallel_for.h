@@ -33,8 +33,8 @@ namespace adamove::common {
 /// Declared as a template so the inline paths (serial region, nested call,
 /// range at or below the grain) invoke the callable directly: type-erasing
 /// a capturing kernel lambda into std::function heap-allocates at the call
-/// site, which would break the zero-allocation contract of the static-plan
-/// executor even though the pool is never touched.
+/// site, which would break the zero-allocation contract of the raw encoder
+/// path even though the pool is never touched.
 namespace parallel_internal {
 /// True when the calling thread must run chunks inline: inside a
 /// SerialKernelRegion or already executing a ParallelFor chunk.
@@ -64,7 +64,7 @@ int KernelThreads();
 /// inline (no pool submission) for its lifetime. Values are unaffected —
 /// chunking is scheduling, never arithmetic (DESIGN.md §13) — but the pool
 /// path heap-allocates its future list, so zero-allocation request scopes
-/// (the static-plan executor, the OnlineAdapter `*Into` entry points) pin
+/// (the raw encoder path, the OnlineAdapter `*Into` entry points) pin
 /// kernels serial with this guard. Nests safely: the innermost scope that
 /// set the flag restores the previous state.
 class SerialKernelRegion {

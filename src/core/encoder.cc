@@ -1,5 +1,7 @@
 #include "core/encoder.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 #include "nn/ops.h"
 #include "nn/stacked.h"
@@ -73,28 +75,38 @@ PointEmbedding::PointEmbedding(const ModelConfig& config, common::Rng& rng) {
   RegisterModule("user_emb", user_emb_.get());
 }
 
-void PointEmbedding::IndexArrays(std::span<const data::Point> points,
-                                 std::vector<int64_t>* locs,
-                                 std::vector<int64_t>* slots,
-                                 std::vector<int64_t>* users) const {
-  locs->reserve(locs->size() + points.size());
-  slots->reserve(slots->size() + points.size());
-  users->reserve(users->size() + points.size());
-  for (const auto& p : points) {
-    locs->push_back(p.location);
-    slots->push_back(data::TimeSlotOf(p.timestamp));
-    users->push_back(p.user);
-  }
-}
-
 nn::Tensor PointEmbedding::Forward(
     const std::vector<data::Point>& points) const {
   ADAMOVE_CHECK(!points.empty());
   std::vector<int64_t> locs, slots, users;
-  IndexArrays(points, &locs, &slots, &users);
+  locs.reserve(points.size());
+  slots.reserve(points.size());
+  users.reserve(points.size());
+  for (const auto& p : points) {
+    locs.push_back(p.location);
+    slots.push_back(data::TimeSlotOf(p.timestamp));
+    users.push_back(p.user);
+  }
   return nn::ConcatCols({location_emb_->Forward(locs),
                          time_emb_->Forward(slots),
                          user_emb_->Forward(users)});
+}
+
+void PointEmbedding::ForwardInto(std::span<const data::Point> points,
+                                 float* out) const {
+  // One row of each table per point, in Forward's ConcatCols order, with
+  // EmbeddingLookup's range checks.
+  const auto gather = [&out](const nn::Embedding& table, int64_t row) {
+    ADAMOVE_CHECK_GE(row, 0);
+    ADAMOVE_CHECK_LT(row, table.num_embeddings());
+    const float* weights = table.weight().data().data();
+    out = std::copy_n(weights + row * table.dim(), table.dim(), out);
+  };
+  for (const auto& p : points) {
+    gather(*location_emb_, p.location);
+    gather(*time_emb_, data::TimeSlotOf(p.timestamp));
+    gather(*user_emb_, p.user);
+  }
 }
 
 TrajectoryEncoder::TrajectoryEncoder(const ModelConfig& config,

@@ -24,20 +24,13 @@ class PointEmbedding : public nn::Module {
   /// points -> {T, dim} embedding matrix.
   nn::Tensor Forward(const std::vector<data::Point>& points) const;
 
-  /// Derives the three per-point index arrays (location, time slot, user)
-  /// Forward looks up — the shared definition the static forward-plan path
-  /// feeds to its gather ops, so plan and graph mode index identically.
-  /// Appends to the given vectors (callers Clear-and-reuse for capacity).
-  void IndexArrays(std::span<const data::Point> points,
-                   std::vector<int64_t>* locs, std::vector<int64_t>* slots,
-                   std::vector<int64_t>* users) const;
+  /// Forward's rows copied straight into `out` ({T, dim}, row-major) with
+  /// no graph: the same tables, indices and column order, so the raw
+  /// inference path (DESIGN.md §14) embeds exactly as the graph walk does.
+  void ForwardInto(std::span<const data::Point> points, float* out) const;
 
   int64_t dim() const { return dim_; }
   nn::Embedding& location_embedding() { return *location_emb_; }
-  /// Table accessors for the static forward-plan compiler (src/nn/plan).
-  const nn::Embedding& location_embedding() const { return *location_emb_; }
-  const nn::Embedding& time_embedding() const { return *time_emb_; }
-  const nn::Embedding& user_embedding() const { return *user_emb_; }
 
  private:
   int64_t dim_;
@@ -60,9 +53,8 @@ class TrajectoryEncoder : public nn::Module {
   int64_t hidden_size() const { return seq_->hidden_size(); }
   int64_t input_size() const { return embedding_->dim(); }
 
-  /// Component accessors for the static forward-plan compiler
-  /// (src/nn/plan), which traces embedding + sequence layer into a flat op
-  /// list.
+  /// Component accessors for the raw inference path (core/forward_plan),
+  /// which runs the embedding and the sequence layer on raw buffers.
   const PointEmbedding& embedding() const { return *embedding_; }
   const nn::SequenceEncoder& seq() const { return *seq_; }
 

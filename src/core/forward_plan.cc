@@ -1,11 +1,8 @@
 #include "core/forward_plan.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <utility>
 
-#include "common/check.h"
-#include "nn/plan/encoder_trace.h"
+#include "common/parallel_for.h"
 
 namespace adamove::core {
 
@@ -18,128 +15,44 @@ size_t PrefixState::Bytes() const {
 
 ForwardPlanner::ForwardPlanner(const AdaptableModel& model) {
   const TrajectoryEncoder* encoder = model.trajectory_encoder();
-  if (encoder == nullptr) return;
+  if (encoder == nullptr || encoder->seq().carry_size() == 0) return;
   embedding_ = &encoder->embedding();
-  // Table order must match PointEmbedding::Forward's ConcatCols order —
-  // the gathers write the same column ranges the graph concat produces.
-  tables_ = {&embedding_->location_embedding(), &embedding_->time_embedding(),
-             &embedding_->user_embedding()};
-  // The tracer's weight walk and its op walk recognise the same encoder
-  // families, so an empty walk means no sequence length will ever compile
-  // (the transformer): leave seq_ null and let the graph walk serve.
-  std::vector<const float*> fingerprint =
-      nn::plan::EncoderWeightPointers(tables_, encoder->seq());
-  if (!fingerprint.empty()) {
-    seq_ = &encoder->seq();
-    common::MutexLock lock(mu_);
-    fingerprint_ = std::move(fingerprint);
-  }
-}
-
-void ForwardPlanner::RevalidateLocked() {
-  if (nn::plan::EncoderWeightsMatch(tables_, *seq_, fingerprint_.data(),
-                                    fingerprint_.size())) {
-    return;
-  }
-  // A weight tensor's storage moved (checkpoint hot-swap with
-  // reallocation): every cached plan borrows stale pointers, every cached
-  // rejection verdict judged weights that no longer exist, and every prefix
-  // state was computed from them.
-  plans_.clear();
-  rejected_.clear();
-  ++generation_;
-  fingerprint_ = nn::plan::EncoderWeightPointers(tables_, *seq_);
-}
-
-std::shared_ptr<const nn::plan::CompiledPlan> ForwardPlanner::PlanFor(
-    int64_t t) {
+  seq_ = &encoder->seq();
+  params_ = encoder->Parameters();
   common::MutexLock lock(mu_);
-  RevalidateLocked();
-  if (rejected_.count(t) != 0) return nullptr;  // verified bad for these
-                                                // weights; graph serves
-  auto it = plans_.find(t);
-  if (it != plans_.end()) {
-    if (verify_mode_ == nn::plan::VerifyMode::kParanoid) {
-      ++verifies_;
-      nn::plan::VerifyResult check = nn::plan::VerifyPlan(*it->second);
-      if (!check.ok) {
-        ++verify_rejects_;
-        std::fprintf(stderr,
-                     "adamove: plan verifier rejected cached plan "
-                     "(seq_len=%lld): %s — serving the graph walk\n",
-                     static_cast<long long>(t), check.message.c_str());
-        plans_.erase(it);
-        rejected_.insert(t);
-        return nullptr;
-      }
-    }
-    return it->second;
-  }
-  auto plan = nn::plan::CompileEncoderForward(tables_, *seq_, t);
-  ADAMOVE_CHECK(plan != nullptr);  // the constructor vetted the family
-  // Revalidation compares fingerprint_, so it must be exactly what the
-  // trace borrowed (the verifier proves the plan's own list is).
-  ADAMOVE_CHECK(plan->weight_fingerprint == fingerprint_);
-  ++verifies_;
-  nn::plan::VerifyResult check = nn::plan::VerifyPlan(*plan);
-  if (!check.ok) {
-    // An unverifiable plan never executes: raw-pointer interpretation of a
-    // plan with a bad offset or lifetime is silent memory corruption. The
-    // graph walk is bit-identical, so correctness is preserved and only the
-    // zero-alloc property is lost for this sequence length.
-    ++verify_rejects_;
-    std::fprintf(stderr,
-                 "adamove: plan verifier rejected compiled plan "
-                 "(seq_len=%lld): %s — serving the graph walk\n",
-                 static_cast<long long>(t), check.message.c_str());
-    rejected_.insert(t);
-    return nullptr;
-  }
-  ++compiles_;
-  plans_[t] = plan;
-  return plan;
+  for (const nn::Tensor& p : params_) storage_.push_back(p.data().data());
 }
 
-void ForwardPlanner::RunPlan(
-    const std::shared_ptr<const nn::plan::CompiledPlan>& plan,
-    std::span<const data::Point> points, const float* carry_in, float* out,
-    PlanScratch* scratch) {
-  ADAMOVE_CHECK_EQ(plan->num_index_inputs, 3);
-  ADAMOVE_CHECK_EQ(plan->seq_len, static_cast<int64_t>(points.size()));
-  scratch->locs.clear();
-  scratch->slots.clear();
-  scratch->users.clear();
-  embedding_->IndexArrays(points, &scratch->locs, &scratch->slots,
-                          &scratch->users);
-  if (scratch->executor.plan() != plan.get()) scratch->executor.Bind(plan);
-  scratch->carry.resize(static_cast<size_t>(plan->carry_elems));
-  const int64_t* inputs[3] = {scratch->locs.data(), scratch->slots.data(),
-                              scratch->users.data()};
-  scratch->executor.Run(inputs, carry_in, out, scratch->carry.data());
+void ForwardPlanner::Run(std::span<const data::Point> points, float* carry,
+                         float* out, PlanScratch* scratch) const {
+  const auto t = static_cast<int64_t>(points.size());
+  scratch->inputs.Resize(static_cast<size_t>(t * embedding_->dim()));
+  embedding_->ForwardInto(points, scratch->inputs.data());
+  // Pin kernels inline: ParallelFor's pool path allocates its future list,
+  // and by the determinism contract (DESIGN.md §13) chunking is scheduling,
+  // never arithmetic, so values are unchanged.
+  common::SerialKernelRegion serial;
+  seq_->ForwardRaw(scratch->inputs.data(), t, carry, out, &scratch->raw);
 }
 
 bool ForwardPlanner::EncodeInto(const data::Sample& sample,
                                 PlanScratch* scratch) {
-  if (seq_ == nullptr) return false;
-  const int64_t t = static_cast<int64_t>(sample.recent.size());
-  if (t <= 0) return false;
-  std::shared_ptr<const nn::plan::CompiledPlan> plan = PlanFor(t);
-  if (plan == nullptr) return false;
-  scratch->rows = plan->out_rows;
-  scratch->cols = plan->out_cols;
+  const auto t = static_cast<int64_t>(sample.recent.size());
+  if (seq_ == nullptr || t <= 0) return false;
+  scratch->rows = t;
+  scratch->cols = seq_->hidden_size();
   scratch->reused = 0;
-  scratch->reps.Resize(static_cast<size_t>(plan->out_rows * plan->out_cols));
-  scratch->zero_carry.assign(static_cast<size_t>(plan->carry_elems), 0.0f);
-  RunPlan(plan, sample.recent, scratch->zero_carry.data(),
-          scratch->reps.data(), scratch);
+  scratch->reps.Resize(static_cast<size_t>(t * scratch->cols));
+  scratch->carry.assign(static_cast<size_t>(seq_->carry_size()), 0.0f);
+  Run(sample.recent, scratch->carry.data(), scratch->reps.data(), scratch);
   return true;
 }
 
 bool ForwardPlanner::ExtendInto(const data::Sample& sample, PrefixState* state,
                                 PlanScratch* scratch) {
-  if (seq_ == nullptr) return false;
   const std::vector<data::Point>& points = sample.recent;
-  const int64_t t = static_cast<int64_t>(points.size());
+  const auto t = static_cast<int64_t>(points.size());
+  if (seq_ == nullptr || t <= 0) return false;
   const uint64_t live_generation = generation();
   const nn::kernels::Backend backend = nn::kernels::ActiveBackend();
   int64_t reuse = 0;
@@ -148,31 +61,20 @@ bool ForwardPlanner::ExtendInto(const data::Sample& sample, PrefixState* state,
       std::equal(state->points.begin(), state->points.end(),
                  points.begin())) {
     reuse = static_cast<int64_t>(state->points.size());
-  }
-  std::shared_ptr<const nn::plan::CompiledPlan> plan;
-  if (reuse > 0 && reuse < t) {
-    plan = PlanFor(t - reuse);
-    if (plan == nullptr) reuse = 0;  // continuation rejected: from zero
-  }
-  const int64_t cols = seq_->hidden_size();
-  if (reuse == 0) {
-    if (!EncodeInto(sample, scratch)) return false;
+  } else {
     state->points.clear();
     state->rows.clear();
-  } else {
-    scratch->rows = t;
-    scratch->cols = cols;
-    scratch->reps.Resize(static_cast<size_t>(t * cols));
-    std::copy_n(state->rows.data(), reuse * cols, scratch->reps.data());
-    if (plan != nullptr) {
-      RunPlan(plan, std::span(points).subspan(static_cast<size_t>(reuse)),
-              state->carry.data(), scratch->reps.data() + reuse * cols,
-              scratch);
-    }
+    state->carry.assign(static_cast<size_t>(seq_->carry_size()), 0.0f);
   }
+  const int64_t cols = seq_->hidden_size();
+  scratch->rows = t;
+  scratch->cols = cols;
   scratch->reused = reuse;
+  scratch->reps.Resize(static_cast<size_t>(t * cols));
+  std::copy_n(state->rows.data(), reuse * cols, scratch->reps.data());
   if (reuse < t) {
-    state->carry.assign(scratch->carry.begin(), scratch->carry.end());
+    Run(std::span(points).subspan(static_cast<size_t>(reuse)),
+        state->carry.data(), scratch->reps.data() + reuse * cols, scratch);
   }
   // Grow a stored window kGrowPoints at a time: the vectors' doubling would
   // leave up to half of every resident entry unused.
@@ -193,37 +95,24 @@ bool ForwardPlanner::ExtendInto(const data::Sample& sample, PrefixState* state,
 
 void ForwardPlanner::InvalidateAll() {
   common::MutexLock lock(mu_);
-  plans_.clear();
-  rejected_.clear();
   ++generation_;
 }
 
 uint64_t ForwardPlanner::generation() {
   if (seq_ == nullptr) return 0;
   common::MutexLock lock(mu_);
-  RevalidateLocked();
+  bool moved = false;
+  for (size_t i = 0; i < params_.size(); ++i) {
+    const float* live = params_[i].data().data();
+    if (live != storage_[i]) {
+      // A hot-swap reallocated this parameter: every prefix state was
+      // computed from weights that no longer exist.
+      storage_[i] = live;
+      moved = true;
+    }
+  }
+  if (moved) ++generation_;
   return generation_;
-}
-
-int64_t ForwardPlanner::compiles() const {
-  common::MutexLock lock(mu_);
-  return compiles_;
-}
-
-int64_t ForwardPlanner::verifies() const {
-  common::MutexLock lock(mu_);
-  return verifies_;
-}
-
-int64_t ForwardPlanner::verify_rejects() const {
-  common::MutexLock lock(mu_);
-  return verify_rejects_;
-}
-
-void ForwardPlanner::SetVerifyModeForTest(nn::plan::VerifyMode mode) {
-  common::MutexLock lock(mu_);
-  verify_mode_ = mode;
-  rejected_.clear();
 }
 
 namespace {
@@ -246,7 +135,7 @@ PrefixCache::PrefixCache(size_t max_entries) {
 
 bool PrefixCache::Encode(ForwardPlanner& planner, int64_t key,
                          const data::Sample& sample, PlanScratch* scratch) {
-  if (!planner.traceable()) return false;
+  if (!planner.has_raw_path()) return false;
   const uint64_t generation = planner.generation();
   Shard& shard = *shards_[std::hash<int64_t>{}(key) % shards_.size()];
   common::MutexLock lock(shard.mu);

@@ -3,9 +3,7 @@
 
 #include <cstdint>
 #include <list>
-#include <map>
 #include <memory>
-#include <set>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -16,37 +14,33 @@
 #include "core/encoder.h"
 #include "core/model.h"
 #include "nn/kernels.h"
-#include "nn/plan/executor.h"
-#include "nn/plan/verifier.h"
+#include "nn/rnn.h"
 
 namespace adamove::core {
 
 /// Which encode route inference takes (DESIGN.md §14). Not configurable:
-/// ForwardPlanner::traceable() decides it from the model itself.
-///  - kPlan: execute a compiled, verified static forward plan (zero heap
-///    allocations per request) — every RNN/LSTM/GRU encoder, stacked or not;
-///  - kGraph: walk the autograd graph — encoder families the tracer cannot
-///    compile (the Transformer) and models without a trajectory encoder.
+/// ForwardPlanner::has_raw_path() decides it from the model itself.
+///  - kPlan: run the encoder on raw buffers (zero heap allocations per
+///    request) — every RNN/LSTM/GRU encoder, stacked or not;
+///  - kGraph: walk the autograd graph — encoder families without a raw path
+///    (the Transformer) and models without a trajectory encoder.
 enum class ForwardMode : uint8_t { kGraph, kPlan };
 
 /// Always kPlan; reads no environment variable. A leftover for the frozen
 /// benchmark, which prints it as a header line — removed at the next
 /// benchmark revision. The route a model actually takes is
-/// ForwardPlanner::traceable() (PredictionService::forward_mode()).
+/// ForwardPlanner::has_raw_path() (PredictionService::forward_mode()).
 ForwardMode ForwardModeFromEnv();
 
-/// Mutable state for plan execution, owned by one thread at a time (a
+/// Mutable state for raw-path encodes, owned by one thread at a time (a
 /// serving worker keeps one per batch slot). Every buffer keeps its
-/// capacity, so once they have grown to the longest window and the largest
-/// plan seen, encoding performs zero heap allocations.
+/// capacity, so once they have grown to the longest window seen, encoding
+/// performs zero heap allocations.
 struct PlanScratch {
-  nn::plan::PlanExecutor executor;
-  std::vector<int64_t> locs;
-  std::vector<int64_t> slots;
-  std::vector<int64_t> users;
-  std::vector<float> zero_carry;      // carry-in of a full encode
-  std::vector<float> carry;           // carry-out of the last plan run
-  common::AlignedBuffer<float> reps;  // {rows, cols} encode output
+  common::AlignedBuffer<float> inputs;  // {rows, embedding dim} rows
+  nn::RawScratch raw;                   // the encoder's step buffers
+  std::vector<float> carry;             // the state EncodeInto's run left
+  common::AlignedBuffer<float> reps;    // {rows, cols} encode output
   int64_t rows = 0;
   int64_t cols = 0;
   /// Leading rows of `reps` copied from a PrefixState instead of encoded
@@ -63,7 +57,7 @@ struct PlanScratch {
 struct PrefixState {
   std::vector<data::Point> points;
   std::vector<float> rows;   // {points.size(), hidden}
-  std::vector<float> carry;  // the plans' carry layout
+  std::vector<float> carry;  // SequenceEncoder::ForwardRaw's carry layout
   uint64_t generation = 0;
   nn::kernels::Backend backend = nn::kernels::Backend::kScalar;
 
@@ -71,118 +65,71 @@ struct PrefixState {
   size_t Bytes() const;
 };
 
-/// Compiles and caches static forward plans for one AdaptableModel, keyed
-/// by sequence length (the only shape degree of freedom at serve time).
-/// Thread-safe; plans are immutable and shared, executors live in
-/// caller-owned PlanScratch.
+/// Runs one AdaptableModel's trajectory encoder on raw buffers: the point
+/// embedding gathered into a row buffer, then the sequence layer's
+/// SequenceEncoder::ForwardRaw. Thread-safe; all mutable buffers live in
+/// caller-owned PlanScratch and PrefixState. Weights are read live, so an
+/// in-place overwrite is used by the next encode.
 ///
-/// Staleness: plans borrow the model's weight storage. Every use compares
-/// the weight pointers the plans were compiled against with the live model
-/// (allocation-free), which catches any checkpoint hot-swap that
-/// reallocated tensor storage; an in-place overwrite keeps pointers, and
-/// so cached plans, valid. Both the reallocation reset and InvalidateAll()
-/// bump generation(), which retires every PrefixState computed before —
-/// so prefix state, unlike a plan, needs InvalidateAll() after an in-place
-/// overwrite too.
-///
-/// Verification: every freshly compiled plan is run through the static
-/// verifier (nn/plan/verifier.h) before it may serve — once per compile,
-/// zero per-request cost. A rejected plan is never cached or executed; the
-/// sequence length is remembered as rejected (until weights change or
-/// InvalidateAll), EncodeInto declines it so the caller walks the graph, and
-/// verify_rejects() feeds ServiceStats::plan_verify_rejects. A rejection is
-/// a compiler bug (DESIGN.md §15) and is also reported on stderr.
+/// Prefix-state validity: generation() names the live weights. It compares
+/// the storage of every encoder parameter (the Parameters() handles taken
+/// at construction) with what it last saw, allocation-free, and bumps on a
+/// checkpoint hot-swap that reallocated any of it; InvalidateAll() bumps it
+/// too. A PrefixState from another generation is stale — so after an
+/// in-place overwrite, which keeps the storage, call InvalidateAll().
 class ForwardPlanner {
  public:
   explicit ForwardPlanner(const AdaptableModel& model);
 
-  /// Whether inference runs plans for this model: it has a trajectory
-  /// encoder and the tracer compiles its family (RNN/LSTM/GRU, stacked or
-  /// not). Fixed at construction; false means the graph walk serves every
-  /// request.
-  bool traceable() const { return seq_ != nullptr; }
+  /// Whether inference runs the raw path for this model: it has a
+  /// trajectory encoder whose sequence layer has one (carry_size() > 0:
+  /// RNN/LSTM/GRU, stacked or not). Fixed at construction; false means the
+  /// graph walk serves every request.
+  bool has_raw_path() const { return seq_ != nullptr; }
 
-  /// Encodes sample.recent through the compiled plan into scratch->reps
-  /// ({scratch->rows, scratch->cols}, row k = prefix representation h_k),
-  /// from the zero carry. Returns false when no plan serves this request
-  /// (untraceable model, or a sequence length the verifier rejected); the
-  /// caller walks the graph instead. Bit-identical to the graph walk under
-  /// every backend.
+  /// Encodes sample.recent into scratch->reps ({scratch->rows,
+  /// scratch->cols}, row k = prefix representation h_k) from the zero
+  /// carry, leaving the final state in scratch->carry. Returns false when
+  /// there is no raw path or no point; the caller walks the graph instead.
+  /// Bit-identical to the graph walk under every backend.
   bool EncodeInto(const data::Sample& sample, PlanScratch* scratch);
 
   /// EncodeInto that resumes from `state`, the window an earlier call left
   /// there. A hit — state computed under this generation() and the active
   /// kernel backend, its points a point-for-point prefix of sample.recent —
-  /// copies state's rows and runs a plan over only the new points, starting
-  /// from state's carry (an exact repeat runs none). A miss runs the plan
-  /// over the whole window from the zero carry. Either way the reps are
-  /// bit-identical to EncodeInto's, scratch->reused counts the copied rows,
-  /// and *state then holds this window. Returns false exactly when
-  /// EncodeInto would, leaving *state untouched. The caller must own
-  /// *state exclusively for the call.
+  /// copies state's rows and runs only the new points, starting from
+  /// state's carry (an exact repeat runs none). A miss runs the whole
+  /// window from the zero carry. Either way the reps are bit-identical to
+  /// EncodeInto's, scratch->reused counts the copied rows, and *state then
+  /// holds this window. Returns false exactly when EncodeInto would,
+  /// leaving *state untouched. The caller must own *state exclusively for
+  /// the call.
   bool ExtendInto(const data::Sample& sample, PrefixState* state,
                   PlanScratch* scratch);
 
-  /// Drops every cached plan and retires every PrefixState. Call after a
-  /// checkpoint hot-swap; the next request recompiles against the new
-  /// weights.
+  /// Retires every PrefixState. Call after a checkpoint hot-swap.
   void InvalidateAll();
 
-  /// Bumped by InvalidateAll() and by the weight-pointer reset (checked
-  /// here first), so it always names the live weights: a PrefixState from
-  /// another generation is stale.
+  /// Bumped by InvalidateAll() and when a parameter's storage moved
+  /// (checked here first), so it always names the live weights.
   uint64_t generation();
 
-  /// Plan compilations so far (distinct sequence lengths, plus recompiles
-  /// after invalidation) — a test/diagnostic counter.
-  int64_t compiles() const;
-
-  /// Verifier runs so far. By default this tracks compiles() (one
-  /// verification per compile); steady-state cache hits add nothing — the
-  /// "0 ns per request" half of the bench gate.
-  int64_t verifies() const;
-
-  /// Plans the verifier rejected (each length then walks the graph).
-  int64_t verify_rejects() const;
-
-  /// Switches verification between kCompile (the default) and kParanoid,
-  /// which re-verifies the cached plan on every use. Test hook; also drops
-  /// cached rejection verdicts so the new mode applies.
-  void SetVerifyModeForTest(nn::plan::VerifyMode mode);
-
  private:
-  std::shared_ptr<const nn::plan::CompiledPlan> PlanFor(int64_t t);
-  /// Drops plans, verdicts and the generation when the weights moved.
-  void RevalidateLocked() ADAMOVE_REQUIRES(mu_);
-  /// Runs `plan` over `points` from `carry_in`: rows into `out`, the state
-  /// after the last point into scratch->carry.
-  void RunPlan(const std::shared_ptr<const nn::plan::CompiledPlan>& plan,
-               std::span<const data::Point> points, const float* carry_in,
-               float* out, PlanScratch* scratch);
+  /// Runs `points` from `carry` (updated in place) into `out`.
+  void Run(std::span<const data::Point> points, float* carry, float* out,
+           PlanScratch* scratch) const;
 
   // Borrowed component pointers (stable: they are unique_ptr members of
   // the model); seq_ is null when the model has no trajectory encoder or
-  // the tracer cannot compile its family.
+  // its sequence layer has no raw path.
   const PointEmbedding* embedding_ = nullptr;
   const nn::SequenceEncoder* seq_ = nullptr;
-  std::vector<const nn::Embedding*> tables_;
-
-  mutable common::Mutex mu_;
-  std::map<int64_t, std::shared_ptr<const nn::plan::CompiledPlan>> plans_
-      ADAMOVE_GUARDED_BY(mu_);
-  // The weight pointers plans_ and generation_ were computed against.
-  std::vector<const float*> fingerprint_ ADAMOVE_GUARDED_BY(mu_);
+  // The encoder's parameters, and the storage generation_ was computed
+  // against.
+  std::vector<nn::Tensor> params_;
+  common::Mutex mu_;
+  std::vector<const float*> storage_ ADAMOVE_GUARDED_BY(mu_);
   uint64_t generation_ ADAMOVE_GUARDED_BY(mu_) = 1;
-  int64_t compiles_ ADAMOVE_GUARDED_BY(mu_) = 0;
-  int64_t verifies_ ADAMOVE_GUARDED_BY(mu_) = 0;
-  int64_t verify_rejects_ ADAMOVE_GUARDED_BY(mu_) = 0;
-  nn::plan::VerifyMode verify_mode_ ADAMOVE_GUARDED_BY(mu_) =
-      nn::plan::VerifyMode::kCompile;
-  // Sequence lengths whose compiled plan failed verification for the
-  // current weights: steady state pays one set lookup instead of a
-  // recompile-and-reject per request. Cleared when weights move or on
-  // InvalidateAll.
-  std::set<int64_t> rejected_ ADAMOVE_GUARDED_BY(mu_);
 };
 
 /// Every key's PrefixState, shared by one service's workers (DESIGN.md §14,
@@ -198,7 +145,7 @@ class PrefixCache {
   explicit PrefixCache(size_t max_entries);
 
   /// ForwardPlanner::ExtendInto against `key`'s entry (created on first
-  /// use). False when the planner serves no plan; the caller walks the
+  /// use). False when the planner has no raw path; the caller walks the
   /// graph.
   bool Encode(ForwardPlanner& planner, int64_t key, const data::Sample& sample,
               PlanScratch* scratch);

@@ -75,8 +75,8 @@ std::vector<float> LightMob::Scores(const data::Sample& sample) {
 }
 
 nn::Tensor LightMob::PrefixRepresentations(const data::Sample& sample) {
-  // One scratch per thread: evaluator loops reuse its arena/capacity, so
-  // steady-state plan encodes allocate only this wrapping Tensor. The
+  // One scratch per thread: evaluator loops reuse its capacity, so
+  // steady-state raw encodes allocate only this wrapping Tensor. The
   // zero-alloc serving path (PredictionService) consumes the scratch buffer
   // directly instead.
   thread_local PlanScratch scratch;

@@ -44,9 +44,9 @@ class LightMob : public AdaptableModel {
   TrajectoryEncoder& encoder() { return *encoder_; }
   const ModelConfig& config() const { return config_; }
 
-  /// Static-plan hook: PrefixRepresentations encodes through a compiled plan
-  /// whenever ForwardPlanner can build one for this encoder (bit-identical to
-  /// the graph walk), and walks the graph otherwise.
+  /// Raw-path hook: PrefixRepresentations encodes through ForwardPlanner
+  /// whenever this encoder has a raw path (bit-identical to the graph walk),
+  /// and walks the graph otherwise.
   const TrajectoryEncoder* trajectory_encoder() const override {
     return encoder_.get();
   }
@@ -66,7 +66,7 @@ class LightMob : public AdaptableModel {
   std::unique_ptr<TrajectoryEncoder> encoder_;
   std::unique_ptr<HistoryAttention> hist_attn_;
   std::unique_ptr<nn::Linear> classifier_;
-  // Compiled inference plans, cached per sequence length.
+  // The raw inference path over encoder_.
   std::unique_ptr<ForwardPlanner> planner_;
 };
 

@@ -65,8 +65,8 @@ class AdaptableModel : public MobilityModel {
                                     bool training) = 0;
 
   /// The trajectory encoder backing PrefixRepresentations, when the model
-  /// has one — the hook the static forward-plan compiler (src/nn/plan)
-  /// traces, and the graph-walk reference the plan tests compare against.
+  /// has one — what the raw inference path (core/forward_plan) runs, and the
+  /// graph-walk reference the plan tests compare against.
   /// nullptr (the default) means "graph walk only"; models with bespoke
   /// encode paths (e.g. DeepMove's dual encoders) keep the default.
   virtual const TrajectoryEncoder* trajectory_encoder() const {

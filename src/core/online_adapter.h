@@ -211,7 +211,7 @@ class OnlineAdapter {
   /// subsequent adapter mutation (eviction, ingestion) cannot invalidate
   /// them. Returns the number of jobs appended. `query` must point at
   /// `hidden` floats — the serving path feeds it straight from a
-  /// plan-encoded representation buffer — and the ranking scratch `fresh` is
+  /// raw-encoded representation buffer — and the ranking scratch `fresh` is
   /// the caller's, so its capacity is reused across requests and steady
   /// state allocates nothing.
   size_t CollectRebuildJobs(int64_t user, const float* query, int64_t hidden,

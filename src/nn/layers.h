@@ -43,7 +43,7 @@ class Embedding : public Module {
 
   int64_t num_embeddings() const { return num_embeddings_; }
   int64_t dim() const { return dim_; }
-  Tensor weight() const { return weight_; }
+  const Tensor& weight() const { return weight_; }
 
  private:
   int64_t num_embeddings_;

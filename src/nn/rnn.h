@@ -5,12 +5,21 @@
 #include <memory>
 #include <vector>
 
+#include "common/aligned_buffer.h"
 #include "common/rng.h"
 #include "nn/layers.h"
 #include "nn/module.h"
 #include "nn/tensor.h"
 
 namespace adamove::nn {
+
+/// Caller-owned buffers for SequenceEncoder::ForwardRaw. They keep their
+/// capacity, so once they have grown to the longest window a call allocates
+/// nothing.
+struct RawScratch {
+  common::AlignedBuffer<float> steps;   // a cell's x W_ih rows and temps
+  common::AlignedBuffer<float> layers;  // a stack's intermediate outputs
+};
 
 /// Interface for causal sequence encoders: given a {T, in} sequence of step
 /// embeddings, produce a {T, H} matrix whose row t encodes the prefix
@@ -20,6 +29,20 @@ class SequenceEncoder : public Module {
  public:
   virtual Tensor Forward(const Tensor& x, bool training) = 0;
   virtual int64_t hidden_size() const = 0;
+
+  /// Floats of recurrent state ForwardRaw carries between calls (per layer
+  /// h, then an LSTM's c), or 0 when the encoder has no raw path and
+  /// inference walks the graph (the Transformer).
+  virtual int64_t carry_size() const { return 0; }
+
+  /// Inference on raw buffers (DESIGN.md §14): maps x ({t, in}, row-major,
+  /// t >= 1) to out ({t, hidden_size()}), resuming from the carry_size()
+  /// floats at `carry` and leaving there the state after the last row. From
+  /// a zero carry the rows are bit-identical to Forward's under every kernel
+  /// backend; from the carry a prefix left, to the matching rows of Forward
+  /// over the whole window. Requires carry_size() > 0.
+  virtual void ForwardRaw(const float* x, int64_t t, float* carry, float* out,
+                          RawScratch* scratch) const;
 };
 
 /// Vanilla (Elman) RNN: h_t = tanh(x_t W_ih + h_{t-1} W_hh + b).
@@ -29,13 +52,9 @@ class RnnEncoder : public SequenceEncoder {
 
   Tensor Forward(const Tensor& x, bool training) override;
   int64_t hidden_size() const override { return hidden_size_; }
-
-  /// Weight accessors for the static forward-plan compiler (src/nn/plan),
-  /// which re-expresses Forward as a flat op list over these tensors.
-  int64_t input_size() const { return input_size_; }
-  const Tensor& w_ih() const { return w_ih_; }
-  const Tensor& w_hh() const { return w_hh_; }
-  const Tensor& bias() const { return bias_; }
+  int64_t carry_size() const override { return hidden_size_; }
+  void ForwardRaw(const float* x, int64_t t, float* carry, float* out,
+                  RawScratch* scratch) const override;
 
  private:
   int64_t input_size_;
@@ -52,12 +71,9 @@ class LstmEncoder : public SequenceEncoder {
 
   Tensor Forward(const Tensor& x, bool training) override;
   int64_t hidden_size() const override { return hidden_size_; }
-
-  /// Weight accessors for the static forward-plan compiler (src/nn/plan).
-  int64_t input_size() const { return input_size_; }
-  const Tensor& w_ih() const { return w_ih_; }
-  const Tensor& w_hh() const { return w_hh_; }
-  const Tensor& bias() const { return bias_; }
+  int64_t carry_size() const override { return 2 * hidden_size_; }
+  void ForwardRaw(const float* x, int64_t t, float* carry, float* out,
+                  RawScratch* scratch) const override;
 
  private:
   int64_t input_size_;
@@ -74,13 +90,9 @@ class GruEncoder : public SequenceEncoder {
 
   Tensor Forward(const Tensor& x, bool training) override;
   int64_t hidden_size() const override { return hidden_size_; }
-
-  /// Weight accessors for the static forward-plan compiler (src/nn/plan).
-  int64_t input_size() const { return input_size_; }
-  const Tensor& w_ih() const { return w_ih_; }
-  const Tensor& w_hh() const { return w_hh_; }
-  const Tensor& b_ih() const { return b_ih_; }
-  const Tensor& b_hh() const { return b_hh_; }
+  int64_t carry_size() const override { return hidden_size_; }
+  void ForwardRaw(const float* x, int64_t t, float* carry, float* out,
+                  RawScratch* scratch) const override;
 
  private:
   int64_t input_size_;

@@ -11,13 +11,16 @@ namespace adamove::nn {
 
 /// Chains several causal sequence encoders: layer 0 maps {T, in} -> {T, H},
 /// subsequent layers map {T, H} -> {T, H}. Composing causal layers stays
-/// causal, so the prefix property PTTA needs is preserved (tested).
+/// causal, so the prefix property PTTA needs is preserved (tested). A layer
+/// may not itself be a stack: ForwardRaw keeps the intermediate outputs in
+/// RawScratch::layers, which a nested stack would resize under it.
 class StackedEncoder : public SequenceEncoder {
  public:
   explicit StackedEncoder(std::vector<std::unique_ptr<SequenceEncoder>> layers)
       : layers_(std::move(layers)) {
     ADAMOVE_CHECK(!layers_.empty());
     for (size_t i = 0; i < layers_.size(); ++i) {
+      ADAMOVE_CHECK(dynamic_cast<StackedEncoder*>(layers_[i].get()) == nullptr);
       RegisterModule("layer" + std::to_string(i), layers_[i].get());
     }
   }
@@ -34,11 +37,10 @@ class StackedEncoder : public SequenceEncoder {
 
   size_t num_layers() const { return layers_.size(); }
 
-  /// Layer access for the static forward-plan compiler (src/nn/plan), which
-  /// chains per-layer traces through intermediate arena buffers.
-  const std::vector<std::unique_ptr<SequenceEncoder>>& layers() const {
-    return layers_;
-  }
+  /// The layers' carries, layer 0 first; 0 when any layer has no raw path.
+  int64_t carry_size() const override;
+  void ForwardRaw(const float* x, int64_t t, float* carry, float* out,
+                  RawScratch* scratch) const override;
 
  private:
   std::vector<std::unique_ptr<SequenceEncoder>> layers_;

@@ -219,9 +219,9 @@ void PredictionService::ProcessBatch(std::vector<Request>& batch,
   // faulting forward is retried up to kMaxEncodeAttempts times, then
   // recomputed locally and marked degraded.
   //
-  // A compiled plan encodes into this worker's scratch slot (zero
+  // The raw path encodes into this worker's scratch slot (zero
   // allocations once warm), resuming from the prefix state the encoder
-  // user's previous request left; where the planner has no plan
+  // user's previous request left; where the encoder has no raw path
   // (DESIGN.md §14) the model walks the graph.
   std::vector<nn::Tensor> reps(batch.size());
   std::vector<SessionStore::RepsView> views(batch.size());
@@ -385,8 +385,6 @@ ServiceStats PredictionService::Stats() const {
   }
   merged.adapt_mode_switches = gauge_.mode_switches();
   merged.shed_requests = shed_requests_.load(std::memory_order_relaxed);
-  merged.plan_verify_rejects =
-      static_cast<uint64_t>(planner_.verify_rejects());
   merged.prefix_state_entries = prefix_.entries();
   merged.prefix_state_bytes = prefix_.bytes();
   return merged;

@@ -114,13 +114,6 @@ struct ServiceStats {
   /// (PrefixState::Bytes) — memory outside SessionStore::ResidentBytes.
   uint64_t prefix_state_entries = 0;
   uint64_t prefix_state_bytes = 0;
-  /// Compiled plans the static verifier rejected (DESIGN.md §15): the
-  /// tracer produced a plan that failed an IR invariant (SSA, shape,
-  /// lifetime, or arena proof), so it was never executed and the graph
-  /// walk serves that sequence length instead. Any non-zero value is a
-  /// compiler bug made visible — the requests themselves stay correct
-  /// (and kOk), they just are not allocation-free.
-  uint64_t plan_verify_rejects = 0;
   /// Elastic-adaptation ledger (DESIGN.md §16; all zero on an inline-mode
   /// service): requests answered from deferred (stale) state, transitions
   /// buffered instead of ingested, buffered deltas dropped by exact
@@ -246,26 +239,22 @@ class PredictionService {
   /// concurrently with serving (workers guard their stats with a mutex).
   ServiceStats Stats() const;
 
-  /// Drops every cached forward plan and every user's prefix state — the
-  /// checkpoint hot-swap hook: call after overwriting model weights, in
-  /// place or not, so the next request re-traces against the new storage
-  /// and re-encodes whole windows. (A swap that *reallocates* tensor
-  /// storage is also caught per use by the weight-pointer fingerprint; an
+  /// Retires every user's prefix state — the checkpoint hot-swap hook:
+  /// call after overwriting model weights, in place or not, so the next
+  /// request re-encodes whole windows. (A swap that *reallocates* tensor
+  /// storage is also caught per use by the planner's storage check; an
   /// in-place overwrite is caught only by this call.)
   void InvalidatePlans() {
     planner_.InvalidateAll();
     prefix_.Clear();
   }
 
-  /// The encode route of this service's model: kPlan whenever the planner
-  /// compiles its encoder family, else kGraph (DESIGN.md §14).
+  /// The encode route of this service's model: kPlan whenever its encoder
+  /// has a raw path, else kGraph (DESIGN.md §14).
   core::ForwardMode forward_mode() const {
-    return planner_.traceable() ? core::ForwardMode::kPlan
-                                : core::ForwardMode::kGraph;
+    return planner_.has_raw_path() ? core::ForwardMode::kPlan
+                                   : core::ForwardMode::kGraph;
   }
-
-  /// The service's plan cache (compile and verify counters).
-  const core::ForwardPlanner& planner() const { return planner_; }
 
   /// This service's adaptation schedule (ServiceConfig::adapt).
   const AdaptSchedulerConfig& adapt_config() const { return config_.adapt; }
@@ -296,8 +285,8 @@ class PredictionService {
   };
 
   /// Per-worker encode scratch: one PlanScratch per batch slot, so a
-  /// worker's steady-state plan encodes reuse arena/vector capacity and
-  /// allocate nothing.
+  /// worker's steady-state raw encodes reuse its capacity and allocate
+  /// nothing.
   struct WorkerScratch {
     std::vector<core::PlanScratch> plan;
   };
@@ -313,8 +302,7 @@ class PredictionService {
   ServiceConfig config_;
   /// The per-service pressure signal driving elastic scheduling.
   PressureGauge gauge_;
-  /// Service-owned plan cache, shared by all workers (thread-safe; keyed by
-  /// sequence length, revalidated against the live weights per use).
+  /// The raw encode path, shared by all workers (thread-safe).
   core::ForwardPlanner planner_;
   /// Every user's encoder prefix state, keyed by the encoder's own input
   /// user (sample.recent.front().user) and bounded by the store's

@@ -159,7 +159,7 @@ class SessionStore {
 
   /// Borrowed view of pre-computed prefix representations ({rows, cols},
   /// row-major, row k = prefix representation h_k). A view rather than a
-  /// Tensor so the zero-allocation serving path can feed plan-encoded arena
+  /// Tensor so the zero-allocation serving path can feed raw-encoded
   /// buffers (core::PlanScratch::reps) straight into the batch API without
   /// materializing a Tensor per request (DESIGN.md §14).
   struct RepsView {

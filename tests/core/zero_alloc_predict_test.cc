@@ -1,7 +1,8 @@
-// The tentpole pin (DESIGN.md §14): once warm, the plan-mode inference path
-// performs ZERO heap allocations per request — the static-plan encode
-// (ForwardPlanner::EncodeInto), the extend-by-one encode that resumes from
-// a prefix state (ForwardPlanner::ExtendInto), the adapted predict
+// The tentpole pin (DESIGN.md §14): once warm, the raw inference path
+// performs ZERO heap allocations per request — the raw encode of every
+// recurrent family, one layer or stacked (ForwardPlanner::EncodeInto), the
+// extend-by-one encode that resumes from a prefix state
+// (ForwardPlanner::ExtendInto), the adapted predict
 // (OnlineAdapter::PredictInto = CollectRebuildJobs + ScoreCollectedJobsInto
 // over the caller's scratch), and the frozen fallback (PredictFrozenInto).
 // Counted by the common/alloc_probe operator-new interposition; under
@@ -10,6 +11,7 @@
 // instead). Runs in every scripts/check.sh stage via the `plan` label.
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,7 +26,8 @@
 namespace adamove::core {
 namespace {
 
-ModelConfig SmallConfig() {
+ModelConfig SmallConfig(EncoderType encoder = EncoderType::kLstm,
+                        int64_t layers = 1) {
   ModelConfig c;
   c.num_locations = 12;
   c.num_users = 4;
@@ -32,10 +35,26 @@ ModelConfig SmallConfig() {
   c.time_emb_dim = 4;
   c.user_emb_dim = 2;
   c.hidden_size = 8;
-  c.encoder = EncoderType::kLstm;
+  c.encoder = encoder;
+  c.rnn_layers = layers;
   c.lambda = 0.0;
   c.seed = 31;
   return c;
+}
+
+// Each family's raw steps are their own code, so each is pinned.
+struct Family {
+  EncoderType encoder;
+  int64_t layers;
+};
+constexpr Family kRawFamilies[] = {
+    {EncoderType::kRnn, 1},  {EncoderType::kRnn, 2},
+    {EncoderType::kLstm, 1}, {EncoderType::kLstm, 2},
+    {EncoderType::kGru, 1},  {EncoderType::kGru, 2}};
+
+std::string Name(const Family& family) {
+  return EncoderTypeName(family.encoder) + " x" +
+         std::to_string(family.layers);
 }
 
 data::Sample MakeSample(int64_t user, int len, int64_t t0) {
@@ -77,24 +96,29 @@ class ZeroAllocPredictTest : public ::testing::Test {
 
 TEST_F(ZeroAllocPredictTest, SteadyStatePlanEncodeAllocatesNothing) {
   const data::Sample sample = MakeSample(1, 6, 1333238400);
-  PlanScratch scratch;
-  ASSERT_TRUE(planner_->EncodeInto(sample, &scratch));  // warm-up: compiles
-  common::AllocProbeScope window;
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(planner_->EncodeInto(sample, &scratch));
+  for (const Family& family : kRawFamilies) {
+    LightMob model(SmallConfig(family.encoder, family.layers));
+    ForwardPlanner planner(model);
+    PlanScratch scratch;
+    ASSERT_TRUE(planner.EncodeInto(sample, &scratch));  // warm-up: sizes
+    common::AllocProbeScope window;
+    for (int i = 0; i < 100; ++i) {
+      ASSERT_TRUE(planner.EncodeInto(sample, &scratch));
+    }
+    if (common::AllocProbeAvailable()) {
+      EXPECT_EQ(window.allocations(), 0u)
+          << Name(family) << " raw encode allocated";
+      EXPECT_EQ(window.frees(), 0u) << Name(family);
+    }
+    EXPECT_EQ(scratch.rows, 6);
+    EXPECT_EQ(scratch.cols, 8);
   }
-  if (common::AllocProbeAvailable()) {
-    EXPECT_EQ(window.allocations(), 0u) << "plan encode allocated";
-    EXPECT_EQ(window.frees(), 0u);
-  }
-  EXPECT_EQ(scratch.rows, 6);
-  EXPECT_EQ(scratch.cols, 8);
 }
 
 TEST_F(ZeroAllocPredictTest, WarmExtendByOneEncodeAllocatesNothing) {
   // A user's window grows one check-in per request from 20 to 40 points,
-  // then a session boundary restarts it. The warm-up cycle compiles the
-  // 20-step and 1-step plans and grows the state and scratch to 40 rows.
+  // then a session boundary restarts it. The warm-up cycle grows the state
+  // and scratch to 40 rows.
   const data::Sample full = MakeSample(1, 40, 1333238400);
   auto window = [&](int len) {
     data::Sample sample = full;
@@ -103,24 +127,29 @@ TEST_F(ZeroAllocPredictTest, WarmExtendByOneEncodeAllocatesNothing) {
   };
   std::vector<data::Sample> cycle;
   for (int len = 20; len <= 40; ++len) cycle.push_back(window(len));
-  PrefixState state;
-  PlanScratch scratch;
-  for (const data::Sample& sample : cycle) {
-    ASSERT_TRUE(planner_->ExtendInto(sample, &state, &scratch));
-  }
-  EXPECT_EQ(scratch.reused, 39);
-  common::AllocProbeScope probe;
-  for (int i = 0; i < 5; ++i) {
+  for (const Family& family : kRawFamilies) {
+    LightMob model(SmallConfig(family.encoder, family.layers));
+    ForwardPlanner planner(model);
+    PrefixState state;
+    PlanScratch scratch;
     for (const data::Sample& sample : cycle) {
-      ASSERT_TRUE(planner_->ExtendInto(sample, &state, &scratch));
+      ASSERT_TRUE(planner.ExtendInto(sample, &state, &scratch));
     }
+    EXPECT_EQ(scratch.reused, 39) << Name(family);
+    common::AllocProbeScope probe;
+    for (int i = 0; i < 5; ++i) {
+      for (const data::Sample& sample : cycle) {
+        ASSERT_TRUE(planner.ExtendInto(sample, &state, &scratch));
+      }
+    }
+    if (common::AllocProbeAvailable()) {
+      EXPECT_EQ(probe.allocations(), 0u)
+          << Name(family) << " extend-by-one encode allocated";
+      EXPECT_EQ(probe.frees(), 0u) << Name(family);
+    }
+    EXPECT_EQ(scratch.rows, 40);
+    EXPECT_EQ(scratch.reused, 39);
   }
-  if (common::AllocProbeAvailable()) {
-    EXPECT_EQ(probe.allocations(), 0u) << "extend-by-one encode allocated";
-    EXPECT_EQ(probe.frees(), 0u);
-  }
-  EXPECT_EQ(scratch.rows, 40);
-  EXPECT_EQ(scratch.reused, 39);
 }
 
 TEST_F(ZeroAllocPredictTest, SteadyStatePredictAllocatesNothing) {

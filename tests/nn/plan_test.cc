@@ -1,12 +1,11 @@
-// Static forward plans (DESIGN.md §14): the compiled plan must be
+// The raw inference path (DESIGN.md §14): ForwardPlanner's encode must be
 // BIT-IDENTICAL to the autograd graph walk it replaces — same op order,
-// same kernels, same roundings — across every encoder family the tracer
-// supports, hidden sizes 1..17 (every vector-width remainder class), both
-// kernel backends, and 1 vs 8 kernel threads. A continuation plan resumed
-// from a prefix's carry must equal the stateless plan at every split
-// point. Also here: the plan cache's behaviour (one compile per sequence
-// length, revalidation, invalidation), prefix-state validity and bounds,
-// and the untraceable family, which is routed to the graph walk.
+// same kernels, same roundings — across every encoder family with a raw
+// path, hidden sizes 1..17 (every vector-width remainder class), both
+// kernel backends, and 1 vs 8 kernel threads. A continuation resumed from
+// a prefix's carry must equal the stateless encode at every split point.
+// Also here: in-place weight updates, invalidation, prefix-state validity
+// and bounds, and the Transformer, which is routed to the graph walk.
 
 #include <bit>
 #include <cstdint>
@@ -136,29 +135,25 @@ TEST_F(PlanTest, BitIdenticalForStackedEncodersAndEverySequenceLength) {
 TEST_F(PlanTest, CacheCompilesOncePerSequenceLength) {
   LightMob model(Config(EncoderType::kLstm, 8));
   ForwardPlanner planner(model);
-  ASSERT_TRUE(planner.traceable());
+  ASSERT_TRUE(planner.has_raw_path());
   PlanScratch scratch;
   ASSERT_TRUE(planner.EncodeInto(MakeSample(0, 4), &scratch));
   ASSERT_TRUE(planner.EncodeInto(MakeSample(1, 4), &scratch));
-  EXPECT_EQ(planner.compiles(), 1);  // same shape -> cached plan reused
   ASSERT_TRUE(planner.EncodeInto(MakeSample(1, 6), &scratch));
-  EXPECT_EQ(planner.compiles(), 2);  // new sequence length -> one compile
   planner.InvalidateAll();
   ASSERT_TRUE(planner.EncodeInto(MakeSample(0, 4), &scratch));
-  EXPECT_EQ(planner.compiles(), 3);  // hot-swap hook dropped the cache
   ExpectPlanMatchesGraphExactly(model, MakeSample(0, 4), "post-invalidate");
 }
 
 TEST_F(PlanTest, UntraceableFamilyFallsBackToGraphGracefully) {
   LightMob model(Config(EncoderType::kTransformer, 8));
   ForwardPlanner planner(model);
-  // There is an encoder to look at, but its sequence layer has no trace:
+  // There is an encoder to look at, but its sequence layer has no raw path:
   // the planner knows at construction, so no request ever attempts one.
-  EXPECT_FALSE(planner.traceable());
+  EXPECT_FALSE(planner.has_raw_path());
   PlanScratch scratch;
   EXPECT_FALSE(planner.EncodeInto(MakeSample(0, 4), &scratch));
   EXPECT_FALSE(planner.EncodeInto(MakeSample(0, 4), &scratch));
-  EXPECT_EQ(planner.compiles(), 0);
   // The model-level API walks the graph instead, bit-identically.
   const nn::Tensor reps = model.PrefixRepresentations(MakeSample(0, 4));
   const nn::Tensor graph = GraphReps(model, MakeSample(0, 4));
@@ -179,17 +174,14 @@ TEST_F(PlanTest, PrefixRepresentationsRunsPlansBitIdentically) {
   }
 }
 
-/// An in-place weight overwrite keeps cached plans valid AND live (they
-/// borrow the storage), while a model whose weights moved is caught by the
-/// per-use fingerprint revalidation. Here: mutate a weight in place and
-/// confirm the cached plan picks the new values up without a recompile.
+/// The raw path reads the weights live, so an in-place weight overwrite is
+/// used by the next encode with no invalidation.
 TEST_F(PlanTest, CachedPlanTracksInPlaceWeightUpdates) {
   LightMob model(Config(EncoderType::kGru, 7));
   ForwardPlanner planner(model);
   PlanScratch scratch;
   const data::Sample sample = MakeSample(3, 5);
   ASSERT_TRUE(planner.EncodeInto(sample, &scratch));
-  EXPECT_EQ(planner.compiles(), 1);
 
   // In-place update of an encoder weight (what a checkpoint hot-swap into
   // existing tensors does): Tensor handles share storage, so writing
@@ -200,7 +192,6 @@ TEST_F(PlanTest, CachedPlanTracksInPlaceWeightUpdates) {
   for (float& x : params.front().data()) x += 0.125f;
 
   ASSERT_TRUE(planner.EncodeInto(sample, &scratch));
-  EXPECT_EQ(planner.compiles(), 1);  // same storage -> no recompile
   const nn::Tensor graph = GraphReps(model, sample);
   for (int64_t i = 0; i < graph.rows() * graph.cols(); ++i) {
     ASSERT_EQ(scratch.reps.data()[i], graph.data()[static_cast<size_t>(i)]);
@@ -223,12 +214,12 @@ void ExpectSameFloats(const float* got, const float* want, size_t n,
   }
 }
 
-// Continuation == stateless plan == graph walk. For a window of T points
+// Continuation == stateless encode == graph walk. For a window of T points
 // and every split point P in 1..T: encode the first P points (a miss, from
 // the zero carry), then the whole window resumes from that state — P rows
-// copied, a T-P step plan from the P-point carry (none when P == T). The
+// copied, T-P steps run from the P-point carry (none when P == T). The
 // rows must equal the graph walk's, and the carry the state left must
-// equal the stateless full run's carry-out.
+// equal the stateless full run's carry.
 void ExpectEverySplitMatches(LightMob& model, ForwardPlanner& planner,
                              const data::Sample& sample,
                              const std::string& context) {
@@ -314,7 +305,7 @@ TEST_F(PlanTest, PrefixStateServesOnlyItsGenerationBackendAndPrefix) {
   };
   EXPECT_EQ(extend(3), 0);
   EXPECT_EQ(extend(4), 3);
-  EXPECT_EQ(extend(4), 4);  // exact repeat: no plan runs
+  EXPECT_EQ(extend(4), 4);  // exact repeat: no step runs
 
   planner.InvalidateAll();
   EXPECT_EQ(extend(5), 0);
@@ -337,7 +328,7 @@ TEST_F(PlanTest, PrefixStateServesOnlyItsGenerationBackendAndPrefix) {
   EXPECT_EQ(state.points.size(), 2u);
 
   // A weight reallocation (hot-swap into fresh storage) bumps the
-  // generation through the fingerprint check, without InvalidateAll.
+  // generation through the storage check, without InvalidateAll.
   const uint64_t before = planner.generation();
   std::vector<nn::Tensor> params = model.encoder().Parameters();
   std::vector<float> fresh = params.front().data();

@@ -455,10 +455,10 @@ TEST_F(ChaosTest, RouterLookupFaultFallsBackFrozenWithExactAccounting) {
   partial.Shutdown();
 }
 
-/// Endurance: 10k requests through the default service, which encodes with
-/// compiled plans. Exact outcome accounting must hold — every submission
+/// Endurance: 10k requests through the default service, which encodes on
+/// the raw path. Exact outcome accounting must hold — every submission
 /// completes and nothing degrades — and (under the sanitizer stages) the
-/// per-worker plan arenas neither leak nor race.
+/// per-worker encode scratch neither leaks nor races.
 TEST_F(ChaosTest, PlanServiceEnduresTenThousandRequestsWithExactAccounting) {
   core::LightMob model(SmallConfig());
   const std::vector<data::Sample> stream =
@@ -489,7 +489,6 @@ TEST_F(ChaosTest, PlanServiceEnduresTenThousandRequestsWithExactAccounting) {
   EXPECT_EQ(stats.accounted(), 10000u);
   EXPECT_EQ(stats.ok_requests() + stats.timeouts, 10000u);
   EXPECT_EQ(stats.degraded_requests, 0u);
-  EXPECT_EQ(stats.plan_verify_rejects, 0u);
 }
 
 }  // namespace

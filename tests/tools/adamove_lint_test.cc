@@ -236,12 +236,15 @@ TEST(RuleTest, QfloatQuantizeScope) {
 
 TEST(RuleTest, PlanExecutorAllocScope) {
   const std::string src = "scratch_.push_back(v);\n";
-  EXPECT_TRUE(Hit(RulesHit("src/nn/plan/executor.cc", src),
-                  "plan-executor-alloc"));
+  EXPECT_TRUE(Hit(RulesHit("src/nn/rnn_infer.cc", src), "raw-step-alloc"));
   // The same idiom is fine anywhere else — the rule protects one contract.
   EXPECT_TRUE(RulesHit("src/core/foo.cc", src).empty());
-  EXPECT_TRUE(Hit(RulesHit("src/nn/plan/executor.h", "Tensor t(1, 2);\n"),
-                  "plan-executor-alloc"));
+  EXPECT_TRUE(Hit(RulesHit("src/nn/rnn_infer.cc", "Tensor t(1, 2);\n"),
+                  "raw-step-alloc"));
+  EXPECT_TRUE(Hit(RulesHit("src/nn/rnn_infer.cc", "buf->resize(n);\n"),
+                  "raw-step-alloc"));
+  // The graph-walk cells in rnn.cc allocate by design.
+  EXPECT_TRUE(RulesHit("src/nn/rnn.cc", src).empty());
 }
 
 TEST(RuleTest, TodoLabel) {

@@ -74,9 +74,7 @@ bool QfloatScope(const std::string& p) {
          p != "src/core/online_adapter.cc" && p != "src/shard/compact_state.cc";
 }
 
-bool PlanExecutorScope(const std::string& p) {
-  return p == "src/nn/plan/executor.cc" || p == "src/nn/plan/executor.h";
-}
+bool RawStepScope(const std::string& p) { return p == "src/nn/rnn_infer.cc"; }
 
 const std::vector<Rule>& Rules() {
   static const std::vector<Rule>* rules = new std::vector<Rule>{
@@ -116,13 +114,13 @@ const std::vector<Rule>& Rules() {
        "once, at ingest, and holds it q8 through every tier; a second "
        "quantization site would fork that one representation (DESIGN.md "
        "§4.3)"},
-      {"plan-executor-alloc",
+      {"raw-step-alloc",
        std::regex("\\bnew\\b|\\bTensor\\b|push_back|emplace_back|"
-                  "\\.[Rr]esize\\(|\\.reserve\\(|make_unique|make_shared"),
-       &PlanExecutorScope,
-       "allocation idiom in the static-plan executor — its hot path is "
-       "contractually zero-allocation; every temp lives in the pre-planned "
-       "arena (DESIGN.md §14)"},
+                  "(\\.|->)([Rr]esize|reserve)\\(|make_unique|make_shared"),
+       &RawStepScope,
+       "allocation idiom in the raw encoder steps — they are contractually "
+       "zero-allocation once the caller's scratch has grown; only the "
+       "lines that size that scratch may allocate (DESIGN.md §14)"},
   };
   return *rules;
 }
