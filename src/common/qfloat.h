@@ -25,10 +25,10 @@ namespace adamove::common {
 ///
 ///   * Decode(Encode(x)) is a deterministic canonical vector x';
 ///   * Encode(x') reproduces exactly the same (e, q) — the codec is
-///     idempotent on its own image (pinned by tests/shard/compact_state_test);
+///     idempotent on its own image (pinned by tests/core/compact_state_test);
 ///   * every consumer that dequantizes a block (similarity ranking, the
-///     rebuild arena, the f32 snapshot wire) sees exactly x', so state that
-///     moves between tiers as int8 answers bit-identically.
+///     rebuild arena, the wire codec's raw mode) sees exactly x', so state
+///     that moves between tiers as int8 answers bit-identically.
 ///
 /// Vectors containing non-finite values (or empty ones) are not quantizable;
 /// the knowledge base never stores them (core::OnlineAdapter::Observe).

@@ -54,15 +54,6 @@ bool Quantize(const std::vector<float>& pattern, common::QfloatBlock* block) {
   return true;
 }
 
-/// Appends one pattern to the f32 snapshot wire: its length, then its
-/// dequantized values (`scratch` is reused across calls).
-void AppendWirePattern(const common::QfloatBlock& pattern,
-                       std::vector<float>* scratch, std::string* out) {
-  common::QfloatDecode(pattern, scratch);
-  common::AppendU32(out, static_cast<uint32_t>(scratch->size()));
-  common::AppendF32Array(out, scratch->data(), scratch->size());
-}
-
 }  // namespace
 
 void OnlineAdapter::Append(UserState& state, int64_t location,
@@ -449,134 +440,6 @@ void OnlineAdapter::Adopt(UserSnapshot&& snap) {
   }
   state.watermark = MaxLabelTimestamp(state);
   users_[snap.user] = std::move(state);
-}
-
-void OnlineAdapter::EncodeUser(const UserSnapshot& snap, std::string* out) {
-  std::vector<float> decoded;
-  common::AppendU64(out, static_cast<uint64_t>(snap.user));
-  common::AppendU32(out, static_cast<uint32_t>(snap.locations.size()));
-  for (const auto& [location, entries] : snap.locations) {
-    common::AppendU64(out, static_cast<uint64_t>(location));
-    common::AppendU32(out, static_cast<uint32_t>(entries.size()));
-    for (const Entry& entry : entries) {
-      common::AppendU64(out, static_cast<uint64_t>(entry.timestamp));
-      AppendWirePattern(entry.pattern, &decoded, out);
-    }
-  }
-  // Pending-delta section, appended only when non-empty: a clean user's
-  // frame is byte-identical to the pre-deferral format, so existing golden
-  // snapshots (and old readers of clean users) are untouched. Decoders
-  // treat end-of-frame after the locations as "no pending".
-  if (snap.pending.empty()) return;
-  common::AppendU32(out, static_cast<uint32_t>(snap.pending.size()));
-  for (const PendingDelta& delta : snap.pending) {
-    common::AppendU64(out, static_cast<uint64_t>(delta.timestamp));
-    common::AppendU64(out, static_cast<uint64_t>(delta.next_location));
-    AppendWirePattern(delta.pattern, &decoded, out);
-  }
-}
-
-common::IoResult OnlineAdapter::DecodeUser(std::string_view bytes,
-                                           UserSnapshot* out) {
-  out->locations.clear();
-  out->pending.clear();
-  common::WireReader reader(bytes);
-  uint64_t user = 0;
-  if (!reader.ReadU64(&user)) {
-    return common::IoResult::Fail("user frame: truncated user id");
-  }
-  out->user = static_cast<int64_t>(user);
-  uint32_t location_count = 0;
-  if (!reader.ReadU32(&location_count)) {
-    return common::IoResult::Fail("user frame: truncated location count");
-  }
-  // A location record is at least id + entry count (12 bytes): a count
-  // beyond remaining/12 is provably corrupt — reject before reserving.
-  if (location_count > reader.remaining() / 12) {
-    return common::IoResult::Fail(
-        "user frame: location count " + std::to_string(location_count) +
-        " larger than the frame could hold");
-  }
-  out->locations.reserve(location_count);
-  std::vector<float> raw;
-  for (uint32_t l = 0; l < location_count; ++l) {
-    uint64_t location = 0;
-    uint32_t entry_count = 0;
-    if (!reader.ReadU64(&location) || !reader.ReadU32(&entry_count)) {
-      return common::IoResult::Fail("user frame: truncated location record");
-    }
-    if (entry_count > reader.remaining() / 12) {
-      return common::IoResult::Fail(
-          "user frame: entry count " + std::to_string(entry_count) +
-          " larger than the frame could hold");
-    }
-    std::vector<Entry> entries;
-    entries.reserve(entry_count);
-    for (uint32_t e = 0; e < entry_count; ++e) {
-      Entry entry;
-      uint64_t timestamp = 0;
-      uint32_t pattern_len = 0;
-      if (!reader.ReadU64(&timestamp) || !reader.ReadU32(&pattern_len)) {
-        return common::IoResult::Fail("user frame: truncated entry header");
-      }
-      // A zero-length pattern would violate Observe's invariant and abort
-      // downstream similarity math — reject it here, structurally.
-      if (pattern_len == 0) {
-        return common::IoResult::Fail("user frame: zero-length pattern");
-      }
-      if (!reader.ReadF32Array(pattern_len, &raw)) {
-        return common::IoResult::Fail(
-            "user frame: pattern length " + std::to_string(pattern_len) +
-            " larger than the remaining frame");
-      }
-      // Canonicalize: store what Observe would; a non-finite pattern has
-      // no stored form and is dropped.
-      if (!Quantize(raw, &entry.pattern)) continue;
-      entry.timestamp = static_cast<int64_t>(timestamp);
-      entries.push_back(std::move(entry));
-    }
-    if (entries.empty()) continue;
-    out->locations.emplace_back(static_cast<int64_t>(location),
-                                std::move(entries));
-  }
-  if (reader.AtEnd()) return common::IoResult::Ok();  // no pending section
-  uint32_t pending_count = 0;
-  if (!reader.ReadU32(&pending_count)) {
-    return common::IoResult::Fail("user frame: truncated pending count");
-  }
-  // A pending record is at least ts + location + length (20 bytes).
-  if (pending_count == 0 || pending_count > reader.remaining() / 20) {
-    return common::IoResult::Fail(
-        "user frame: pending count " + std::to_string(pending_count) +
-        " larger than the frame could hold");
-  }
-  out->pending.reserve(pending_count);
-  for (uint32_t p = 0; p < pending_count; ++p) {
-    PendingDelta delta;
-    uint64_t timestamp = 0;
-    uint64_t location = 0;
-    uint32_t pattern_len = 0;
-    if (!reader.ReadU64(&timestamp) || !reader.ReadU64(&location) ||
-        !reader.ReadU32(&pattern_len)) {
-      return common::IoResult::Fail("user frame: truncated pending record");
-    }
-    if (pattern_len == 0) {
-      return common::IoResult::Fail("user frame: zero-length pending pattern");
-    }
-    if (!reader.ReadF32Array(pattern_len, &raw)) {
-      return common::IoResult::Fail(
-          "user frame: pending pattern length " + std::to_string(pattern_len) +
-          " larger than the remaining frame");
-    }
-    if (!Quantize(raw, &delta.pattern)) continue;
-    delta.timestamp = static_cast<int64_t>(timestamp);
-    delta.next_location = static_cast<int64_t>(location);
-    out->pending.push_back(std::move(delta));
-  }
-  if (!reader.AtEnd()) {
-    return common::IoResult::Fail("user frame: trailing bytes");
-  }
-  return common::IoResult::Ok();
 }
 
 size_t OnlineAdapter::Forget(int64_t user) {

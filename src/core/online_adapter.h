@@ -329,17 +329,51 @@ class OnlineAdapter {
   /// keeps — an adopted user resumes exactly where the exporting one stood.
   void Adopt(UserSnapshot&& snap);
 
-  /// Snapshot wire format (DESIGN.md §11): user id, then per location the
-  /// id and its candidate entries, each pattern as its dequantized f32
-  /// values. Encode/Decode are pure byte functions — no adapter state — so
-  /// the serving layer can decode a frame before deciding which shard lock
-  /// to take. Decode canonicalizes what it reads: each pattern is quantized
-  /// exactly as Observe would (so canonical state round-trips bit-exactly)
-  /// and a non-finite one is dropped, with a location left empty omitted.
-  /// Decode is strictly bounds-checked: corrupt counts/lengths fail with a
-  /// structured error naming the field, never an allocation or out-of-range
-  /// read.
-  static void EncodeUser(const UserSnapshot& snap, std::string* out);
+  /// The one per-user wire format (DESIGN.md §11–12): a serving-snapshot
+  /// frame and a cold-tier blob are the same bytes. Layout (integers
+  /// varint/zigzag over common::durable_io):
+  ///
+  ///   zigzag  user id
+  ///   varint  pattern dimension D (the first entry's size, else the first
+  ///           pending delta's; other sizes use mode 2 below)
+  ///   varint  location count
+  ///   per location (ids strictly ascending, delta-encoded):
+  ///     zigzag  location delta vs previous location
+  ///     varint  entry count (>= 1)
+  ///     per entry (FIFO order, timestamps delta-encoded within the location):
+  ///       zigzag  timestamp delta vs previous entry
+  ///       u8      mode: 1 = q8 (zigzag exponent followed by D int8 bytes —
+  ///               common/qfloat.h), 2 = raw f32 with an explicit varint
+  ///               length (entries whose size != D)
+  ///   pending-delta section, present only when `pending` is non-empty:
+  ///     varint  pending count (>= 1)
+  ///     per delta (arrival order, timestamps delta-encoded across the
+  ///     section):
+  ///       zigzag  timestamp delta vs previous delta
+  ///       zigzag  next location
+  ///       u8      mode + payload, as for entries
+  ///
+  /// Encode copies each block's exponent and int8 bytes (mode 1), and Decode
+  /// copies them back — no float conversion. Only an entry whose size
+  /// differs from D (Observe accepts any size, so one user may mix
+  /// dimensions) is written as its exact dequantized floats and re-quantized
+  /// on decode, which reproduces the block; a non-finite raw pattern is
+  /// dropped. Identical state therefore encodes to identical bytes, and
+  /// encode → decode → Adopt → Predict is bit-identical to the live user.
+  ///
+  /// Both are pure byte functions — no adapter state — so the serving layer
+  /// can decode a frame before deciding which shard lock to take. Decode is
+  /// strictly bounds-checked: hostile counts, non-ascending locations, an
+  /// unknown mode and trailing bytes fail with a structured error naming
+  /// the field, never an allocation blow-up or an out-of-range read.
+  struct EncodeStats {
+    size_t locations = 0;
+    size_t patterns = 0;
+    /// Patterns written raw (mode 2) because their size differs from D.
+    size_t raw_patterns = 0;
+  };
+  static void EncodeUser(const UserSnapshot& snap, std::string* out,
+                         EncodeStats* stats = nullptr);
   static common::IoResult DecodeUser(std::string_view bytes,
                                      UserSnapshot* out);
 

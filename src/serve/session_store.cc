@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <string>
+#include <unordered_set>
 #include <utility>
 
 #include "common/aligned_buffer.h"
@@ -15,6 +16,10 @@
 namespace adamove::serve {
 
 namespace {
+
+/// Serving-snapshot format version: 2 since frames are the compact user
+/// blob and one file covers both tiers.
+constexpr uint32_t kSnapshotVersion = 2;
 
 /// Row k of the first window transition (pattern h_k, labelled by point
 /// k+1) whose label is newer than `watermark`, or t-1 when none is. Every
@@ -372,6 +377,17 @@ void SessionStore::InjectUser(core::OnlineAdapter::UserSnapshot&& snap) {
   if (snap.locations.empty() && snap.pending.empty()) return;
   Shard& shard = *shards_[static_cast<size_t>(ShardOf(snap.user))];
   common::MutexLock lock(shard.mu);
+  AdoptLocked(shard, std::move(snap));
+}
+
+void SessionStore::AdoptLocked(Shard& shard,
+                               core::OnlineAdapter::UserSnapshot&& snap) {
+  // A user lives in at most one tier, so a snapshot names it once (Restore
+  // rejects a repeated user).
+  if (config_.cold_tier != nullptr) {
+    core::OnlineAdapter::UserSnapshot discard;
+    config_.cold_tier->Take(snap.user, &discard);
+  }
   TouchLocked(shard, snap.user);
   shard.adapter.Adopt(std::move(snap));
 }
@@ -429,28 +445,36 @@ size_t SessionStore::PatternCount(int64_t user) const {
 
 common::IoResult SessionStore::Snapshot(const std::string& path,
                                         SnapshotStats* stats) const {
-  // Export one shard at a time under its own mutex: serving on every other
-  // shard proceeds untouched, and each user frame is a state the shard
-  // really held at some instant of this pass (crash-consistent per user).
   std::vector<std::string> frames;
-  size_t users = 0;
   size_t patterns = 0;
   uint32_t pattern_dim = 0;
-  for (const auto& shard : shards_) {
-    std::vector<core::OnlineAdapter::UserSnapshot> exported;
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    const Shard& shard = *shards_[s];
+    // Capture under the shard mutex: its hot users, then the cold users
+    // that hash to it. A user changes tier only under this mutex, so it is
+    // captured exactly once.
+    std::vector<core::OnlineAdapter::UserSnapshot> captured;
     {
-      common::MutexLock lock(shard->mu);
-      for (int64_t user : shard->adapter.Users()) {
-        exported.push_back(shard->adapter.ExportUser(user));
+      common::MutexLock lock(shard.mu);
+      for (int64_t user : shard.adapter.Users()) {
+        captured.push_back(shard.adapter.ExportUser(user));
+      }
+      if (config_.cold_tier != nullptr) {
+        config_.cold_tier->CopyUsers(
+            [this, s](int64_t user) {
+              return static_cast<size_t>(ShardOf(user)) == s;
+            },
+            &captured);
       }
     }
     // Encode outside the lock — byte work doesn't need the shard.
-    for (const auto& snap : exported) {
+    std::sort(captured.begin(), captured.end(),
+              [](const auto& a, const auto& b) { return a.user < b.user; });
+    for (const auto& snap : captured) {
       if (snap.locations.empty() && snap.pending.empty()) continue;
       std::string frame;
       core::OnlineAdapter::EncodeUser(snap, &frame);
       frames.push_back(std::move(frame));
-      ++users;
       for (const auto& [location, entries] : snap.locations) {
         patterns += entries.size();
         if (pattern_dim == 0 && !entries.empty()) {
@@ -469,13 +493,13 @@ common::IoResult SessionStore::Snapshot(const std::string& path,
   }
   common::FramedFileWriter writer(kSnapshotMagic);
   std::string header;
-  common::AppendU32(&header, 1);  // snapshot format version
+  common::AppendU32(&header, kSnapshotVersion);
   common::AppendU32(&header, pattern_dim);
-  common::AppendU64(&header, static_cast<uint64_t>(users));
+  common::AppendU64(&header, static_cast<uint64_t>(frames.size()));
   writer.AddFrame(header);
   for (const std::string& frame : frames) writer.AddFrame(frame);
   if (stats != nullptr) {
-    stats->users = users;
+    stats->users = frames.size();
     stats->patterns = patterns;
     stats->bytes = writer.byte_size();
     stats->torn_tail = false;
@@ -492,10 +516,15 @@ common::IoResult SessionStore::Restore(const std::string& path,
   // still imported below — recovery salvages every intact user — and the
   // structured error is returned so the caller knows the file was cut short
   // by corruption rather than a torn tail.
+  SnapshotStats imported;
+  const auto finish = [&](common::IoResult result) {
+    if (stats != nullptr) *stats = imported;
+    return result;
+  };
   if (framed.frames.empty()) {
-    if (stats != nullptr) *stats = SnapshotStats{};
-    if (!read) return read;
-    return common::IoResult::Fail(path + ": snapshot has no header frame");
+    if (!read) return finish(read);
+    return finish(
+        common::IoResult::Fail(path + ": snapshot has no header frame"));
   }
   common::WireReader header(framed.frames[0]);
   uint32_t version = 0;
@@ -503,30 +532,27 @@ common::IoResult SessionStore::Restore(const std::string& path,
   uint64_t declared_users = 0;
   if (!header.ReadU32(&version) || !header.ReadU32(&pattern_dim) ||
       !header.ReadU64(&declared_users) || !header.AtEnd()) {
-    if (stats != nullptr) *stats = SnapshotStats{};
-    return common::IoResult::Fail(path + ": malformed snapshot header");
+    return finish(common::IoResult::Fail(path + ": malformed snapshot header"));
   }
-  if (version != 1) {
-    if (stats != nullptr) *stats = SnapshotStats{};
-    return common::IoResult::Fail(
-        path + ": unsupported snapshot version " + std::to_string(version));
+  if (version != kSnapshotVersion) {
+    return finish(common::IoResult::Fail(
+        path + ": unsupported snapshot version " + std::to_string(version)));
   }
-  size_t users = 0;
-  size_t patterns = 0;
-  uint64_t bytes = 0;
+  imported.torn_tail = framed.torn_tail;
+  std::unordered_set<int64_t> seen;
   for (size_t f = 1; f < framed.frames.size(); ++f) {
+    const auto reject = [&](const std::string& why) {
+      return finish(common::IoResult::Fail(path + ": frame " +
+                                           std::to_string(f) + ": " + why));
+    };
     core::OnlineAdapter::UserSnapshot snap;
     const common::IoResult decoded =
         core::OnlineAdapter::DecodeUser(framed.frames[f], &snap);
-    if (!decoded) {
-      if (stats != nullptr) {
-        stats->users = users;
-        stats->patterns = patterns;
-        stats->bytes = bytes;
-        stats->torn_tail = framed.torn_tail;
-      }
-      return common::IoResult::Fail(path + ": frame " + std::to_string(f) +
-                                    ": " + decoded.error);
+    if (!decoded) return reject(decoded.error);
+    // Snapshot writes each user once; a repeated id is corruption, and
+    // installing it twice would make stats.users overcount the store.
+    if (!seen.insert(snap.user).second) {
+      return reject("duplicate user " + std::to_string(snap.user));
     }
     // Every pattern must match the header's dimension: a mixed-dim user
     // would abort in the cosine kernel at query time, so reject it at the
@@ -543,48 +569,33 @@ common::IoResult SessionStore::Restore(const std::string& path,
       if (delta.pattern.q.size() != pattern_dim) dim_ok = false;
     }
     if (!dim_ok) {
-      if (stats != nullptr) {
-        stats->users = users;
-        stats->patterns = patterns;
-        stats->bytes = bytes;
-        stats->torn_tail = framed.torn_tail;
-      }
-      return common::IoResult::Fail(
-          path + ": frame " + std::to_string(f) + ": user " +
-          std::to_string(snap.user) + " has a pattern whose dimension " +
-          "does not match the snapshot header");
+      return reject("user " + std::to_string(snap.user) +
+                    " has a pattern whose dimension does not match the "
+                    "snapshot header");
     }
     if (snap.locations.empty() && snap.pending.empty()) {
       continue;  // nothing to install
     }
-    const int64_t user = snap.user;
-    bytes += framed.frames[f].size();
-    patterns += user_patterns;
-    ++users;
+    imported.bytes += framed.frames[f].size();
+    imported.patterns += user_patterns;
+    ++imported.users;
     // Lock only this user's shard: restore runs frame by frame while the
     // other shards keep serving. TouchLocked keeps the residency cap honest
     // even when the snapshot holds more users than the cap allows.
-    Shard& shard = *shards_[static_cast<size_t>(ShardOf(user))];
+    Shard& shard = *shards_[static_cast<size_t>(ShardOf(snap.user))];
     common::MutexLock lock(shard.mu);
-    TouchLocked(shard, user);
-    shard.adapter.Adopt(std::move(snap));
-  }
-  if (stats != nullptr) {
-    stats->users = users;
-    stats->patterns = patterns;
-    stats->bytes = bytes;
-    stats->torn_tail = framed.torn_tail;
+    AdoptLocked(shard, std::move(snap));
   }
   // Only a file that read back clean end-to-end owes us the declared user
   // count; a torn or corrupt file already reports its own condition.
   if (read && !framed.torn_tail &&
       framed.frames.size() - 1 != declared_users) {
-    return common::IoResult::Fail(
+    return finish(common::IoResult::Fail(
         path + ": header declares " + std::to_string(declared_users) +
         " users but the file holds " +
-        std::to_string(framed.frames.size() - 1) + " user frames");
+        std::to_string(framed.frames.size() - 1) + " user frames"));
   }
-  return read;
+  return finish(read);
 }
 
 }  // namespace adamove::serve

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <memory>
 #include <unordered_map>
@@ -21,9 +22,12 @@ namespace adamove::serve {
 /// into it instead of dropped, and users absent from the hot tier are
 /// hydrated back out of it on first touch. Implemented by the shard
 /// subsystem's CompactStore (arena-backed compact blobs — DESIGN.md §12);
-/// the interface lives here so serve/ does not depend on shard/.
+/// the interface lives here so serve/ does not depend on shard/. A user
+/// lives in at most one tier: the store moves a user between tiers only
+/// under the user's shard mutex, and drops any cold copy before it installs
+/// hot state (InjectUser, Restore).
 ///
-/// Concurrency contract: both calls are invoked while the *caller's* shard
+/// Concurrency contract: every call is invoked while the *caller's* shard
 /// mutex is held, so an implementation must use only its own locks and must
 /// never call back into the SessionStore (lock order: shard mutex, then
 /// cold-tier internals — acyclic by construction).
@@ -38,6 +42,14 @@ class ColdTier {
   /// Accepts a user's complete exported state (replacing any previous
   /// dehydrated state for that user).
   virtual void Accept(core::OnlineAdapter::UserSnapshot&& snap) = 0;
+
+  /// Appends a copy of the state of every held user that `wanted` selects
+  /// to `out`, removing nothing — the store's Snapshot reads the tier
+  /// through this, one shard at a time. `wanted` must not call into the
+  /// tier.
+  virtual void CopyUsers(
+      const std::function<bool(int64_t)>& wanted,
+      std::vector<core::OnlineAdapter::UserSnapshot>* out) const = 0;
 };
 
 struct SessionStoreConfig {
@@ -125,10 +137,11 @@ struct BatchAdaptStats {
   std::vector<uint32_t> stale_depth;
 };
 
-/// On-disk serving snapshots: a durable_io framed file (DESIGN.md §11).
-/// Frame 0 is a header {format version, pattern dim, user count}; every
-/// further frame is one user's knowledge base in OnlineAdapter's
-/// deterministic wire encoding.
+/// On-disk serving snapshots: a durable_io framed file (DESIGN.md §11), the
+/// one state file of a store — hot and cold users alike. Frame 0 is a
+/// header {format version 2, pattern dim, user count}; every further frame
+/// is one user's knowledge base in OnlineAdapter's wire encoding (the same
+/// bytes a cold-tier blob holds).
 inline constexpr uint32_t kSnapshotMagic = 0xADA50001;
 
 /// Accounting of one Snapshot or Restore pass.
@@ -263,7 +276,8 @@ class SessionStore {
   bool ExtractUser(int64_t user, core::OnlineAdapter::UserSnapshot* out);
 
   /// Installs a complete user state into the hot tier (replacing any
-  /// previous state, touching the LRU). Empty snapshots are dropped.
+  /// previous state in either tier, touching the LRU). Empty snapshots are
+  /// dropped.
   void InjectUser(core::OnlineAdapter::UserSnapshot&& snap);
 
   /// Force-dehydrates one resident user into the cold tier, exactly as LRU
@@ -278,24 +292,31 @@ class SessionStore {
   /// (core::OnlineAdapter::ResidentBytes accounting).
   size_t ResidentBytes() const;
 
-  /// Persists every resident user's knowledge base to `path` via
-  /// durable_io's atomic commit. Shards are exported one at a time under
-  /// their own mutex — serving on other shards never stalls, and the file
-  /// is crash-consistent per shard (each user frame is a state that shard
-  /// actually held at some instant during the pass). Subject to the
-  /// io.snapshot_write / io.snapshot_fsync fault points: a failed commit
-  /// leaves the previous durable snapshot untouched.
+  /// Persists every user's knowledge base — hot and cold tier — to `path`
+  /// via durable_io's atomic commit. Shards are captured one at a time
+  /// under their own mutex: the shard's hot users, then the cold-tier users
+  /// that hash to it (ColdTier::CopyUsers). A user changes tier only under
+  /// its shard mutex, so each user is captured exactly once, in a state it
+  /// really held at some instant of the pass, while serving on the other
+  /// shards never stalls. Frames are in ascending user order within a
+  /// shard, so identical state writes identical bytes whatever its tiers.
+  /// Subject to the io.snapshot_write / io.snapshot_fsync fault points: a
+  /// failed commit leaves the previous durable snapshot untouched.
   common::IoResult Snapshot(const std::string& path,
                             SnapshotStats* stats = nullptr) const;
 
   /// Restores user state from a snapshot, frame by frame, locking only the
   /// target user's shard per frame — safe to run concurrently with serving
   /// (the warm-start gate keeps not-yet-restored users off the adapted
-  /// path). Each restored user replaces any in-memory state and touches the
-  /// LRU, so the residency cap holds during restore too. A torn tail
-  /// imports the verified prefix and reports ok (stats->torn_tail); CRC or
-  /// decode corruption imports the verified prefix and returns the
-  /// structured error — never UB, never a half-imported user.
+  /// path). Each restored user replaces any in-memory state in either tier
+  /// and touches the LRU, so the residency cap holds during restore too
+  /// (eviction dehydrates the overflow into the cold tier). Every frame is
+  /// checked before it is installed: it must decode, name a user no
+  /// earlier frame named, and hold only patterns of the header's dimension.
+  /// A torn tail imports the verified prefix and reports ok
+  /// (stats->torn_tail); CRC, decode or check failures import the verified
+  /// prefix and return the structured error — never UB, never a
+  /// half-imported user. A file of another format version imports nothing.
   common::IoResult Restore(const std::string& path,
                            SnapshotStats* stats = nullptr);
 
@@ -373,6 +394,12 @@ class SessionStore {
   /// fresh-user miss degrades while the fault is armed, since telling the
   /// two apart would itself require reading the tier.
   bool EnsureResidentLocked(Shard& shard, int64_t user)
+      ADAMOVE_REQUIRES(shard.mu);
+
+  /// Installs `snap` as its user's hot state (InjectUser, Restore): drops
+  /// any cold copy first, so the user lives in one tier, then touches the
+  /// LRU and adopts.
+  void AdoptLocked(Shard& shard, core::OnlineAdapter::UserSnapshot&& snap)
       ADAMOVE_REQUIRES(shard.mu);
 
   SessionStoreConfig config_;

@@ -2,24 +2,17 @@
 #define ADAMOVE_SHARD_COMPACT_STORE_H_
 
 #include <cstdint>
-#include <string>
+#include <functional>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "common/annotations.h"
 #include "common/arena.h"
-#include "common/durable_io.h"
 #include "common/mutex.h"
 #include "serve/session_store.h"
-#include "shard/compact_state.h"
 
 namespace adamove::shard {
-
-/// On-disk cold-tier files: a durable_io framed file (DESIGN.md §12).
-/// Frame 0 is a header {format version, user count}; every further frame is
-/// one user's compact blob (the exact bytes the arena held), users
-/// ascending — identical store state saves to identical bytes.
-inline constexpr uint32_t kCompactStoreMagic = 0xADA5C0DE;
 
 struct CompactStoreConfig {
   /// Slab granule of the backing arena (common::SlabArena).
@@ -27,10 +20,12 @@ struct CompactStoreConfig {
 };
 
 /// The cold tier behind a serve::SessionStore (DESIGN.md §12): evicted
-/// users live here as compact blobs (compact_state.h) carved out of a slab
-/// arena — the same int8 blocks the hot tier holds, without its per-entry
-/// containers — freed in O(1) on rehydration. Implements serve::ColdTier, so the session store
-/// calls Take/Accept without knowing the representation.
+/// users live here as their wire blobs (core::OnlineAdapter::EncodeUser)
+/// carved out of a slab arena — the same int8 blocks the hot tier holds,
+/// without its per-entry containers — freed in O(1) on rehydration.
+/// Implements serve::ColdTier, so the session store calls Take/Accept/
+/// CopyUsers without knowing the representation. It has no file of its
+/// own: the session store's snapshot carries its users (DESIGN.md §11).
 ///
 /// Thread-safe: one internal mutex guards the arena and the blob map. The
 /// ColdTier contract says callers hold a session-store shard mutex while
@@ -47,7 +42,7 @@ class CompactStore : public serve::ColdTier {
     uint64_t takes = 0;
     /// Cumulative codec accounting across Accepts: patterns stored, and the
     /// subset written raw f32 because their size differs from the blob's
-    /// dimension (CompactEncodeStats).
+    /// dimension (core::OnlineAdapter::EncodeStats).
     uint64_t patterns = 0;
     uint64_t raw_patterns = 0;
   };
@@ -57,30 +52,22 @@ class CompactStore : public serve::ColdTier {
   /// ColdTier: removes and rehydrates one user's blob (O(1) arena free).
   bool Take(int64_t user, core::OnlineAdapter::UserSnapshot* out) override;
 
-  /// ColdTier: encodes and stores a user's complete state, replacing any
-  /// previous blob. Empty snapshots just erase (a user with no entries has
-  /// nothing to keep).
+  /// ColdTier: encodes and stores a user's complete state — entries and
+  /// pending deltas — replacing any previous blob. A snapshot with neither
+  /// just erases (that user has nothing to keep).
   void Accept(core::OnlineAdapter::UserSnapshot&& snap) override;
+
+  /// ColdTier: decodes a copy of every selected user's blob; the blobs stay.
+  /// `wanted` runs under the store mutex, the decoding outside it.
+  void CopyUsers(
+      const std::function<bool(int64_t)>& wanted,
+      std::vector<core::OnlineAdapter::UserSnapshot>* out) const override;
 
   bool Contains(int64_t user) const;
   size_t UserCount() const;
   /// All dehydrated users, ascending.
   std::vector<int64_t> Users() const;
   Stats GetStats() const;
-
-  /// Persists every blob to `path` via durable_io's atomic framed commit
-  /// (subject to the io.snapshot_* fault points). `stats` reports users /
-  /// payload bytes written.
-  common::IoResult Save(const std::string& path,
-                        serve::SnapshotStats* stats = nullptr) const;
-
-  /// Loads blobs from a compact-store file, validating every frame through
-  /// the full decoder before admitting its bytes (a corrupt or
-  /// duplicate-user frame aborts with a structured error; the verified
-  /// prefix stands, and a torn tail reports ok with stats->torn_tail).
-  /// Loaded users replace same-id blobs already in the store.
-  common::IoResult Load(const std::string& path,
-                        serve::SnapshotStats* stats = nullptr);
 
  private:
   struct Blob {

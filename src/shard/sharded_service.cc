@@ -10,6 +10,15 @@
 
 namespace adamove::shard {
 
+namespace {
+
+/// One snapshot file per group, covering its hot and cold tiers.
+std::string GroupPath(const std::string& prefix, int shard_id) {
+  return prefix + ".shard" + std::to_string(shard_id);
+}
+
+}  // namespace
+
 ShardedService::ShardedService(core::AdaptableModel& model,
                                const ShardedServiceConfig& config)
     : model_(model), config_(config) {
@@ -303,14 +312,9 @@ common::IoResult ShardedService::Snapshot(const std::string& prefix) const {
     }
   }
   for (Group* group : live) {
-    const std::string base =
-        prefix + ".shard" + std::to_string(group->shard_id);
-    common::IoResult hot = group->store->Snapshot(base + ".hot");
-    if (!hot) return hot;
-    if (group->cold != nullptr) {
-      common::IoResult cold = group->cold->Save(base + ".cold");
-      if (!cold) return cold;
-    }
+    common::IoResult written =
+        group->store->Snapshot(GroupPath(prefix, group->shard_id));
+    if (!written) return written;
   }
   return common::IoResult::Ok();
 }
@@ -324,14 +328,9 @@ common::IoResult ShardedService::Restore(const std::string& prefix) {
     }
   }
   for (Group* group : live) {
-    const std::string base =
-        prefix + ".shard" + std::to_string(group->shard_id);
-    common::IoResult hot = group->store->Restore(base + ".hot");
-    if (!hot) return hot;
-    if (group->cold != nullptr) {
-      common::IoResult cold = group->cold->Load(base + ".cold");
-      if (!cold) return cold;
-    }
+    common::IoResult restored =
+        group->store->Restore(GroupPath(prefix, group->shard_id));
+    if (!restored) return restored;
   }
   return common::IoResult::Ok();
 }

@@ -143,14 +143,13 @@ class ShardedService {
   /// payload bytes (the number BENCH_capacity.json divides by users).
   core::AdapterStats CapacityStats() const;
 
-  /// Persists every live group to `<prefix>.shard<ID>.hot` (SessionStore
-  /// snapshot) and `<prefix>.shard<ID>.cold` (CompactStore file), one
-  /// atomic durable_io commit per file. First failure aborts the pass.
+  /// Persists every live group to `<prefix>.shard<ID>`: its SessionStore
+  /// snapshot, which covers the group's hot and cold tiers, one atomic
+  /// durable_io commit per group. First failure aborts the pass.
   common::IoResult Snapshot(const std::string& prefix) const;
 
   /// Restores groups written by Snapshot with the same prefix and shard
-  /// ids. Missing files fail; per-file torn tails follow the underlying
-  /// readers' semantics.
+  /// ids. Missing files fail; a torn tail follows SessionStore::Restore.
   common::IoResult Restore(const std::string& prefix);
 
   /// Users currently marked in-transit (0 in steady state).

@@ -299,10 +299,9 @@ TEST(OnlineAdapterTest, PendingCoalescingDropsOnlyWhatTheFifoCapWould) {
   EXPECT_EQ(deferred_run.PatternCount(user), 32u);
 }
 
-/// The user wire codec carries pending deltas, and stays byte-identical to
-/// the pre-deferral encoding for clean users (the backward-compat contract:
-/// old snapshots decode as pending-free, new clean frames decode under old
-/// expectations).
+/// The user wire codec carries pending deltas in a section of its own: a
+/// dirty user's bytes are its clean bytes plus that section, and a frame
+/// without it decodes as pending-free.
 TEST(OnlineAdapterTest, PendingSectionRoundTripsAndCleanUsersAreUnchanged) {
   OnlineAdapter adapter{PttaConfig{}};
   const int64_t user = 9;
@@ -327,8 +326,7 @@ TEST(OnlineAdapterTest, PendingSectionRoundTripsAndCleanUsersAreUnchanged) {
   EXPECT_EQ(back.pending[0].timestamp, 2000);
   EXPECT_EQ(back.pending[1].next_location, 5);
 
-  // Old-format bytes (exactly what a clean user encodes to) decode with an
-  // empty pending buffer, not an error.
+  // A clean user's bytes decode with an empty pending buffer, not an error.
   OnlineAdapter::UserSnapshot old_format;
   ASSERT_TRUE(
       static_cast<bool>(OnlineAdapter::DecodeUser(clean_bytes, &old_format)));

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -288,9 +289,9 @@ TEST(SessionStoreTest, ConcurrentForgetRacesRestoreUnderCap) {
   std::remove(path.c_str());
 }
 
-/// Minimal in-memory cold tier: stores whatever snapshot it is handed.
-/// (serve/ cannot depend on shard/'s CompactStore, and the property under
-/// test is what the *store* hands the tier, not how the tier packs it.)
+/// Minimal in-memory cold tier: stores whatever snapshot it is handed —
+/// the fake that shows what the *store* hands a tier, next to the real
+/// shard::CompactStore that also has to pack it.
 class MapColdTier : public ColdTier {
  public:
   bool Take(int64_t user, core::OnlineAdapter::UserSnapshot* out) override {
@@ -303,9 +304,12 @@ class MapColdTier : public ColdTier {
   void Accept(core::OnlineAdapter::UserSnapshot&& snap) override {
     frames_[snap.user] = std::move(snap);
   }
-  const core::OnlineAdapter::UserSnapshot* Peek(int64_t user) const {
-    auto it = frames_.find(user);
-    return it == frames_.end() ? nullptr : &it->second;
+  void CopyUsers(
+      const std::function<bool(int64_t)>& wanted,
+      std::vector<core::OnlineAdapter::UserSnapshot>* out) const override {
+    for (const auto& [user, snap] : frames_) {
+      if (wanted(user)) out->push_back(snap);
+    }
   }
 
  private:
@@ -329,7 +333,9 @@ data::Sample WalkSample(int64_t user, std::initializer_list<int64_t> recent,
 /// *dirty* user must dehydrate the pending deltas into the cold tier with
 /// the rest of the state — rehydrating and draining then yields exactly the
 /// state an inline run of the same observations produces. A cold tier that
-/// dropped the buffer would silently lose observations under overload.
+/// dropped the buffer would silently lose observations under overload. Run
+/// against the fake tier and the real compact one, which once erased a
+/// user whose only state was pending deltas.
 TEST(SessionStoreTest, DirtyUserEvictionDehydratesPendingDeltas) {
   core::LightMob model(SmallConfig());
   const data::Sample sample = WalkSample(1, {1, 2, 7, 2, 7}, 7, 1333238400);
@@ -340,63 +346,66 @@ TEST(SessionStoreTest, DirtyUserEvictionDehydratesPendingDeltas) {
   ref_config.num_shards = 1;
   SessionStore reference(ref_config);
   std::vector<AdaptStatus> ref_statuses;
-  const std::vector<std::vector<float>> ref_scores =
-      reference.BatchObserveAndPredictEncoded(
-          model, {{&sample, SessionStore::RepsView(reps)}}, &ref_statuses);
+  (void)reference.BatchObserveAndPredictEncoded(
+      model, {{&sample, SessionStore::RepsView(reps)}}, &ref_statuses);
   ASSERT_EQ(ref_statuses[0], AdaptStatus::kAdapted);
-
-  MapColdTier tier;
-  SessionStoreConfig config;
-  config.num_shards = 1;  // single stripe => user 2 evicts user 1
-  config.max_resident_users = 1;
-  config.cold_tier = &tier;
-  SessionStore store(config);
-
-  // Serve the same request deferred: observations land in the pending
-  // buffer, the prediction is the (empty-cache => frozen) stale rung.
-  BatchAdaptOptions options;
-  options.mode = AdaptExecMode::kDeferred;
-  std::vector<AdaptStatus> statuses;
-  BatchAdaptStats adapt_stats;
-  (void)store.BatchObserveAndPredictEncoded(
-      model, {{&sample, SessionStore::RepsView(reps)}}, options, &statuses,
-      &adapt_stats);
-  ASSERT_EQ(statuses[0], AdaptStatus::kStaleAdapt);
-  EXPECT_GT(adapt_stats.deferred_ingests, 0u);
-  EXPECT_EQ(store.DirtyUserCount(), 1u);
-  const size_t pending_before = store.PendingDeltaCount();
-  ASSERT_GT(pending_before, 0u);
-  EXPECT_EQ(store.PatternCount(1), 0u);  // nothing ingested yet
-
-  // Evict the dirty user: the cold frame must carry the pending buffer.
-  store.Observe(2, Pattern(9), 3, 2000000000);
-  EXPECT_EQ(store.DirtyUserCount(), 0u);
-  EXPECT_EQ(store.PendingDeltaCount(), 0u);
-  const core::OnlineAdapter::UserSnapshot* frame = tier.Peek(1);
-  ASSERT_NE(frame, nullptr);
-  EXPECT_TRUE(frame->locations.empty());
-  EXPECT_EQ(frame->pending.size(), pending_before);
-
-  // Rehydrate (a deferred predict touches the user without draining) and
-  // drain: bit-identical to the inline run — eviction lost nothing,
-  // reordered nothing.
-  std::vector<float> query(reps.data().end() - reps.cols(),
-                           reps.data().end());
-  (void)PredictOnly(store, model, 1, query, sample.target.timestamp, options);
-  EXPECT_EQ(tier.Peek(1), nullptr);
-  EXPECT_EQ(store.DirtyUserCount(), 1u);
-  EXPECT_EQ(store.DrainDirtyUsers(0), 1u);
-  EXPECT_EQ(store.DirtyUserCount(), 0u);
-
-  core::OnlineAdapter::UserSnapshot drained;
-  ASSERT_TRUE(store.ExtractUser(1, &drained));
   core::OnlineAdapter::UserSnapshot inline_state;
   ASSERT_TRUE(reference.ExtractUser(1, &inline_state));
-  std::string drained_bytes;
   std::string inline_bytes;
-  core::OnlineAdapter::EncodeUser(drained, &drained_bytes);
   core::OnlineAdapter::EncodeUser(inline_state, &inline_bytes);
-  EXPECT_EQ(drained_bytes, inline_bytes);
+
+  MapColdTier map_tier;
+  shard::CompactStore compact_tier;
+  for (ColdTier* tier : std::initializer_list<ColdTier*>{&map_tier,
+                                                         &compact_tier}) {
+    SCOPED_TRACE(tier == &map_tier ? "MapColdTier" : "shard::CompactStore");
+    SessionStoreConfig config;
+    config.num_shards = 1;  // single stripe => user 2 evicts user 1
+    config.max_resident_users = 1;
+    config.cold_tier = tier;
+    SessionStore store(config);
+
+    // Serve the same request deferred: observations land in the pending
+    // buffer, the prediction is the (empty-cache => frozen) stale rung.
+    BatchAdaptOptions options;
+    options.mode = AdaptExecMode::kDeferred;
+    std::vector<AdaptStatus> statuses;
+    BatchAdaptStats adapt_stats;
+    (void)store.BatchObserveAndPredictEncoded(
+        model, {{&sample, SessionStore::RepsView(reps)}}, options, &statuses,
+        &adapt_stats);
+    ASSERT_EQ(statuses[0], AdaptStatus::kStaleAdapt);
+    EXPECT_GT(adapt_stats.deferred_ingests, 0u);
+    EXPECT_EQ(store.DirtyUserCount(), 1u);
+    const size_t pending_before = store.PendingDeltaCount();
+    ASSERT_GT(pending_before, 0u);
+    EXPECT_EQ(store.PatternCount(1), 0u);  // nothing ingested yet
+
+    // Evict the dirty user: its whole state, the pending buffer, moves cold.
+    store.Observe(2, Pattern(9), 3, 2000000000);
+    EXPECT_EQ(store.DehydrationCount(), 1u);
+    EXPECT_EQ(store.DirtyUserCount(), 0u);
+    EXPECT_EQ(store.PendingDeltaCount(), 0u);
+
+    // Rehydrate (a deferred predict touches the user without draining): the
+    // buffer comes back whole. Then drain: bit-identical to the inline run
+    // — eviction lost nothing, reordered nothing.
+    std::vector<float> query(reps.data().end() - reps.cols(),
+                             reps.data().end());
+    (void)PredictOnly(store, model, 1, query, sample.target.timestamp,
+                      options);
+    EXPECT_EQ(store.HydrationCount(), 1u);
+    EXPECT_EQ(store.DirtyUserCount(), 1u);
+    EXPECT_EQ(store.PendingDeltaCount(), pending_before);
+    EXPECT_EQ(store.DrainDirtyUsers(0), 1u);
+    EXPECT_EQ(store.DirtyUserCount(), 0u);
+
+    core::OnlineAdapter::UserSnapshot drained;
+    ASSERT_TRUE(store.ExtractUser(1, &drained));
+    std::string drained_bytes;
+    core::OnlineAdapter::EncodeUser(drained, &drained_bytes);
+    EXPECT_EQ(drained_bytes, inline_bytes);
+  }
 }
 
 /// The lazy-rebuild rung: an *inline* predict that finds pending deltas

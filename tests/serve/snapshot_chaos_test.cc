@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "common/durable_io.h"
@@ -12,6 +14,7 @@
 #include "core/online_adapter.h"
 #include "serve/prediction_service.h"
 #include "serve/session_store.h"
+#include "shard/compact_store.h"
 
 namespace adamove::serve {
 namespace {
@@ -320,6 +323,220 @@ TEST_F(SnapshotChaosTest, StaleTempFileFromACrashedCommitIsIgnored) {
   ASSERT_TRUE(store.Snapshot(path));
   EXPECT_NE(ReadAllOrDie(path), durable);
   EXPECT_FALSE(std::filesystem::exists(common::TempPathFor(path)));
+  std::remove(path.c_str());
+}
+
+// ---- one file for both tiers -------------------------------------------
+
+/// A two-tier store capped at one hot user per shard, so most users are
+/// cold.
+SessionStoreConfig TwoTierConfig(shard::CompactStore* cold) {
+  SessionStoreConfig config;
+  config.num_shards = 2;
+  config.max_resident_users = 2;
+  config.cold_tier = cold;
+  return config;
+}
+
+std::string UserBytes(SessionStore& store, int64_t user) {
+  core::OnlineAdapter::UserSnapshot snap;
+  EXPECT_TRUE(store.ExtractUser(user, &snap)) << "user " << user;
+  std::string bytes;
+  core::OnlineAdapter::EncodeUser(snap, &bytes);
+  return bytes;
+}
+
+/// A snapshot of a capped two-tier store names every user, hot and cold,
+/// and restoring it into a fresh two-tier store reproduces each user's
+/// state exactly. Frames are ordered by user within a shard, not by tier,
+/// so the restored store — whose tiers hold other users — writes the same
+/// file again.
+TEST_F(SnapshotChaosTest, TwoTierSnapshotCapturesHotAndColdUsers) {
+  const std::string path = TempPath("adamove_snap_two_tier.bin");
+  const std::string path2 = TempPath("adamove_snap_two_tier2.bin");
+  shard::CompactStore cold;
+  SessionStore store(TwoTierConfig(&cold));
+  Populate(store, 8, 5);
+  ASSERT_GT(cold.UserCount(), 0u);
+  ASSERT_LT(store.UserCount(), 8u);
+
+  SnapshotStats written;
+  ASSERT_TRUE(store.Snapshot(path, &written));
+  EXPECT_EQ(written.users, 8u);
+  EXPECT_EQ(written.patterns, 40u);
+
+  shard::CompactStore restored_cold;
+  SessionStore restored(TwoTierConfig(&restored_cold));
+  SnapshotStats read;
+  const common::IoResult r = restored.Restore(path, &read);
+  ASSERT_TRUE(r) << r.error;
+  EXPECT_EQ(read.users, 8u);
+  EXPECT_EQ(read.patterns, 40u);
+  EXPECT_EQ(restored.UserCount() + restored_cold.UserCount(), 8u);
+  ASSERT_TRUE(restored.Snapshot(path2));
+  EXPECT_EQ(ReadAllOrDie(path2), ReadAllOrDie(path));
+
+  for (int u = 0; u < 8; ++u) {
+    EXPECT_EQ(UserBytes(restored, u), UserBytes(store, u)) << "user " << u;
+  }
+  std::remove(path.c_str());
+  std::remove(path2.c_str());
+}
+
+/// Snapshots race a store whose users change tier on every request. A user
+/// moves only under its shard mutex, and Snapshot captures a shard's hot
+/// and cold users under that mutex, so every snapshot restores every user
+/// that existed before it began, exactly once (Restore rejects a repeat).
+TEST_F(SnapshotChaosTest, SnapshotsRacingTierMovesCaptureEveryUser) {
+  const std::string path = TempPath("adamove_snap_tier_race.bin");
+  shard::CompactStore cold;
+  SessionStoreConfig config = TwoTierConfig(&cold);
+  config.max_resident_users = 1;  // still one hot user per shard
+  SessionStore store(config);
+
+  constexpr int kUsers = 8;
+  constexpr int kSnapshots = 20;
+  std::atomic<int> existing{0};
+  std::atomic<bool> done{false};
+  std::thread server([&] {
+    int joined = 0;
+    for (int i = 0; !done.load() || i < 400; ++i) {
+      // A new user joins every 25 requests; the others take turns, so each
+      // request hydrates its user and evicts its shard's previous one.
+      const bool join = joined < kUsers && i % 25 == 0;
+      const int user = join ? joined : i % joined;
+      store.Observe(user, Pattern(user, i), (user + i) % 12,
+                    1000000 + int64_t{i} * 60);
+      if (join) existing.store(++joined);
+    }
+  });
+  int checked = 0;
+  for (int k = 0; k < kSnapshots; ++k) {
+    const int before = existing.load();
+    SnapshotStats written;
+    if (!store.Snapshot(path, &written)) {
+      ADD_FAILURE() << "snapshot " << k << " failed";
+      break;
+    }
+    SessionStore restored{SessionStoreConfig{}};
+    SnapshotStats read;
+    const common::IoResult r = restored.Restore(path, &read);
+    EXPECT_TRUE(r) << "snapshot " << k << ": " << r.error;
+    EXPECT_EQ(read.users, written.users) << "snapshot " << k;
+    EXPECT_GE(read.users, static_cast<size_t>(before)) << "snapshot " << k;
+    for (int u = 0; u < before; ++u) {
+      EXPECT_GT(restored.PatternCount(u), 0u)
+          << "snapshot " << k << " lost user " << u;
+    }
+    ++checked;
+  }
+  done.store(true);
+  server.join();
+  EXPECT_EQ(checked, kSnapshots);
+  EXPECT_GT(store.HydrationCount(), 0u);
+  std::remove(path.c_str());
+}
+
+// ---- the loader's input checks -------------------------------------------
+
+/// A user whose patterns mix dimensions would abort the first adapted
+/// predict, so Restore rejects its frame with a structured error — whether
+/// the snapshot took the user from the hot tier or the cold one — and the
+/// users before it stand.
+TEST_F(SnapshotChaosTest, RestoreRejectsMixedDimensionUsersFromEitherTier) {
+  const std::string path = TempPath("adamove_snap_mixed_dim.bin");
+  shard::CompactStore cold;
+  SessionStoreConfig config;
+  config.num_shards = 1;  // frames in user order: 0, then 5
+  config.cold_tier = &cold;
+  SessionStore store(config);
+  store.Observe(0, Pattern(0, 0), 1, 1000);
+  store.Observe(5, Pattern(5, 0), 1, 1000);
+  store.Observe(5, std::vector<float>(3, 0.5f), 2, 2000);  // a second dim
+  for (const bool from_cold : {false, true}) {
+    SCOPED_TRACE(from_cold ? "cold tier" : "hot tier");
+    if (from_cold) {
+      ASSERT_TRUE(store.EvictToCold(5));
+    }
+    ASSERT_EQ(cold.Contains(5), from_cold);
+    ASSERT_TRUE(store.Snapshot(path));
+    SessionStore recovered{SessionStoreConfig{}};
+    SnapshotStats rs;
+    const common::IoResult r = recovered.Restore(path, &rs);
+    EXPECT_FALSE(r);
+    EXPECT_NE(r.error.find("user 5 has a pattern whose dimension"),
+              std::string::npos)
+        << r.error;
+    EXPECT_EQ(rs.users, 1u);
+    EXPECT_EQ(recovered.PatternCount(0), 1u);
+    EXPECT_EQ(recovered.PatternCount(5), 0u);
+  }
+  std::remove(path.c_str());
+}
+
+/// Snapshot writes each user once, so a file that names a user twice is
+/// corrupt even when its declared count matches its frames: Restore stops
+/// there rather than report more users than it holds.
+TEST_F(SnapshotChaosTest, RestoreRejectsRepeatedUserFrames) {
+  const std::string path = TempPath("adamove_snap_dup.bin");
+  SessionStore store{SessionStoreConfig{}};
+  Populate(store, 1, 3);
+  const std::string frame = UserBytes(store, 0);
+  common::FramedFileWriter writer(kSnapshotMagic);
+  std::string header;
+  common::AppendU32(&header, 2);  // format version
+  common::AppendU32(&header, 8);  // pattern dim
+  common::AppendU64(&header, 2);  // users
+  writer.AddFrame(header);
+  writer.AddFrame(frame);
+  writer.AddFrame(frame);
+  ASSERT_TRUE(writer.Commit(path));
+
+  SessionStore recovered{SessionStoreConfig{}};
+  SnapshotStats rs;
+  const common::IoResult r = recovered.Restore(path, &rs);
+  EXPECT_FALSE(r);
+  EXPECT_NE(r.error.find("duplicate user 0"), std::string::npos) << r.error;
+  EXPECT_EQ(rs.users, 1u);
+  EXPECT_EQ(recovered.PatternCount(0), 3u);
+  std::remove(path.c_str());
+}
+
+/// Version 1 framed each user in an f32 wire that no longer exists; such a
+/// file fails at its header and imports nothing.
+TEST_F(SnapshotChaosTest, VersionOneSnapshotIsRejectedAtItsHeader) {
+  const std::string path = TempPath("adamove_snap_v1.bin");
+  SessionStore store{SessionStoreConfig{}};
+  Populate(store, 3, 4);
+  ASSERT_TRUE(store.Snapshot(path));
+  common::FramedRead framed;
+  ASSERT_TRUE(common::ReadFramedFile(path, kSnapshotMagic, &framed));
+  common::WireReader header(framed.frames[0]);
+  uint32_t version = 0;
+  uint32_t dim = 0;
+  uint64_t users = 0;
+  ASSERT_TRUE(header.ReadU32(&version) && header.ReadU32(&dim) &&
+              header.ReadU64(&users));
+  EXPECT_EQ(version, 2u);
+  common::FramedFileWriter writer(kSnapshotMagic);
+  std::string v1;
+  common::AppendU32(&v1, 1);
+  common::AppendU32(&v1, dim);
+  common::AppendU64(&v1, users);
+  writer.AddFrame(v1);
+  for (size_t f = 1; f < framed.frames.size(); ++f) {
+    writer.AddFrame(framed.frames[f]);
+  }
+  ASSERT_TRUE(writer.Commit(path));
+
+  SessionStore recovered{SessionStoreConfig{}};
+  SnapshotStats rs;
+  const common::IoResult r = recovered.Restore(path, &rs);
+  EXPECT_FALSE(r);
+  EXPECT_NE(r.error.find("unsupported snapshot version 1"), std::string::npos)
+      << r.error;
+  EXPECT_EQ(rs.users, 0u);
+  EXPECT_EQ(recovered.UserCount(), 0u);
   std::remove(path.c_str());
 }
 

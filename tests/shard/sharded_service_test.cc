@@ -12,12 +12,10 @@
 #include <thread>
 #include <vector>
 
-#include "common/durable_io.h"
 #include "common/qfloat.h"
 #include "common/rng.h"
 #include "core/lightmob.h"
 #include "serve/session_store.h"
-#include "shard/compact_state.h"
 #include "shard/compact_store.h"
 #include "tests/serve/predict_only.h"
 
@@ -256,41 +254,6 @@ TEST(TwoTierStoreTest, HeterogeneousPatternDimsSurviveDehydration) {
   }
 }
 
-TEST(CompactStoreTest, LoadRejectsDuplicateUserFrames) {
-  const std::string path = TempPath("adamove_compact_store_dup");
-  common::Rng rng(11);
-  core::OnlineAdapter::UserSnapshot snap;
-  snap.user = 5;
-  std::vector<core::OnlineAdapter::Entry> entries;
-  core::OnlineAdapter::Entry entry;
-  entry.pattern = RandomQ8Pattern(rng, 8);
-  entry.timestamp = 1000;
-  entries.push_back(std::move(entry));
-  snap.locations.emplace_back(2, std::move(entries));
-  std::string blob;
-  EncodeCompactUser(snap, &blob);
-
-  // Hand-built file whose declared count matches the frame count, but the
-  // same user appears twice: Save never writes that, so Load must treat it
-  // as corruption rather than silently loading fewer users than reported.
-  common::FramedFileWriter writer(kCompactStoreMagic);
-  std::string header;
-  common::AppendU32(&header, 1);
-  common::AppendU64(&header, 2);
-  writer.AddFrame(header);
-  writer.AddFrame(blob);
-  writer.AddFrame(blob);
-  ASSERT_TRUE(static_cast<bool>(writer.Commit(path)));
-
-  CompactStore store;
-  serve::SnapshotStats stats;
-  const common::IoResult result = store.Load(path, &stats);
-  EXPECT_FALSE(static_cast<bool>(result));
-  EXPECT_NE(result.error.find("duplicate user"), std::string::npos)
-      << result.error;
-  std::remove(path.c_str());
-}
-
 // ---- the sharded service ---------------------------------------------------
 
 TEST(ShardedServiceTest, ServesAcrossGroupsAndBalancesTheLedger) {
@@ -509,9 +472,11 @@ TEST(ShardedServiceTest, SnapshotRestoreRoundTripsAcrossProcessBoundary) {
   ShardedService empty(model, SmallShardedConfig(2));
   EXPECT_FALSE(empty.Restore(TempPath("adamove_sharded_snap_nonexistent")));
 
+  // One file per group, covering both of its tiers.
   for (int s = 0; s < 2; ++s) {
-    std::remove((prefix + ".shard" + std::to_string(s) + ".hot").c_str());
-    std::remove((prefix + ".shard" + std::to_string(s) + ".cold").c_str());
+    const std::string path = prefix + ".shard" + std::to_string(s);
+    EXPECT_TRUE(std::filesystem::exists(path)) << path;
+    std::remove(path.c_str());
   }
   restored.Shutdown();
   empty.Shutdown();

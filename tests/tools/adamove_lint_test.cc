@@ -224,11 +224,14 @@ TEST(RuleTest, QfloatQuantizeScope) {
                   "qfloat-quantize"));
   EXPECT_TRUE(Hit(RulesHit("src/shard/compact_store.cc", encode),
                   "qfloat-quantize"));
-  // ...while the codec's home, the ingest site and the compact codec may
+  // (nothing under src/shard/ is exempt)
+  EXPECT_TRUE(Hit(RulesHit("src/shard/sharded_service.cc", encode),
+                  "qfloat-quantize"));
+  // ...while the codec's home, the ingest site and the user wire codec may
   // quantize, and decoding is free everywhere.
   EXPECT_TRUE(RulesHit("src/common/qfloat.h", canon).empty());
   EXPECT_TRUE(RulesHit("src/core/online_adapter.cc", encode).empty());
-  EXPECT_TRUE(RulesHit("src/shard/compact_state.cc", encode).empty());
+  EXPECT_TRUE(RulesHit("src/core/user_codec.cc", encode).empty());
   EXPECT_TRUE(RulesHit("src/serve/session_store.cc",
                        "common::QfloatDecode(block, &out);\n")
                   .empty());

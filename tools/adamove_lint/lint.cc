@@ -71,7 +71,7 @@ bool X86Scope(const std::string& p) {
 
 bool QfloatScope(const std::string& p) {
   return InSrc(p) && p != "src/common/qfloat.h" &&
-         p != "src/core/online_adapter.cc" && p != "src/shard/compact_state.cc";
+         p != "src/core/online_adapter.cc" && p != "src/core/user_codec.cc";
 }
 
 bool RawStepScope(const std::string& p) { return p == "src/nn/rnn_infer.cc"; }
@@ -110,7 +110,7 @@ const std::vector<Rule>& Rules() {
       {"qfloat-quantize", std::regex("\\bQfloat(Encode|Canonicalize)\\b"),
        &QfloatScope,
        "pattern quantization outside core/online_adapter.cc and "
-       "shard/compact_state.cc — the knowledge base quantizes each pattern "
+       "core/user_codec.cc — the knowledge base quantizes each pattern "
        "once, at ingest, and holds it q8 through every tier; a second "
        "quantization site would fork that one representation (DESIGN.md "
        "§4.3)"},
