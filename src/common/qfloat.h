@@ -50,24 +50,24 @@ inline bool QfloatEncodable(const float* x, size_t n) {
   return true;
 }
 
-/// Encodes `x` into (e, q). Pre-condition: QfloatEncodable(x, n).
-inline void QfloatEncode(const float* x, size_t n, QfloatBlock* out) {
+/// Encodes the `n` floats at `x` into the `n` int8 at `q` and returns the
+/// shared exponent e — the one quantizer; every other encode form forwards
+/// here. Pre-condition: QfloatEncodable(x, n).
+inline int QfloatEncodeInto(const float* x, size_t n, int8_t* q) {
   float m = 0.0f;
   for (size_t i = 0; i < n; ++i) m = std::max(m, std::fabs(x[i]));
-  out->q.resize(n);
   if (m == 0.0f) {
-    out->exponent = 0;
-    for (size_t i = 0; i < n; ++i) out->q[i] = 0;
-    return;
+    for (size_t i = 0; i < n; ++i) q[i] = 0;
+    return 0;
   }
   // m = frac * 2^k with frac in [0.5, 1), so m / 2^(k-7) lies in [64, 128).
   int k = 0;
   std::frexp(m, &k);
-  out->exponent = k - 7;
+  const int exponent = k - 7;
   // Double precision: for subnormal inputs -exponent can exceed float's
   // range (2^155 overflows a float but not a double), and scaling by a
   // power of two stays exact in double for every float input.
-  const double inv_scale = std::ldexp(1.0, -out->exponent);
+  const double inv_scale = std::ldexp(1.0, -exponent);
   for (size_t i = 0; i < n; ++i) {
     // Multiplication by a power of two is exact; only the rounding to
     // integer loses information (once — see idempotence note above). The
@@ -75,17 +75,28 @@ inline void QfloatEncode(const float* x, size_t n, QfloatBlock* out) {
     long v = std::lround(static_cast<double>(x[i]) * inv_scale);
     if (v > 127) v = 127;
     if (v < -127) v = -127;
-    out->q[i] = static_cast<int8_t>(v);
+    q[i] = static_cast<int8_t>(v);
   }
+  return exponent;
 }
 
-/// Decodes (e, q) into `out`, which must hold block.q.size() floats; exact
-/// (see header comment).
+/// Encodes `x` into (e, q). Pre-condition: QfloatEncodable(x, n).
+inline void QfloatEncode(const float* x, size_t n, QfloatBlock* out) {
+  out->q.resize(n);
+  out->exponent = QfloatEncodeInto(x, n, out->q.data());
+}
+
+/// Decodes the `n` int8 at `q` with exponent `exponent` into the `n` floats
+/// at `out`; exact (see header comment).
+inline void QfloatDecodeInto(const int8_t* q, size_t n, int exponent,
+                             float* out) {
+  const float scale = std::ldexp(1.0f, exponent);
+  for (size_t i = 0; i < n; ++i) out[i] = static_cast<float>(q[i]) * scale;
+}
+
+/// Decodes (e, q) into `out`, which must hold block.q.size() floats.
 inline void QfloatDecodeInto(const QfloatBlock& block, float* out) {
-  const float scale = std::ldexp(1.0f, block.exponent);
-  for (size_t i = 0; i < block.q.size(); ++i) {
-    out[i] = static_cast<float>(block.q[i]) * scale;
-  }
+  QfloatDecodeInto(block.q.data(), block.q.size(), block.exponent, out);
 }
 
 /// Decodes (e, q) back to floats; exact (see header comment).
@@ -94,32 +105,40 @@ inline void QfloatDecode(const QfloatBlock& block, std::vector<float>* out) {
   QfloatDecodeInto(block, out->data());
 }
 
-/// Cosine similarity, in double, of `x` (block.q.size() floats whose
-/// Euclidean norm, accumulated in double in ascending order, is `x_norm`)
-/// and QfloatDecode(block), computed without decoding and bit-identical to
-/// computing it over the decoded floats the same way. A decoded element is
-/// exactly q_i * 2^e, and while no partial result leaves double's normal
-/// range, rounding commutes with scaling by a power of two: the dot product
-/// is 2^e times the dot with the int8 values, and the block's norm is 2^e
-/// times sqrt(sum of q_i^2). Below e = -149 the float scale QfloatDecode
-/// multiplies by underflows to zero, so the decoded block is all zeros and
-/// its cosine 0, as is every cosine whose denominator is at most 1e-12.
-inline float QfloatCosine(const float* x, double x_norm,
-                          const QfloatBlock& block) {
-  if (block.exponent < -149) return 0.0f;
+/// Cosine similarity, in double, of `x` (`n` floats whose Euclidean norm,
+/// accumulated in double in ascending order, is `x_norm`) and the block of
+/// `n` int8 at `q` with exponent `exponent`, computed without decoding and
+/// bit-identical to computing it over the decoded floats the same way. A
+/// decoded element is exactly q_i * 2^e, and while no partial result leaves
+/// double's normal range, rounding commutes with scaling by a power of two:
+/// the dot product is 2^e times the dot with the int8 values, and the
+/// block's norm is 2^e times sqrt(sum of q_i^2). Below e = -149 the float
+/// scale QfloatDecodeInto multiplies by underflows to zero, so the decoded
+/// block is all zeros and its cosine 0, as is every cosine whose denominator
+/// is at most 1e-12.
+inline float QfloatCosine(const float* x, double x_norm, const int8_t* q,
+                          size_t n, int exponent) {
+  if (exponent < -149) return 0.0f;
   double dot = 0;
   int64_t q_squares = 0;
-  for (size_t i = 0; i < block.q.size(); ++i) {
-    const int q = block.q[i];
-    dot += static_cast<double>(x[i]) * q;
-    q_squares += q * q;
+  for (size_t i = 0; i < n; ++i) {
+    const int v = q[i];
+    dot += static_cast<double>(x[i]) * v;
+    q_squares += v * v;
   }
   const double denom =
-      x_norm * std::ldexp(std::sqrt(static_cast<double>(q_squares)),
-                          block.exponent);
+      x_norm *
+      std::ldexp(std::sqrt(static_cast<double>(q_squares)), exponent);
   return denom > 1e-12
-             ? static_cast<float>(std::ldexp(dot, block.exponent) / denom)
+             ? static_cast<float>(std::ldexp(dot, exponent) / denom)
              : 0.0f;
+}
+
+/// QfloatCosine against a whole block (x holds block.q.size() floats).
+inline float QfloatCosine(const float* x, double x_norm,
+                          const QfloatBlock& block) {
+  return QfloatCosine(x, x_norm, block.q.data(), block.q.size(),
+                      block.exponent);
 }
 
 /// Projects `x` onto the codec's image in place: x -> Decode(Encode(x)) —

@@ -149,8 +149,6 @@ std::vector<std::vector<float>> SessionStore::BatchObserveAndPredictEncoded(
   // request i's prediction must not see request i+1's ingestion).
   common::AlignedBuffer<float> arena;
   std::vector<std::vector<core::OnlineAdapter::RebuildJob>> jobs(n);
-  // Ranking scratch shared across the whole batch's collect calls.
-  std::vector<std::pair<float, const core::OnlineAdapter::Entry*>> fresh;
 
   for (size_t r = 0; r < n; ++r) {
     const data::Sample& sample = *requests[r].sample;
@@ -221,10 +219,8 @@ std::vector<std::vector<float>> SessionStore::BatchObserveAndPredictEncoded(
         for (int64_t k = FirstNewTransition(
                  sample, shard.adapter.Watermark(sample.user));
              k + 1 < t; ++k) {
-          const std::vector<float> pattern(reps.data + k * hidden,
-                                           reps.data + (k + 1) * hidden);
           coalesced += shard.adapter.ObserveDeferred(
-              sample.user, pattern,
+              sample.user, reps.data + k * hidden, static_cast<size_t>(hidden),
               sample.recent[static_cast<size_t>(k + 1)].location,
               sample.recent[static_cast<size_t>(k + 1)].timestamp);
         }
@@ -236,7 +232,8 @@ std::vector<std::vector<float>> SessionStore::BatchObserveAndPredictEncoded(
         }
         if (statuses != nullptr) (*statuses)[r] = AdaptStatus::kStaleAdapt;
       }
-      // Predict from the last cached rebuild — no ranking, one block copy.
+      // Predict from the last cached rebuild — no ranking, one dequantizing
+      // pass over the cached q8 block.
       // An empty cache contributes zero jobs: the frozen scores stand,
       // through the same phase-2 sweep.
       shard.adapter.CollectCachedJobs(sample.user, &arena, &jobs[r]);
@@ -268,22 +265,23 @@ std::vector<std::vector<float>> SessionStore::BatchObserveAndPredictEncoded(
       for (int64_t k = FirstNewTransition(
                sample, shard.adapter.Watermark(sample.user));
            k + 1 < t; ++k) {
-        const std::vector<float> pattern(reps.data + k * hidden,
-                                         reps.data + (k + 1) * hidden);
         shard.adapter.Observe(
-            sample.user, pattern,
+            sample.user, reps.data + k * hidden, static_cast<size_t>(hidden),
             sample.recent[static_cast<size_t>(k + 1)].location,
             sample.recent[static_cast<size_t>(k + 1)].timestamp);
       }
     }
-    shard.adapter.CollectRebuildJobs(sample.user, reps.query(), hidden,
-                                     sample.target.timestamp, &arena,
-                                     &jobs[r], &fresh);
     // In an elastic service the fresh rebuild doubles as the user's stale
-    // cache for later deferred predicts. Pure kInline skips this entirely,
-    // so the legacy path keeps its exact memory behaviour.
-    if (options.mode != AdaptExecMode::kInline) {
-      shard.adapter.StoreRebuildCache(sample.user, jobs[r], arena);
+    // cache for later deferred predicts. Pure kInline keeps no cache, so the
+    // legacy path keeps its exact memory behaviour.
+    if (options.mode == AdaptExecMode::kInline) {
+      shard.adapter.CollectRebuildJobs(sample.user, reps.query(), hidden,
+                                       sample.target.timestamp, &arena,
+                                       &jobs[r]);
+    } else {
+      shard.adapter.CollectAndCacheRebuildJobs(sample.user, reps.query(),
+                                               hidden, sample.target.timestamp,
+                                               &arena, &jobs[r]);
     }
   }
 

@@ -427,14 +427,17 @@ TEST(CompactStateTest, CompactBlobIsSmallerThanResident) {
   OnlineAdapter::UserSnapshot snap = CanonicalSnapshot(1, 8, 16, dim, 3);
   std::string compact;
   OnlineAdapter::EncodeUser(snap, &compact);
-  // The blob is smaller than the resident hot tier. Both hold the same
-  // int8 payload, so what the blob saves is the hot tier's per-pattern
-  // Entry (vector header, exponent, timestamp) and per-location
-  // containers: ~1.6x at dim 64.
+  // Both tiers hold the same int8 payload. Per pattern the blob adds a mode
+  // byte, the exponent and a timestamp delta, plus per-location framing: at
+  // most 72 B per dim-64 pattern here (68.3 measured; the 1.5x
+  // resident/compact ratio this bound replaced allowed 72.9 at this shape).
+  const size_t patterns = 8 * 16;
+  EXPECT_LE(compact.size(), 72 * patterns);
+  // The hot tier pays a 24-byte slab record per pattern instead, so the
+  // blob stays the smaller form (~1.31x).
   core::OnlineAdapter adapter{core::PttaConfig{}};
   adapter.Adopt(std::move(snap));
-  EXPECT_GE(static_cast<double>(adapter.ResidentBytes(1)),
-            1.5 * static_cast<double>(compact.size()))
+  EXPECT_GT(adapter.ResidentBytes(1), compact.size())
       << "resident " << adapter.ResidentBytes(1) << " vs compact "
       << compact.size();
 }

@@ -227,6 +227,10 @@ TEST(RuleTest, QfloatQuantizeScope) {
   // (nothing under src/shard/ is exempt)
   EXPECT_TRUE(Hit(RulesHit("src/shard/sharded_service.cc", encode),
                   "qfloat-quantize"));
+  // The pointer-level quantizer is a quantization site too.
+  EXPECT_TRUE(Hit(RulesHit("src/serve/session_store.cc",
+                           "e = common::QfloatEncodeInto(x, n, q);\n"),
+                  "qfloat-quantize"));
   // ...while the codec's home, the ingest site and the user wire codec may
   // quantize, and decoding is free everywhere.
   EXPECT_TRUE(RulesHit("src/common/qfloat.h", canon).empty());
@@ -234,6 +238,10 @@ TEST(RuleTest, QfloatQuantizeScope) {
   EXPECT_TRUE(RulesHit("src/core/user_codec.cc", encode).empty());
   EXPECT_TRUE(RulesHit("src/serve/session_store.cc",
                        "common::QfloatDecode(block, &out);\n")
+                  .empty());
+  // So is the finiteness predicate, which quantizes nothing.
+  EXPECT_TRUE(RulesHit("src/serve/session_store.cc",
+                       "if (!common::QfloatEncodable(x, n)) return;\n")
                   .empty());
 }
 
