@@ -1,10 +1,11 @@
 // Raw-path inference microbenchmarks (DESIGN.md §14): the graph walk vs
 // the raw encoder path for the encoder forward, the extend-by-one encode
 // that resumes from a prefix state, the full request path (encode + adapted
-// predict) both ways, and the store's adapt stage for a window that
-// extends by one check-in. Every row carries the `allocs/op`
-// column from the common/alloc_probe interposition — the raw rows must
-// show 0, and main() enforces that as a hard gate before the timed runs:
+// predict) both ways, the store's adapt stage for a window that extends
+// by one check-in, and knowledge-base ingest for a heavy user. Every row
+// carries the `allocs/op` column from the common/alloc_probe interposition
+// — the raw rows must show 0, and main() enforces that as a hard gate
+// before the timed runs:
 // `bench_plan` exits non-zero if a warmed raw-path request allocates.
 //
 // Run with --bench_report to also write BENCH_plan.json (google-benchmark
@@ -287,6 +288,57 @@ void BM_StoreRequestExtendByOne(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StoreRequestExtendByOne)->Arg(8)->Arg(36)->Arg(64);
+
+// Knowledge-base ingest for one long-lived heavy user (DESIGN.md §4.3):
+// dim-64 Observe calls cycling over `patterns`/32 locations. Mode 0 times
+// filling the user from empty (every call lands in a location that is not
+// full yet, so the slab grows; one iteration is the whole fill, one item
+// per Observe); mode 1 times Observe on the filled user, where each call
+// replaces the oldest pattern of a full location. `resident_bytes` is the
+// user's ResidentBytes once filled. Args({patterns, mode}).
+void BM_AdapterObserveAtPatterns(benchmark::State& state) {
+  const auto patterns = static_cast<size_t>(state.range(0));
+  const bool full = state.range(1) == 1;
+  const auto locations = static_cast<int64_t>(patterns / 32);
+  constexpr size_t kHidden = 64;
+  common::Rng rng(31);
+  std::vector<std::vector<float>> rows(1024, std::vector<float>(kHidden));
+  for (auto& row : rows) {
+    for (float& x : row) x = static_cast<float>(rng.Uniform() * 2.0 - 1.0);
+  }
+  core::OnlineAdapter adapter{core::PttaConfig{}};
+  int64_t t = 1333238400;
+  size_t next = 0;
+  const auto observe = [&] {
+    adapter.Observe(3, rows[next % rows.size()],
+                    static_cast<int64_t>(next) % locations, t++);
+    ++next;
+  };
+  const auto fill = [&] {
+    adapter.Forget(3);
+    next = 0;
+    for (size_t i = 0; i < patterns; ++i) observe();
+  };
+  fill();
+  state.counters["resident_bytes"] =
+      static_cast<double>(adapter.ResidentBytes(3));
+  common::AllocProbeScope allocs;
+  for (auto _ : state) {
+    if (full) {
+      observe();
+    } else {
+      fill();
+    }
+  }
+  ReportAllocsPerOp(state, allocs);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(full ? 1 : patterns));
+}
+BENCHMARK(BM_AdapterObserveAtPatterns)
+    ->Args({1024, 0})
+    ->Args({1024, 1})
+    ->Args({10240, 0})
+    ->Args({10240, 1});
 
 // The hard gate behind the allocs/op column: a warmed raw-path request
 // must perform ZERO heap allocations. Returns false (and prints why) if it
