@@ -13,9 +13,12 @@
 // slice of users and verifies bit-identical state, so the number measured is
 // for a *lossless* representation, not a lossy one.
 //
-// Part 2 — serving: a shard::ShardedService sweep over shard-group counts,
-// closed-loop clients at max speed, reporting throughput and p99 end-to-end
-// latency per shard count.
+// Part 2 — serving: a shard::ShardedService sweep over shard-group counts at
+// a fixed total of 4 serving workers (1 group x 4 workers, 2 x 2, 4 x 1), so
+// a row differs from the next in how the workers are grouped, not in how
+// many there are. Closed-loop clients at max speed; each row runs
+// kSweepRepeats times, interleaved with the other rows, and reports the
+// median and quartiles of its throughput and end-to-end latency.
 //
 // Knobs (on top of the shared ADAMOVE_BENCH_* ones):
 //   ADAMOVE_BENCH_CAP_USERS    — resident users at full scale (default 1M)
@@ -26,10 +29,12 @@
 // Flags:
 //   --bench_report — write BENCH_capacity.json next to the binary.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -170,8 +175,13 @@ CapacityReport RunCapacity(size_t users, int patterns, int dim) {
   return rep;
 }
 
-struct SweepRow {
-  int shards = 0;
+/// Serving workers the sweep holds fixed, split evenly over the groups.
+constexpr int kSweepWorkers = 4;
+/// Runs per sweep row; the row reports their median and quartiles.
+constexpr int kSweepRepeats = 5;
+
+/// One closed-loop run of the sweep.
+struct SweepRun {
   double qps = 0;
   double p50_ms = 0;
   double p99_ms = 0;
@@ -179,15 +189,22 @@ struct SweepRow {
   uint64_t rss_bytes = 0;
 };
 
+/// One sweep row: its runs' spread.
+struct SweepRow {
+  int shards = 0;
+  bench::Spread qps, p50_ms, p99_ms;
+  uint64_t degraded = 0;   // summed over the runs
+  uint64_t rss_bytes = 0;  // largest over the runs
+};
+
 /// Closed-loop clients against the sharded service at max speed; e2e
 /// latency is Submit -> future resolution, merged across clients.
-SweepRow RunShardSweep(core::AdaptableModel& model,
+SweepRun RunShardSweep(core::AdaptableModel& model,
                        const std::vector<data::Sample>& stream, int shards,
                        int clients) {
   shard::ShardedServiceConfig config;
   config.num_shards = shards;
-  config.service.workers = 2;
-  config.service.max_batch = 8;
+  config.service.workers = kSweepWorkers / shards;
   config.store.max_resident_users = 4096;
   shard::ShardedService service(model, config);
 
@@ -215,17 +232,16 @@ SweepRow RunShardSweep(core::AdaptableModel& model,
   const double wall_s =
       static_cast<double>(bench::SteadyNowUs() - t0) / 1e6;
 
-  SweepRow row;
-  row.shards = shards;
-  row.qps = static_cast<double>(stream.size()) / wall_s;
-  row.p50_ms = e2e.QuantileUs(0.50) / 1000.0;
-  row.p99_ms = e2e.QuantileUs(0.99) / 1000.0;
+  SweepRun run;
+  run.qps = static_cast<double>(stream.size()) / wall_s;
+  run.p50_ms = e2e.QuantileUs(0.50) / 1000.0;
+  run.p99_ms = e2e.QuantileUs(0.99) / 1000.0;
   for (const auto& group : service.Stats()) {
-    row.degraded += group.service.degraded_requests + group.service.timeouts;
+    run.degraded += group.service.degraded_requests + group.service.timeouts;
   }
-  row.rss_bytes = bench::CurrentRssBytes();
+  run.rss_bytes = bench::CurrentRssBytes();
   service.Shutdown();
-  return row;
+  return run;
 }
 
 void WriteCapacityJson(const char* json_path, const CapacityReport& cap,
@@ -255,13 +271,19 @@ void WriteCapacityJson(const char* json_path, const CapacityReport& cap,
                cap.rehydrate_checked);
   std::fprintf(f, "  \"rehydrate_bit_identical\": %s,\n",
                cap.rehydrate_ok ? "true" : "false");
+  std::fprintf(f, "  \"shard_sweep_workers\": %d,\n", kSweepWorkers);
+  std::fprintf(f, "  \"shard_sweep_runs_per_row\": %d,\n", kSweepRepeats);
   std::fprintf(f, "  \"shard_sweep\": [\n");
   for (size_t i = 0; i < sweep.size(); ++i) {
     const SweepRow& r = sweep[i];
     std::fprintf(f,
-                 "    {\"shards\": %d, \"qps\": %.1f, \"p50_ms\": %.3f, "
-                 "\"p99_ms\": %.3f, \"degraded\": %llu, \"rss_mb\": %.1f}%s\n",
-                 r.shards, r.qps, r.p50_ms, r.p99_ms,
+                 "    {\"shards\": %d, \"workers_per_shard\": %d, "
+                 "\"qps\": %s, \"p50_ms\": %s, \"p99_ms\": %s, "
+                 "\"degraded\": %llu, \"rss_mb\": %.1f}%s\n",
+                 r.shards, kSweepWorkers / r.shards,
+                 bench::SpreadJson(r.qps, 1).c_str(),
+                 bench::SpreadJson(r.p50_ms, 3).c_str(),
+                 bench::SpreadJson(r.p99_ms, 3).c_str(),
                  static_cast<unsigned long long>(r.degraded),
                  static_cast<double>(r.rss_bytes) / (1024.0 * 1024.0),
                  i + 1 < sweep.size() ? "," : "");
@@ -324,7 +346,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::printf("\npart 2: serving p99 per shard-group count\n");
+  std::printf("\npart 2: serving per shard-group count, %d workers in all, "
+              "%d runs per row\n",
+              kSweepWorkers, kSweepRepeats);
   bench::PreparedDataset prepared =
       bench::Prepare(data::NycLikePreset(), env);
   core::ModelConfig mc = bench::MakeModelConfig(prepared, env);
@@ -339,20 +363,46 @@ int main(int argc, char** argv) {
   const std::vector<data::Sample> stream =
       serve::BuildReplayStream(prepared.dataset.test, requests);
 
-  common::TablePrinter stable(
-      {"shards", "qps", "e2e p50 ms", "e2e p99 ms", "degraded", "rss MB"});
+  // Rows interleave run by run, so drift on the host spreads over all rows.
+  const int shard_counts[] = {1, 2, 4};
+  std::vector<std::vector<SweepRun>> runs(std::size(shard_counts));
+  for (int r = 0; r < kSweepRepeats; ++r) {
+    for (size_t i = 0; i < std::size(shard_counts); ++i) {
+      runs[i].push_back(
+          RunShardSweep(model, stream, shard_counts[i], clients));
+    }
+  }
+  common::TablePrinter stable({"shards", "workers/shard", "qps median",
+                               "qps q1-q3", "e2e p50 ms", "e2e p99 ms",
+                               "p99 q1-q3", "degraded", "rss MB"});
   std::vector<SweepRow> sweep;
-  for (int shards : {1, 2, 4}) {
-    SweepRow row = RunShardSweep(model, stream, shards, clients);
-    stable.AddRow({std::to_string(row.shards),
-                   common::TablePrinter::Fmt(row.qps, 1),
-                   common::TablePrinter::Fmt(row.p50_ms, 3),
-                   common::TablePrinter::Fmt(row.p99_ms, 3),
-                   std::to_string(row.degraded),
-                   common::TablePrinter::Fmt(
-                       static_cast<double>(row.rss_bytes) /
-                           (1024.0 * 1024.0),
-                       1)});
+  for (size_t i = 0; i < std::size(shard_counts); ++i) {
+    SweepRow row;
+    row.shards = shard_counts[i];
+    std::vector<double> qps, p50, p99;
+    for (const SweepRun& run : runs[i]) {
+      qps.push_back(run.qps);
+      p50.push_back(run.p50_ms);
+      p99.push_back(run.p99_ms);
+      row.degraded += run.degraded;
+      row.rss_bytes = std::max(row.rss_bytes, run.rss_bytes);
+    }
+    row.qps = bench::SpreadOf(qps);
+    row.p50_ms = bench::SpreadOf(p50);
+    row.p99_ms = bench::SpreadOf(p99);
+    stable.AddRow(
+        {std::to_string(row.shards),
+         std::to_string(kSweepWorkers / row.shards),
+         common::TablePrinter::Fmt(row.qps.median, 1),
+         common::TablePrinter::Fmt(row.qps.q1, 1) + "-" +
+             common::TablePrinter::Fmt(row.qps.q3, 1),
+         common::TablePrinter::Fmt(row.p50_ms.median, 3),
+         common::TablePrinter::Fmt(row.p99_ms.median, 3),
+         common::TablePrinter::Fmt(row.p99_ms.q1, 3) + "-" +
+             common::TablePrinter::Fmt(row.p99_ms.q3, 3),
+         std::to_string(row.degraded),
+         common::TablePrinter::Fmt(
+             static_cast<double>(row.rss_bytes) / (1024.0 * 1024.0), 1)});
     sweep.push_back(row);
   }
   stable.Print();

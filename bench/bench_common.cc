@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -133,6 +134,31 @@ uint64_t CurrentRssBytes() {
   if (matched != 2) return 0;
   return static_cast<uint64_t>(resident_pages) *
          static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
+}
+
+Spread SpreadOf(std::vector<double> values) {
+  Spread spread;
+  if (values.empty()) return spread;
+  std::sort(values.begin(), values.end());
+  const auto at = [&](double q) {
+    const double pos = q * static_cast<double>(values.size() - 1);
+    const auto lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, values.size() - 1);
+    return values[lo] + (pos - static_cast<double>(lo)) *
+                            (values[hi] - values[lo]);
+  };
+  spread.q1 = at(0.25);
+  spread.median = at(0.5);
+  spread.q3 = at(0.75);
+  return spread;
+}
+
+std::string SpreadJson(const Spread& spread, int digits) {
+  char buf[128];
+  std::snprintf(buf, sizeof(buf),
+                "{\"median\": %.*f, \"q1\": %.*f, \"q3\": %.*f}", digits,
+                spread.median, digits, spread.q1, digits, spread.q3);
+  return buf;
 }
 
 }  // namespace adamove::bench

@@ -87,6 +87,20 @@ int64_t SteadyNowUs();
 /// (BENCH_serving.json / BENCH_capacity.json).
 uint64_t CurrentRssBytes();
 
+/// Median and quartiles (linear interpolation between order statistics)
+/// of one row's repeated runs: a closed-loop row swings more run to run
+/// than the changes it is read for, so the serving benches repeat each row
+/// and report this spread instead of one run.
+struct Spread {
+  double q1 = 0;
+  double median = 0;
+  double q3 = 0;
+};
+Spread SpreadOf(std::vector<double> values);
+/// `{"median": m, "q1": a, "q3": b}` with `digits` decimals, for the
+/// benches' JSON reports.
+std::string SpreadJson(const Spread& spread, int digits);
+
 }  // namespace adamove::bench
 
 #endif  // ADAMOVE_BENCH_BENCH_COMMON_H_

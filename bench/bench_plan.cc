@@ -230,11 +230,12 @@ BENCHMARK(BM_PredictRequest)
     ->Args({32, kPlan});
 
 // The serving adapt stage for one warmed key (DESIGN.md §4.3): one
-// SessionStore::BatchObserveAndPredictEncoded call whose window is the
-// key's previous window extended by one check-in, sliding once it holds
-// `len` points — the request shape of the serving stream. Prefix rows are
-// fixed random patterns (the store never looks inside them), so the row
-// times only KB ingest, rebuild collect and the scoring sweep. The key is
+// SessionStore::ObserveAndPredictInto call, through one reused scratch,
+// whose window is the key's previous window extended by one check-in,
+// sliding once it holds `len` points — the request shape of the serving
+// stream. Prefix rows are fixed random patterns (the store never looks
+// inside them), so the row times only KB ingest, rebuild collect and the
+// scoring. The key is
 // warmed with 1,000 requests first; `resident_bytes` is its
 // ResidentBytes after the warm-up. Args({len}).
 void BM_StoreRequestExtendByOne(benchmark::State& state) {
@@ -260,9 +261,9 @@ void BM_StoreRequestExtendByOne(benchmark::State& state) {
                                         data::kSecondsPerHour};
   };
   serve::SessionStore store{serve::SessionStoreConfig{}};
+  serve::SessionStore::RequestScratch scratch;
   data::Sample sample;
   sample.user = 3;
-  std::vector<serve::SessionStore::BatchRequest> batch(1);
   size_t next = 1;  // the window ends at point next-1
   const auto request = [&] {
     const size_t first = next > length ? next - length : 0;
@@ -271,11 +272,14 @@ void BM_StoreRequestExtendByOne(benchmark::State& state) {
       sample.recent[j - first] = point_at(j);
     }
     sample.target = point_at(next);
-    batch[0] = {&sample, serve::SessionStore::RepsView(
-                             rows.data() + (first % kStreamPoints) * kHidden,
-                             static_cast<int64_t>(next - first), kHidden)};
+    const serve::SessionStore::RepsView reps(
+        rows.data() + (first % kStreamPoints) * kHidden,
+        static_cast<int64_t>(next - first), kHidden);
     ++next;
-    return store.BatchObserveAndPredictEncoded(model, batch);
+    store.ObserveAndPredictInto(model, sample, reps,
+                                serve::AdaptExecMode::kInline, &scratch,
+                                nullptr, nullptr);
+    return scratch.scores.data();
   };
   for (size_t i = 0; i < kWarmRequests; ++i) request();
   state.counters["resident_bytes"] =

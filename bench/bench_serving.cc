@@ -1,13 +1,15 @@
 // Serving load test: replays the synthetic test split's check-ins against
 // serve::PredictionService with a closed-loop load generator and reports
 // throughput plus per-stage tail latency. The scaling claim under test:
-// micro-batched workers over the mutex-striped SessionStore give near-linear
-// QPS in worker count, because encoder forwards are read-only and PTTA state
-// is sharded per user.
+// workers that each serve one request per take over the mutex-striped
+// SessionStore give near-linear QPS in worker count, because encoder
+// forwards are read-only and PTTA state is sharded per user. Each row (1, 2
+// and 4 workers) runs kRepeats times, interleaved with the other rows, and
+// reports the median and quartiles of its runs.
 //
 // Extra knobs (on top of the shared ADAMOVE_BENCH_* ones):
 //   ADAMOVE_BENCH_SERVE_REQUESTS — replayed requests per run (default 2000)
-//   ADAMOVE_BENCH_SERVE_CLIENTS  — closed-loop client threads (default 8)
+//   ADAMOVE_BENCH_SERVE_CLIENTS  — closed-loop client threads (default 32)
 //   ADAMOVE_BENCH_SERVE_QPS      — offered QPS, 0 = max speed (default 0)
 //   ADAMOVE_BENCH_SERVE_CAP      — SessionStore resident-user cap (default 0)
 //
@@ -37,6 +39,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -56,9 +59,11 @@ using namespace adamove;
 
 namespace {
 
+/// Closed-loop runs per table row.
+constexpr int kRepeats = 5;
+
 struct RunReport {
   int workers = 0;
-  int max_batch = 0;
   double qps = 0;
   serve::LoadGenResult load;
   serve::ServiceStats stats;
@@ -71,18 +76,15 @@ struct RunReport {
 
 RunReport RunOnce(core::AdaptableModel& model,
                   const std::vector<data::Sample>& stream, int workers,
-                  int max_batch, const serve::LoadGenConfig& lg,
-                  size_t resident_cap) {
+                  const serve::LoadGenConfig& lg, size_t resident_cap) {
   serve::SessionStoreConfig sc;
   sc.max_resident_users = resident_cap;
   serve::SessionStore store(sc);
   serve::ServiceConfig svc;
   svc.workers = workers;
-  svc.max_batch = max_batch;
   serve::PredictionService service(model, store, svc);
   RunReport report;
   report.workers = workers;
-  report.max_batch = max_batch;
   report.load = serve::RunLoadGen(service, stream, lg);
   service.Shutdown();
   report.stats = service.Stats();
@@ -128,7 +130,6 @@ DurabilityReport RunDurability(core::AdaptableModel& model,
     serve::SessionStore store(sc);
     serve::ServiceConfig svc;
     svc.workers = 2;
-    svc.max_batch = 8;
     serve::PredictionService service(model, store, svc);
     std::atomic<bool> load_done{false};
     std::thread load([&] {
@@ -169,7 +170,6 @@ DurabilityReport RunDurability(core::AdaptableModel& model,
     serve::SessionStore store(sc);
     serve::ServiceConfig svc;
     svc.workers = 2;
-    svc.max_batch = 8;
     serve::PredictionService service(model, store, svc);
     const int64_t t0 = bench::SteadyNowUs();
     service.WarmStartAsync(path);
@@ -199,10 +199,38 @@ DurabilityReport RunDurability(core::AdaptableModel& model,
   return rep;
 }
 
-/// The serving baseline artifact (BENCH_serving.json): one entry per
-/// worker/batch config with throughput, end-to-end tails, and process RSS.
-void WriteServingJson(const char* json_path, size_t requests,
-                      const std::vector<RunReport>& reports) {
+/// One table row: a worker count's kRepeats runs.
+struct RowReport {
+  int workers = 0;
+  bench::Spread qps, p50_ms, p95_ms, p99_ms;
+  uint64_t degraded = 0;   // summed over the runs
+  uint64_t rss_bytes = 0;  // largest over the runs
+};
+
+RowReport Summarize(const std::vector<RunReport>& runs) {
+  RowReport row;
+  row.workers = runs.front().workers;
+  std::vector<double> qps, p50, p95, p99;
+  for (const RunReport& r : runs) {
+    qps.push_back(r.qps);
+    p50.push_back(r.load.e2e_us.QuantileUs(0.50) / 1000.0);
+    p95.push_back(r.load.e2e_us.QuantileUs(0.95) / 1000.0);
+    p99.push_back(r.load.e2e_us.QuantileUs(0.99) / 1000.0);
+    row.degraded += r.stats.degraded_requests + r.stats.timeouts;
+    row.rss_bytes = std::max(row.rss_bytes, r.rss_bytes);
+  }
+  row.qps = bench::SpreadOf(qps);
+  row.p50_ms = bench::SpreadOf(p50);
+  row.p95_ms = bench::SpreadOf(p95);
+  row.p99_ms = bench::SpreadOf(p99);
+  return row;
+}
+
+/// The serving baseline artifact (BENCH_serving.json): one entry per worker
+/// count with the median and quartiles of its runs' throughput and
+/// end-to-end tails, plus process RSS.
+void WriteServingJson(const char* json_path, size_t requests, int clients,
+                      const std::vector<RowReport>& rows) {
   std::FILE* f = std::fopen(json_path, "w");  // NOLINT(durable-io): bench
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", json_path);
@@ -213,21 +241,22 @@ void WriteServingJson(const char* json_path, size_t requests,
   std::fprintf(f, "  \"kernel_backend\": \"%s\",\n",
                nn::kernels::BackendDescription().c_str());
   std::fprintf(f, "  \"requests\": %zu,\n", requests);
-  std::fprintf(f, "  \"runs\": [\n");
-  for (size_t i = 0; i < reports.size(); ++i) {
-    const RunReport& r = reports[i];
+  std::fprintf(f, "  \"clients\": %d,\n", clients);
+  std::fprintf(f, "  \"runs_per_row\": %d,\n", kRepeats);
+  std::fprintf(f, "  \"rows\": [\n");
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const RowReport& r = rows[i];
     std::fprintf(f,
-                 "    {\"workers\": %d, \"batch\": %d, \"qps\": %.1f, "
-                 "\"e2e_ms\": {\"p50\": %.3f, \"p95\": %.3f, \"p99\": %.3f}, "
-                 "\"degraded\": %llu, \"rss_mb\": %.1f}%s\n",
-                 r.workers, r.max_batch, r.qps,
-                 r.load.e2e_us.QuantileUs(0.50) / 1000.0,
-                 r.load.e2e_us.QuantileUs(0.95) / 1000.0,
-                 r.load.e2e_us.QuantileUs(0.99) / 1000.0,
-                 static_cast<unsigned long long>(r.stats.degraded_requests +
-                                                 r.stats.timeouts),
+                 "    {\"workers\": %d, \"qps\": %s, \"e2e_ms\": {\"p50\": %s, "
+                 "\"p95\": %s, \"p99\": %s}, \"degraded\": %llu, "
+                 "\"rss_mb\": %.1f}%s\n",
+                 r.workers, bench::SpreadJson(r.qps, 1).c_str(),
+                 bench::SpreadJson(r.p50_ms, 3).c_str(),
+                 bench::SpreadJson(r.p95_ms, 3).c_str(),
+                 bench::SpreadJson(r.p99_ms, 3).c_str(),
+                 static_cast<unsigned long long>(r.degraded),
                  static_cast<double>(r.rss_bytes) / (1024.0 * 1024.0),
-                 i + 1 < reports.size() ? "," : "");
+                 i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -296,7 +325,6 @@ OverloadRun RunOverloadOnce(core::AdaptableModel& model,
   serve::SessionStore store{serve::SessionStoreConfig{}};
   serve::ServiceConfig svc;
   svc.workers = 4;
-  svc.max_batch = 8;
   svc.queue_capacity = queue_capacity;
   svc.deadline_us = deadline_us;
   svc.adapt.mode =
@@ -438,15 +466,14 @@ OverloadGate RunOverloadPass(core::AdaptableModel& model,
   serve::LoadGenConfig closed;
   closed.clients = 16;
   closed.max_requests = requests;
-  const RunReport saturation = RunOnce(model, stream, 4, 8, closed, 0);
+  const RunReport saturation = RunOnce(model, stream, 4, closed, 0);
   const double saturation_qps = std::max(saturation.qps, 1.0);
 
   // Phase B: the unloaded latency baseline — the same inline service paced
-  // far below saturation, so p99 is pure service time. It and both burst
-  // postures run the default work-conserving batching policy.
+  // far below saturation, so p99 is pure service time.
   serve::LoadGenConfig paced = closed;
   paced.target_qps = std::max(saturation_qps * 0.3, 10.0);
-  const RunReport unloaded = RunOnce(model, stream, 4, 8, paced, 0);
+  const RunReport unloaded = RunOnce(model, stream, 4, paced, 0);
   const double unloaded_p99_us = unloaded.load.e2e_us.QuantileUs(0.99);
 
   // The burst deadline sits well past the gate's 10x-collapse bar, so an
@@ -627,9 +654,6 @@ int main(int argc, char** argv) {
   }
 
   serve::LoadGenConfig lg;
-  // Offered concurrency must exceed max_batch by the worker count,
-  // otherwise the whole closed-loop load fits into one worker's batch and
-  // extra workers starve (clients block on their single in-flight request).
   lg.clients = common::EnvInt("ADAMOVE_BENCH_SERVE_CLIENTS", 32);
   lg.target_qps = common::EnvDouble("ADAMOVE_BENCH_SERVE_QPS", 0.0);
   lg.max_requests = requests;
@@ -637,55 +661,65 @@ int main(int argc, char** argv) {
       static_cast<size_t>(common::EnvInt("ADAMOVE_BENCH_SERVE_CAP", 0));
 
   std::printf("replay: %zu requests, %d closed-loop clients, offered "
-              "qps %s\n\n",
+              "qps %s, %d runs per row\n\n",
               requests, lg.clients,
               lg.target_qps > 0 ? std::to_string(lg.target_qps).c_str()
-                                : "max");
+                                : "max",
+              kRepeats);
 
+  // Rows interleave run by run, so drift on the host spreads over all rows.
+  const int worker_counts[] = {1, 2, 4};
+  std::vector<std::vector<RunReport>> runs(std::size(worker_counts));
+  for (int r = 0; r < kRepeats; ++r) {
+    for (size_t i = 0; i < std::size(worker_counts); ++i) {
+      runs[i].push_back(RunOnce(model, stream, worker_counts[i], lg, cap));
+    }
+  }
   common::TablePrinter table(
-      {"workers", "batch", "qps", "e2e p50 ms", "e2e p95 ms", "e2e p99 ms",
-       "queue p95 ms", "encode p95 ms", "adapt p95 ms", "mean batch",
+      {"workers", "qps median", "qps q1-q3", "e2e p50 ms", "e2e p95 ms",
+       "e2e p99 ms", "queue p95 ms", "encode p95 ms", "adapt p95 ms",
        "resident", "evicted", "degraded", "rss MB"});
-  struct Config {
-    int workers;
-    int max_batch;
-  };
-  const Config configs[] = {{1, 1}, {1, 8}, {2, 8}, {4, 8}};
-  double single_qps = 0, quad_qps = 0;
-  std::vector<RunReport> reports;
-  for (const Config& c : configs) {
-    RunReport r =
-        RunOnce(model, stream, c.workers, c.max_batch, lg, cap);
-    if (c.workers == 1 && c.max_batch == 8) single_qps = r.qps;
-    if (c.workers == 4) quad_qps = r.qps;
-    table.AddRow({std::to_string(c.workers), std::to_string(c.max_batch),
-                  common::TablePrinter::Fmt(r.qps, 1),
-                  Ms(r.load.e2e_us, 0.50), Ms(r.load.e2e_us, 0.95),
-                  Ms(r.load.e2e_us, 0.99), Ms(r.stats.queue_us, 0.95),
-                  Ms(r.stats.encode_us, 0.95), Ms(r.stats.adapt_us, 0.95),
-                  common::TablePrinter::Fmt(r.stats.MeanBatchSize(), 2),
-                  std::to_string(r.resident_users),
-                  std::to_string(r.evictions),
-                  std::to_string(r.stats.degraded_requests +
-                                 r.stats.timeouts),
-                  common::TablePrinter::Fmt(
-                      static_cast<double>(r.rss_bytes) / (1024.0 * 1024.0),
-                      1)});
-    reports.push_back(std::move(r));
+  std::vector<RowReport> rows;
+  for (const std::vector<RunReport>& row_runs : runs) {
+    RowReport row = Summarize(row_runs);
+    // The per-stage and residency columns come from the row's median run.
+    std::vector<const RunReport*> by_qps;
+    for (const RunReport& r : row_runs) by_qps.push_back(&r);
+    std::sort(by_qps.begin(), by_qps.end(),
+              [](const RunReport* a, const RunReport* b) {
+                return a->qps < b->qps;
+              });
+    const RunReport& mid = *by_qps[by_qps.size() / 2];
+    table.AddRow(
+        {std::to_string(row.workers),
+         common::TablePrinter::Fmt(row.qps.median, 1),
+         common::TablePrinter::Fmt(row.qps.q1, 1) + "-" +
+             common::TablePrinter::Fmt(row.qps.q3, 1),
+         common::TablePrinter::Fmt(row.p50_ms.median, 3),
+         common::TablePrinter::Fmt(row.p95_ms.median, 3),
+         common::TablePrinter::Fmt(row.p99_ms.median, 3),
+         Ms(mid.stats.queue_us, 0.95), Ms(mid.stats.encode_us, 0.95),
+         Ms(mid.stats.adapt_us, 0.95), std::to_string(mid.resident_users),
+         std::to_string(mid.evictions), std::to_string(row.degraded),
+         common::TablePrinter::Fmt(
+             static_cast<double>(row.rss_bytes) / (1024.0 * 1024.0), 1)});
+    rows.push_back(row);
   }
   table.Print();
 
-  if (report) WriteServingJson("BENCH_serving.json", requests, reports);
-  if (single_qps > 0) {
-    const unsigned cores = std::thread::hardware_concurrency();
-    std::printf("\n4-worker speedup over single worker: %.2fx "
-                "(target: >= 2x; %u core%s visible)\n",
-                quad_qps / single_qps, cores, cores == 1 ? "" : "s");
-    if (cores < 4) {
-      std::printf("note: the encode stage is CPU-bound, so the >= 2x "
-                  "target needs >= 4 cores — on this host extra workers "
-                  "can only timeslice.\n");
-    }
+  if (report) {
+    WriteServingJson("BENCH_serving.json", requests, lg.clients, rows);
+  }
+  const unsigned cores = std::thread::hardware_concurrency();
+  if (cores < 4) {
+    std::printf("\n4-worker speedup over 1 worker: not evaluable (%u core%s "
+                "visible; the encode stage is CPU-bound, so extra workers "
+                "can only timeslice below 4 cores)\n",
+                cores, cores == 1 ? "" : "s");
+  } else {
+    std::printf("\n4-worker speedup over 1 worker: %.2fx of median qps "
+                "(target: >= 2x; %u cores visible)\n",
+                rows.back().qps.median / rows.front().qps.median, cores);
   }
 
   if (snapshot_every_n > 0) {

@@ -1,9 +1,9 @@
 // Serving demo: the request path of a production deployment in miniature.
 // A LightMob model is trained once, then frozen behind a
-// serve::PredictionService — worker threads flush dynamic micro-batches of
-// check-in requests, each prediction adapts per-user via the sharded
-// serve::SessionStore (PTTA's knowledge base, LRU-bounded), and per-stage
-// latency lands in mergeable log-bucketed histograms.
+// serve::PredictionService — each worker thread takes one check-in request
+// at a time and serves it end to end, each prediction adapts per-user via
+// the sharded serve::SessionStore (PTTA's knowledge base, LRU-bounded), and
+// per-stage latency lands in mergeable log-bucketed histograms.
 //
 // Build: cmake --build build --target serving_demo
 
@@ -43,8 +43,8 @@ int main() {
   tc.max_train_samples_per_epoch = 2000;  // keep the demo snappy
   core::Trainer(tc).Train(model, dataset);
 
-  // Online service: 2 workers, micro-batches of up to 8 requests flushed
-  // after at most 1 ms, per-user adapter state capped at 512 residents.
+  // Online service: 2 workers, each serving one request per take, per-user
+  // adapter state capped at 512 residents.
   serve::SessionStoreConfig store_config;
   store_config.max_resident_users = 512;
   serve::SessionStore store(store_config);
@@ -67,11 +67,11 @@ int main() {
 
   const serve::ServiceStats stats = service.Stats();
   const core::Metrics m = accuracy.Result();
-  std::printf("\nonline Rec@1 %.3f  Rec@10 %.3f  (served=%llu, mean batch "
-              "%.2f, resident users=%zu, evictions=%llu)\n",
+  std::printf("\nonline Rec@1 %.3f  Rec@10 %.3f  (served=%llu, resident "
+              "users=%zu, evictions=%llu)\n",
               m.rec1, m.rec10,
               static_cast<unsigned long long>(stats.completed),
-              stats.MeanBatchSize(), store.UserCount(),
+              store.UserCount(),
               static_cast<unsigned long long>(store.EvictionCount()));
   std::printf("stage latency:\n  queue  %s\n  encode %s\n  adapt  %s\n",
               stats.queue_us.SummaryMs().c_str(),

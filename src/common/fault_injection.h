@@ -58,8 +58,8 @@ bool EvaluateSlow(const char* point);
 /// Catalogue of instrumented points (see DESIGN.md §9):
 ///   core.kb.ingest        OnlineAdapter::Observe — pattern dropped
 ///   core.kb.lookup        OnlineAdapter::Predict — frozen-only scores
-///   serve.session_lookup  SessionStore::BatchObserveAndPredictEncoded —
-///                         state unavailable, base-model fallback
+///   serve.session_lookup  SessionStore::ObserveAndPredictInto — state
+///                         unavailable, base-model fallback
 ///   core.state_hydrate    SessionStore cold-tier rehydration blocked —
 ///                         state unavailable, base-model fallback, neither
 ///                         tier mutated
@@ -67,8 +67,10 @@ bool EvaluateSlow(const char* point);
 ///                         to a fallback group frozen-only (kDegraded)
 ///   serve.ptta_generate   pattern generation skipped — stale-KB prediction
 ///   serve.encode_forward  encoder forward fails — bounded retry
-///   serve.batch_flush     whole batch degrades to the base model
-///   serve.adapt_schedule  elastic scheduler misfire — the batch is forced
+///   serve.batch_flush     probed once per request (the name predates one
+///                         request per take) — that request degrades to
+///                         the base model
+///   serve.adapt_schedule  elastic scheduler misfire — the request is forced
 ///                         into deferred adaptation regardless of pressure
 ///                         (probed only in AdaptMode::kElastic services)
 ///   io.snapshot_write     durable_io payload write fails — commit aborted,

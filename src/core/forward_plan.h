@@ -33,9 +33,9 @@ enum class ForwardMode : uint8_t { kGraph, kPlan };
 ForwardMode ForwardModeFromEnv();
 
 /// Mutable state for raw-path encodes, owned by one thread at a time (a
-/// serving worker keeps one per batch slot). Every buffer keeps its
-/// capacity, so once they have grown to the longest window seen, encoding
-/// performs zero heap allocations.
+/// serving worker keeps one). Every buffer keeps its capacity, so once they
+/// have grown to the longest window seen, encoding performs zero heap
+/// allocations.
 struct PlanScratch {
   common::AlignedBuffer<float> inputs;  // {rows, embedding dim} rows
   nn::RawScratch raw;                   // the encoder's step buffers

@@ -19,7 +19,7 @@ namespace {
 /// Frozen-classifier scores without bias, written into `scores` (resized to
 /// num_locations; zero-filled first because VecMatColsF64 accumulates):
 /// scores[l] = query · θ_l. Shared by every predict flavour — adapted,
-/// frozen, batched — so the fallback path is arithmetically identical to the
+/// frozen, collected — so the fallback path is arithmetically identical to the
 /// untouched-column path. VecMatColsF64 keeps the historical ascending-i
 /// double accumulation per column on every backend.
 void FrozenColumnScoresInto(const nn::Linear& classifier, const float* query,

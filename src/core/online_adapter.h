@@ -218,8 +218,8 @@ class OnlineAdapter {
     std::vector<float> scores;           // final scores
   };
 
-  /// Phase 1 of Predict, factored out so the serving layer can run it for a
-  /// whole micro-batch under the shard lock and defer the arithmetic: ranks
+  /// Phase 1 of Predict, factored out so the serving layer can run it under
+  /// the shard lock and defer the arithmetic past it: ranks
   /// each location's fresh-at-`query_time` candidates (at most
   /// kMaxCandidatesPerLocation, in FIFO order, ranked in a fixed stack array)
   /// by similarity to `query` (over their dequantized values), dequantizes
@@ -228,7 +228,7 @@ class OnlineAdapter {
   /// location to `jobs`, in ascending location order. Probes the
   /// core.kb.lookup fault point exactly as Predict does (on fault: appends
   /// nothing). Jobs record arena *offsets*, never pointers, so later appends
-  /// (other requests in the batch) and subsequent adapter mutation
+  /// (other requests sharing the arena) and subsequent adapter mutation
   /// (eviction, ingestion) cannot invalidate them. Returns the number of jobs
   /// appended. `query` must point at `hidden` floats — the serving path
   /// feeds it straight from a raw-encoded representation buffer. Allocates
@@ -278,7 +278,7 @@ class OnlineAdapter {
   /// query) overwritten, plus bias — exactly Predict's arithmetic,
   /// bit-identical to the historical per-location centroid loops. Static
   /// and read-only on the model + arena snapshot (no adapter state), so the
-  /// batched serving sweep runs it *outside* the shard lock, one contiguous
+  /// serving store runs it *outside* the shard lock, one contiguous
   /// vectorized pass per request. Writes into `scores` (resized once to
   /// num_locations; capacity reuse makes steady state alloc-free) and forces
   /// kernels serial inside the call (common::SerialKernelRegion —

@@ -13,7 +13,7 @@ namespace adamove::serve {
 /// How the service schedules per-user adaptation work (DESIGN.md §16).
 enum class AdaptMode : uint8_t {
   /// Every KB ingest and adjusted-column rebuild runs inline in the
-  /// request's batch, regardless of load (the default: bit-identical to the
+  /// request, regardless of load (the default: bit-identical to the
   /// pre-scheduler path).
   kInline,
   /// Pressure-driven: inline while the service is calm, deferred (buffered
@@ -33,9 +33,9 @@ inline constexpr double kEwmaAlpha = 0.3;
 /// buffered deltas is forced inline (drain + fresh rebuild) instead, so
 /// staleness depth is bounded by construction.
 inline constexpr size_t kMaxStaleDepth = 256;
-/// Dirty users an elastic worker drains in the background after each batch
+/// Dirty users an elastic worker drains in the background after each take
 /// while the gauge reads calm.
-inline constexpr size_t kDrainUsersPerBatch = 4;
+inline constexpr size_t kDrainUsersPerTake = 4;
 
 /// Adaptation scheduling of one service. The band, the staleness bound and
 /// the drain rate are the fixed constants above.
@@ -45,9 +45,9 @@ struct AdaptSchedulerConfig {
 
 /// The per-service load signal: a queue-pressure EWMA with hysteresis.
 ///
-/// Each batch formation reports two saturation ratios — queue depth over
-/// capacity, and the oldest queued request's wait over the request
-/// deadline — and the gauge folds max(both) into an EWMA. Crossing
+/// Each take reports two saturation ratios — the queue depth it saw over
+/// capacity, and the taken request's wait over the request deadline — and
+/// the gauge folds max(both) into an EWMA. Crossing
 /// kHighWatermark trips `deferred()`; it stays tripped until the EWMA falls
 /// back to kLowWatermark, so a load hovering at the boundary cannot flap
 /// the scheduler (the classic hysteresis band).
@@ -57,12 +57,11 @@ struct AdaptSchedulerConfig {
 /// the EWMA just folds their reports in arrival order).
 class PressureGauge {
  public:
-  /// Folds one batch-formation observation into the gauge.
-  /// `oldest_wait_us` is how long the oldest request of the batch queued;
-  /// `deadline_us` (> 0) is the per-request deadline, the wait that reads
-  /// as fully saturated.
-  void Update(size_t queue_depth, size_t queue_capacity,
-              double oldest_wait_us, double deadline_us);
+  /// Folds one take's observation into the gauge. `wait_us` is how long
+  /// the taken request queued; `deadline_us` (> 0) is the per-request
+  /// deadline, the wait that reads as fully saturated.
+  void Update(size_t queue_depth, size_t queue_capacity, double wait_us,
+              double deadline_us);
 
   /// Whether the scheduler is currently in deferred adaptation.
   bool deferred() const { return deferred_.load(std::memory_order_acquire); }

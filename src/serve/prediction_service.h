@@ -42,15 +42,14 @@ enum class RequestOutcome : uint8_t {
 };
 
 struct ServiceConfig {
-  /// Serving worker threads; each forms and executes whole micro-batches.
+  /// Serving worker threads; each takes one queued request at a time and
+  /// serves it end to end.
   int workers = 4;
-  /// Largest micro-batch a worker takes from the queue at once.
+  /// Ignored. A worker takes one request per take (DESIGN.md §4.5), which
+  /// is what a micro-batch cap and a batch-formation wait used to shape;
+  /// both fields remain only because the frozen benchmark revision assigns
+  /// them.
   int max_batch = 8;
-  /// Batch-formation wait. 0 (the default) serves on arrival: a free
-  /// worker takes up to max_batch of whatever is queued, so bursts still
-  /// form full batches. A positive value opts into the size-or-deadline
-  /// flush: hold the batch until max_batch requests are queued or the
-  /// oldest has waited this long.
   int64_t max_wait_us = 0;
   /// Bounded admission queue: at capacity Submit blocks and TrySubmit
   /// rejects.
@@ -94,6 +93,8 @@ struct ServiceStats {
   common::LatencyHistogram adapt_us;
   /// Requests delivered with valid scores (any non-shed outcome).
   uint64_t completed = 0;
+  /// Worker takes. A take is one request, so this equals `completed`; it
+  /// remains because the frozen benchmark revision reads it.
   uint64_t batches = 0;
   /// Delivered through a degradation path (RequestOutcome::kDegraded).
   uint64_t degraded_requests = 0;
@@ -139,31 +140,24 @@ struct ServiceStats {
   }
   /// Every request the service has accounted for, in any state.
   uint64_t accounted() const { return completed + shed_requests; }
-  double MeanBatchSize() const {
-    return batches == 0 ? 0.0
-                        : static_cast<double>(completed) /
-                              static_cast<double>(batches);
-  }
 };
 
-/// The online request path: a bounded queue feeding worker threads that
-/// each take up to max_batch queued requests as one micro-batch, on
-/// arrival unless ServiceConfig::max_wait_us opts into a flush window. A
-/// batch first encodes each request, resuming the encoder from the state
-/// the same user's previous request left (the prefix state, DESIGN.md §14:
-/// an extended window runs only its new points, an exact repeat none), then
-/// the PTTA adjustment for the whole batch goes through
-/// SessionStore::BatchObserveAndPredictEncoded: per-user knowledge-base
-/// updates still run in request order under their shard locks (per-user
-/// state semantics are preserved exactly), but the adjusted-column rebuilds
-/// are collected into one flat pattern arena and scored in a single
-/// lock-free vectorized sweep.
+/// The online request path: a bounded queue feeding worker threads. A
+/// worker takes one queued request as soon as it is free and serves it end
+/// to end, so a burst spreads over every idle worker instead of queueing
+/// behind one (DESIGN.md §4.5). It first encodes the request, resuming the
+/// encoder from the state the same user's previous request left (the prefix
+/// state, DESIGN.md §14: an extended window runs only its new points, an
+/// exact repeat none), then adapts it through
+/// SessionStore::ObserveAndPredictInto: the user's knowledge-base update
+/// and rebuild collect run under its shard lock, and the scoring runs after
+/// the lock is released, into the worker's scratch.
 ///
 /// Failure semantics (DESIGN.md §9): the service never crashes on an armed
 /// fault and never fabricates scores. Faults on the adapted path (session
-/// lookup, pattern generation, batch flush) degrade the affected requests
-/// to the base model's frozen logits; encoder faults are retried a bounded
-/// number of times before the local deterministic recompute; deadline
+/// lookup, pattern generation, the take's flush) degrade the affected
+/// request to the base model's frozen logits; encoder faults are retried a
+/// bounded number of times before the local deterministic recompute; deadline
 /// overruns skip adaptation and serve the fallback as kTimedOut; a full
 /// queue blocks Submit and rejects TrySubmit. Every request lands in
 /// exactly one RequestOutcome and ServiceStats balances: submitted =
@@ -176,8 +170,8 @@ struct ServiceStats {
 /// synchronization. All mutable state lives in the SessionStore shards.
 class PredictionService {
  public:
-  /// Checks `config` (positive workers, max_batch and queue_capacity; a
-  /// deadline when adapt.mode is kElastic) before any worker starts.
+  /// Checks `config` (positive workers and queue_capacity; a deadline when
+  /// adapt.mode is kElastic) before any worker starts.
   PredictionService(core::AdaptableModel& model, SessionStore& store,
                     const ServiceConfig& config);
 
@@ -284,18 +278,19 @@ class PredictionService {
     ServiceStats stats ADAMOVE_GUARDED_BY(mu);
   };
 
-  /// Per-worker encode scratch: one PlanScratch per batch slot, so a
-  /// worker's steady-state raw encodes reuse its capacity and allocate
-  /// nothing.
+  /// Per-worker scratch: the raw encode's buffers and the store call's, so
+  /// a warm worker's encode and adapt reuse their capacity.
   struct WorkerScratch {
-    std::vector<core::PlanScratch> plan;
+    core::PlanScratch plan;
+    SessionStore::RequestScratch store;
   };
 
   void WorkerLoop(int worker_index);
-  /// `queue_depth` is the admission-queue size at batch formation,
-  /// including this batch — the gauge's backlog signal (DESIGN.md §16).
-  void ProcessBatch(std::vector<Request>& batch, size_t queue_depth,
-                    WorkerStats& stats, WorkerScratch& scratch);
+  /// Serves one taken request. `queue_depth` is the admission-queue size
+  /// the take saw, this request included — the gauge's backlog signal
+  /// (DESIGN.md §16).
+  void ServeRequest(Request& request, size_t queue_depth, WorkerStats& stats,
+                    WorkerScratch& scratch);
 
   core::AdaptableModel& model_;
   SessionStore& store_;

@@ -6,11 +6,8 @@
 #include <unordered_set>
 #include <utility>
 
-#include "common/aligned_buffer.h"
 #include "common/check.h"
 #include "common/fault_injection.h"
-#include "common/parallel_for.h"
-#include "nn/kernels.h"
 #include "serve/adapt_scheduler.h"
 
 namespace adamove::serve {
@@ -133,178 +130,163 @@ std::vector<std::vector<float>> SessionStore::BatchObserveAndPredictEncoded(
     const BatchAdaptOptions& options, std::vector<AdaptStatus>* statuses,
     BatchAdaptStats* adapt_stats) {
   const size_t n = requests.size();
-  if (statuses != nullptr) {
-    statuses->assign(n, AdaptStatus::kAdapted);
-  }
-  if (adapt_stats != nullptr) {
-    adapt_stats->stale_depth.assign(n, 0);
-  }
-  // Phase 1 state per request: the rebuild jobs collected under the shard
-  // lock. The query pattern is read in place from the request's RepsView
-  // (last row; the view is borrowed and must outlive the call, so phase 2
-  // can read it too). Every kept pattern is *copied* into the shared arena
-  // at collect time, so phase 2 is immune to anything that happens to
-  // adapter state afterwards — including a later request of this very batch
-  // observing more patterns for the same user (sequential semantics:
-  // request i's prediction must not see request i+1's ingestion).
-  common::AlignedBuffer<float> arena;
-  std::vector<std::vector<core::OnlineAdapter::RebuildJob>> jobs(n);
-
+  if (statuses != nullptr) statuses->resize(n);
+  if (adapt_stats != nullptr) adapt_stats->stale_depth.resize(n);
+  RequestScratch scratch;
+  std::vector<std::vector<float>> scores(n);
   for (size_t r = 0; r < n; ++r) {
-    const data::Sample& sample = *requests[r].sample;
-    const RepsView& reps = requests[r].reps;
-    const int64_t t = reps.rows;
-    const int64_t hidden = reps.cols;
-    ADAMOVE_CHECK_EQ(static_cast<size_t>(t), sample.recent.size());
+    uint32_t depth = 0;
+    const AdaptStatus status =
+        ObserveAndPredictInto(model, *requests[r].sample, requests[r].reps,
+                              options.mode, &scratch, adapt_stats, &depth);
+    if (statuses != nullptr) (*statuses)[r] = status;
+    if (adapt_stats != nullptr) adapt_stats->stale_depth[r] = depth;
+    scores[r] = scratch.scores;
+  }
+  return scores;
+}
 
-    // Simulated session-state loss (cache miss, shard failover): no
-    // per-user state is touched; the base model still answers.
-    if (common::FaultPoint("serve.session_lookup")) {
-      if (statuses != nullptr) (*statuses)[r] = AdaptStatus::kStateUnavailable;
-      continue;
-    }
-    // Warm-start gate: while a Restore is in flight, a user whose durable
-    // state has not landed yet is served the frozen base model and writes
-    // nothing — growing fresh state here would be clobbered by the user's
-    // snapshot frame. Users already restored fall through to the normal
-    // adapted path (progressive recovery).
-    if (warming_.load(std::memory_order_acquire)) {
-      Shard& gate_shard = *shards_[static_cast<size_t>(ShardOf(sample.user))];
-      bool resident;
-      {
-        common::MutexLock lock(gate_shard.mu);
-        resident = gate_shard.adapter.HasUser(sample.user);
-      }
-      if (!resident) {
-        if (statuses != nullptr) {
-          (*statuses)[r] = AdaptStatus::kWarmStartPending;
-        }
-        continue;
-      }
-    }
-    Shard& shard = *shards_[static_cast<size_t>(ShardOf(sample.user))];
+AdaptStatus SessionStore::ObserveAndPredictInto(
+    const core::AdaptableModel& model, const data::Sample& sample,
+    RepsView reps, AdaptExecMode mode, RequestScratch* scratch,
+    BatchAdaptStats* adapt_stats, uint32_t* stale_depth) {
+  ADAMOVE_CHECK_EQ(static_cast<size_t>(reps.rows), sample.recent.size());
+  scratch->arena.Clear();
+  scratch->jobs.clear();
+  if (stale_depth != nullptr) *stale_depth = 0;
+  const AdaptStatus status =
+      IngestAndCollect(sample, reps, mode, scratch, adapt_stats, stale_depth);
+  // Phase 2, outside every shard lock: frozen column scores + the collected
+  // adjusted columns + bias — Predict's exact arithmetic. The kernels run
+  // serial inside ScoreCollectedJobsInto (value-neutral — DESIGN.md §13 —
+  // and allocation-free).
+  core::OnlineAdapter::ScoreCollectedJobsInto(model, reps.query(), reps.cols,
+                                              scratch->jobs, scratch->arena,
+                                              &scratch->scores);
+  return status;
+}
+
+AdaptStatus SessionStore::IngestAndCollect(const data::Sample& sample,
+                                           RepsView reps, AdaptExecMode mode,
+                                           RequestScratch* scratch,
+                                           BatchAdaptStats* adapt_stats,
+                                           uint32_t* stale_depth) {
+  const int64_t t = reps.rows;
+  const int64_t hidden = reps.cols;
+  // Simulated session-state loss (cache miss, shard failover): no
+  // per-user state is touched; the base model still answers.
+  if (common::FaultPoint("serve.session_lookup")) {
+    return AdaptStatus::kStateUnavailable;
+  }
+  // Warm-start gate: while a Restore is in flight, a user whose durable
+  // state has not landed yet is served the frozen base model and writes
+  // nothing — growing fresh state here would be clobbered by the user's
+  // snapshot frame. Users already restored fall through to the normal
+  // adapted path (progressive recovery).
+  Shard& shard = *shards_[static_cast<size_t>(ShardOf(sample.user))];
+  if (warming_.load(std::memory_order_acquire)) {
     common::MutexLock lock(shard.mu);
-    // Cold-tier hydration failure: same degraded outcome as a
-    // session-lookup fault — the base model answers, and by the hydrate
-    // contract no state (hot, cold, or LRU) has been touched.
-    if (!EnsureResidentLocked(shard, sample.user)) {
-      if (statuses != nullptr) (*statuses)[r] = AdaptStatus::kStateUnavailable;
-      continue;
+    if (!shard.adapter.HasUser(sample.user)) {
+      return AdaptStatus::kWarmStartPending;
     }
-    TouchLocked(shard, sample.user);
-    // A `serve.ptta_generate` fault drops this request's transitions in
-    // every exec mode (nothing is ingested *or* buffered) — fault precedence
-    // over scheduling, so deferral never smuggles a faulted request's
-    // patterns in later.
-    const bool generate_fault = common::FaultPoint("serve.ptta_generate");
-    if (generate_fault && statuses != nullptr) {
-      (*statuses)[r] = AdaptStatus::kStaleState;
-    }
-    // Scheduler decision: a deferred-mode request stays deferred only while
-    // its pending depth is under kMaxStaleDepth; at the bound it is
-    // forced inline (drain + fresh rebuild), so staleness is bounded by
-    // construction.
-    bool defer = options.mode == AdaptExecMode::kDeferred;
-    if (defer && shard.adapter.PendingCount(sample.user) >= kMaxStaleDepth) {
-      defer = false;
-      if (adapt_stats != nullptr) adapt_stats->forced_inline += 1;
-    }
+  }
+  common::MutexLock lock(shard.mu);
+  // Cold-tier hydration failure: same degraded outcome as a session-lookup
+  // fault — the base model answers, and by the hydrate contract no state
+  // (hot, cold, or LRU) has been touched.
+  if (!EnsureResidentLocked(shard, sample.user)) {
+    return AdaptStatus::kStateUnavailable;
+  }
+  TouchLocked(shard, sample.user);
+  // A `serve.ptta_generate` fault drops this request's transitions in every
+  // exec mode (nothing is ingested *or* buffered) — fault precedence over
+  // scheduling, so deferral never smuggles a faulted request's patterns in
+  // later.
+  const bool generate_fault = common::FaultPoint("serve.ptta_generate");
+  AdaptStatus status =
+      generate_fault ? AdaptStatus::kStaleState : AdaptStatus::kAdapted;
+  // Scheduler decision: a deferred-mode request stays deferred only while
+  // its pending depth is under kMaxStaleDepth; at the bound it is forced
+  // inline (drain + fresh rebuild), so staleness is bounded by construction.
+  bool defer = mode == AdaptExecMode::kDeferred;
+  if (defer && shard.adapter.PendingCount(sample.user) >= kMaxStaleDepth) {
+    defer = false;
+    if (adapt_stats != nullptr) adapt_stats->forced_inline += 1;
+  }
 
-    if (defer) {
-      if (!generate_fault) {
-        // Only transitions the key has not absorbed or buffered yet are
-        // buffered (the ingest-once rule, DESIGN.md §4.3).
-        const size_t pending_before = shard.adapter.PendingCount(sample.user);
-        uint64_t coalesced = 0;
-        for (int64_t k = FirstNewTransition(
-                 sample, shard.adapter.Watermark(sample.user));
-             k + 1 < t; ++k) {
-          coalesced += shard.adapter.ObserveDeferred(
-              sample.user, reps.data + k * hidden, static_cast<size_t>(hidden),
-              sample.recent[static_cast<size_t>(k + 1)].location,
-              sample.recent[static_cast<size_t>(k + 1)].timestamp);
-        }
-        if (adapt_stats != nullptr) {
-          adapt_stats->deferred_ingests +=
-              shard.adapter.PendingCount(sample.user) + coalesced -
-              pending_before;
-          adapt_stats->coalesced_ingests += coalesced;
-        }
-        if (statuses != nullptr) (*statuses)[r] = AdaptStatus::kStaleAdapt;
-      }
-      // Predict from the last cached rebuild — no ranking, one dequantizing
-      // pass over the cached q8 block.
-      // An empty cache contributes zero jobs: the frozen scores stand,
-      // through the same phase-2 sweep.
-      shard.adapter.CollectCachedJobs(sample.user, &arena, &jobs[r]);
-      if (adapt_stats != nullptr) {
-        adapt_stats->stale_depth[r] = static_cast<uint32_t>(
-            std::min<size_t>(shard.adapter.PendingCount(sample.user),
-                             UINT32_MAX));
-      }
-      continue;
-    }
-
-    // Inline path. Any pending deltas from an earlier deferral drain first
-    // (the lazy rebuild), so an inline predict always answers from fully
-    // caught-up state; on a store that never deferred this is a no-op map
-    // probe and the path below is byte-for-byte the historical one.
-    if (shard.adapter.PendingCount(sample.user) > 0) {
-      shard.adapter.DrainPending(sample.user);
-      if (adapt_stats != nullptr) adapt_stats->lazy_rebuilds += 1;
-    }
-    // Mirrors OnlineAdapter::ObserveAndPredict exactly (the determinism
-    // test depends on bit-identical arithmetic): each prefix representation
-    // is a labeled pattern for the *next* point, the final row is the
-    // query. Transitions at or below the key's watermark were absorbed by
-    // earlier requests and are skipped before their patterns are built. A
-    // `serve.ptta_generate` fault skips ingestion of this request's
-    // transitions — the prediction then answers from stale state, and the
-    // next request of the key sends them again.
+  if (defer) {
     if (!generate_fault) {
+      // Only transitions the key has not absorbed or buffered yet are
+      // buffered (the ingest-once rule, DESIGN.md §4.3).
+      const size_t pending_before = shard.adapter.PendingCount(sample.user);
+      uint64_t coalesced = 0;
       for (int64_t k = FirstNewTransition(
                sample, shard.adapter.Watermark(sample.user));
            k + 1 < t; ++k) {
-        shard.adapter.Observe(
+        coalesced += shard.adapter.ObserveDeferred(
             sample.user, reps.data + k * hidden, static_cast<size_t>(hidden),
             sample.recent[static_cast<size_t>(k + 1)].location,
             sample.recent[static_cast<size_t>(k + 1)].timestamp);
       }
+      if (adapt_stats != nullptr) {
+        adapt_stats->deferred_ingests +=
+            shard.adapter.PendingCount(sample.user) + coalesced -
+            pending_before;
+        adapt_stats->coalesced_ingests += coalesced;
+      }
+      status = AdaptStatus::kStaleAdapt;
     }
-    // In an elastic service the fresh rebuild doubles as the user's stale
-    // cache for later deferred predicts. Pure kInline keeps no cache, so the
-    // legacy path keeps its exact memory behaviour.
-    if (options.mode == AdaptExecMode::kInline) {
-      shard.adapter.CollectRebuildJobs(sample.user, reps.query(), hidden,
-                                       sample.target.timestamp, &arena,
-                                       &jobs[r]);
-    } else {
-      shard.adapter.CollectAndCacheRebuildJobs(sample.user, reps.query(),
-                                               hidden, sample.target.timestamp,
-                                               &arena, &jobs[r]);
+    // Predict from the last cached rebuild — no ranking, one dequantizing
+    // pass over the cached q8 block. An empty cache contributes zero jobs:
+    // the frozen scores stand, through the same phase-2 call.
+    shard.adapter.CollectCachedJobs(sample.user, &scratch->arena,
+                                    &scratch->jobs);
+    if (stale_depth != nullptr) {
+      *stale_depth = static_cast<uint32_t>(std::min<size_t>(
+          shard.adapter.PendingCount(sample.user), UINT32_MAX));
     }
+    return status;
   }
 
-  // Phase 2: one contiguous scoring sweep, outside every shard lock. Each
-  // request is frozen column scores + its collected adjusted columns + bias
-  // — Predict's exact arithmetic, batched. Parallel across requests; the
-  // per-request kernels run serial inside ScoreCollectedJobsInto
-  // (value-neutral — DESIGN.md §13 — and allocation-free).
-  const int64_t hidden = model.classifier().in_features();
-  const int64_t num_loc = model.classifier().out_features();
-  std::vector<std::vector<float>> scores(n);
-  common::ParallelFor(
-      0, static_cast<int64_t>(n),
-      nn::kernels::GrainForWork(hidden * num_loc),
-      [&](int64_t r0, int64_t r1) {
-        for (int64_t r = r0; r < r1; ++r) {
-          core::OnlineAdapter::ScoreCollectedJobsInto(
-              model, requests[static_cast<size_t>(r)].reps.query(), hidden,
-              jobs[static_cast<size_t>(r)], arena,
-              &scores[static_cast<size_t>(r)]);
-        }
-      });
-  return scores;
+  // Inline path. Any pending deltas from an earlier deferral drain first
+  // (the lazy rebuild), so an inline predict always answers from fully
+  // caught-up state; on a store that never deferred this is a no-op map
+  // probe and the path below is byte-for-byte the historical one.
+  if (shard.adapter.PendingCount(sample.user) > 0) {
+    shard.adapter.DrainPending(sample.user);
+    if (adapt_stats != nullptr) adapt_stats->lazy_rebuilds += 1;
+  }
+  // Mirrors OnlineAdapter::ObserveAndPredict exactly (the determinism test
+  // depends on bit-identical arithmetic): each prefix representation is a
+  // labeled pattern for the *next* point, the final row is the query.
+  // Transitions at or below the key's watermark were absorbed by earlier
+  // requests and are skipped before their patterns are built. A
+  // `serve.ptta_generate` fault skips ingestion of this request's
+  // transitions — the prediction then answers from stale state, and the
+  // next request of the key sends them again.
+  if (!generate_fault) {
+    for (int64_t k = FirstNewTransition(
+             sample, shard.adapter.Watermark(sample.user));
+         k + 1 < t; ++k) {
+      shard.adapter.Observe(
+          sample.user, reps.data + k * hidden, static_cast<size_t>(hidden),
+          sample.recent[static_cast<size_t>(k + 1)].location,
+          sample.recent[static_cast<size_t>(k + 1)].timestamp);
+    }
+  }
+  // In an elastic service the fresh rebuild doubles as the user's stale
+  // cache for later deferred predicts. Pure kInline keeps no cache, so the
+  // legacy path keeps its exact memory behaviour.
+  if (mode == AdaptExecMode::kInline) {
+    shard.adapter.CollectRebuildJobs(sample.user, reps.query(), hidden,
+                                     sample.target.timestamp,
+                                     &scratch->arena, &scratch->jobs);
+  } else {
+    shard.adapter.CollectAndCacheRebuildJobs(
+        sample.user, reps.query(), hidden, sample.target.timestamp,
+        &scratch->arena, &scratch->jobs);
+  }
+  return status;
 }
 
 size_t SessionStore::DrainDirtyUsers(size_t max_users) {

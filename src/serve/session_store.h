@@ -100,7 +100,7 @@ enum class AdaptStatus : uint8_t {
   kStaleAdapt,
 };
 
-/// How one adapt micro-batch executes its per-user adaptation work.
+/// How one request executes its per-user adaptation work.
 enum class AdaptExecMode : uint8_t {
   /// Legacy inline adaptation — with no prior deferral this is byte-for-byte
   /// the pre-scheduler path (it still drains any pending deltas it finds, so
@@ -120,8 +120,9 @@ struct BatchAdaptOptions {
   AdaptExecMode mode = AdaptExecMode::kInline;
 };
 
-/// Exact accounting of one batch's scheduler decisions (all zero in
-/// kInline mode on a store that never deferred).
+/// Exact accounting of the scheduler's decisions, summed over every request
+/// it is passed to (all zero in kInline mode on a store that never
+/// deferred).
 struct BatchAdaptStats {
   /// Transitions buffered into pending queues instead of ingested.
   uint64_t deferred_ingests = 0;
@@ -132,8 +133,9 @@ struct BatchAdaptStats {
   uint64_t lazy_rebuilds = 0;
   /// Deferred requests forced inline by the kMaxStaleDepth bound.
   uint64_t forced_inline = 0;
-  /// Per request: pending-delta depth the prediction was served at
-  /// (0 for inline-served requests). Resized to requests.size().
+  /// BatchObserveAndPredictEncoded only, per request: pending-delta depth
+  /// the prediction was served at (0 for inline-served requests). Resized to
+  /// requests.size().
   std::vector<uint32_t> stale_depth;
 };
 
@@ -173,7 +175,7 @@ class SessionStore {
   /// Borrowed view of pre-computed prefix representations ({rows, cols},
   /// row-major, row k = prefix representation h_k). A view rather than a
   /// Tensor so the zero-allocation serving path can feed raw-encoded
-  /// buffers (core::PlanScratch::reps) straight into the batch API without
+  /// buffers (core::PlanScratch::reps) straight into the store without
   /// materializing a Tensor per request (DESIGN.md §14).
   struct RepsView {
     const float* data = nullptr;
@@ -190,58 +192,75 @@ class SessionStore {
     const float* query() const { return data + (rows - 1) * cols; }
   };
 
-  /// One request of an adapt micro-batch: the sample and its pre-computed
-  /// prefix representations, both borrowed (must outlive the call).
+  /// Reusable per-worker state of ObserveAndPredictInto: the pattern arena
+  /// and rebuild jobs phase 1 collects, and the scores phase 2 writes. Every
+  /// container keeps its capacity, so a warm call allocates nothing unless
+  /// the user's knowledge base grows.
+  using RequestScratch = core::OnlineAdapter::PredictScratch;
+
+  /// core::OnlineAdapter::ObserveAndPredict for one request against the
+  /// sharded store, from pre-computed prefix representations ({T, H}, rows
+  /// aligned with sample.recent — split from the encoder forward so the
+  /// serving worker can time encode and adapt separately). A request whose
+  /// window holds one point ingests nothing: it is a pure predict for that
+  /// user at sample.target.timestamp. The scores land in scratch->scores.
+  ///
+  /// Two phases. Phase 1 runs under the user's shard lock: the fault
+  /// probes, warm gate, hydration, LRU touch and pattern ingestion, then it
+  /// *collects* the adjusted-column rebuild jobs, copying the kept patterns
+  /// into scratch->arena (core::OnlineAdapter::CollectRebuildJobs). Phase 2
+  /// scores them after the lock is released (ScoreCollectedJobsInto); a
+  /// degraded request carries zero jobs, so the frozen fallback is the same
+  /// call. The copy makes phase 2 immune to anything that happens to the
+  /// user's state once the lock is gone.
+  ///
+  /// `mode` picks how the adaptation executes (DESIGN.md §16, see
+  /// AdaptExecMode); kInline is bit-identical to the historical path on a
+  /// store that never deferred. Deferred-mode semantics: the transitions are
+  /// buffered (ObserveDeferred — exact coalescing against the per-location
+  /// FIFO cap), the prediction reuses the user's cached rebuild (no ranking;
+  /// an empty cache means frozen scores), and the status is kStaleAdapt. A
+  /// request that finds kMaxStaleDepth pending deltas is forced inline
+  /// instead, so staleness stays bounded. Faults keep precedence: an armed
+  /// serve.ptta_generate drops the transitions in every mode (kStaleState —
+  /// nothing is buffered either).
+  ///
+  /// Never fails: under an armed `serve.session_lookup` /
+  /// `serve.ptta_generate` fault the request degrades (see AdaptStatus) but
+  /// still gets real-model scores; with no faults armed the status is
+  /// kAdapted or kStaleAdapt. `adapt_stats`, when non-null, accumulates this
+  /// request's deferral accounting; `stale_depth`, when non-null, receives
+  /// the pending-delta depth a deferred-mode request was served at (0
+  /// otherwise).
+  AdaptStatus ObserveAndPredictInto(const core::AdaptableModel& model,
+                                    const data::Sample& sample, RepsView reps,
+                                    AdaptExecMode mode,
+                                    RequestScratch* scratch,
+                                    BatchAdaptStats* adapt_stats,
+                                    uint32_t* stale_depth);
+
+  /// One request of a BatchObserveAndPredictEncoded call: the sample and its
+  /// pre-computed prefix representations, both borrowed (must outlive the
+  /// call).
   struct BatchRequest {
     const data::Sample* sample = nullptr;
     RepsView reps;
   };
 
-  /// core::OnlineAdapter::ObserveAndPredict against the sharded store, over
-  /// a micro-batch of pre-computed prefix representations (each {T, H},
-  /// rows aligned with its sample.recent — split from the encoder forward so
-  /// the serving worker can time encode and adapt separately). A request
-  /// whose window holds one point ingests nothing: it is a pure predict for
-  /// that user at sample.target.timestamp.
-  ///
-  /// Two phases. Phase 1 walks the requests in order and, per request, under
-  /// its shard lock runs the fault probes, warm gate, hydration, LRU touch
-  /// and pattern ingestion, then *collects* the adjusted-column rebuild
-  /// jobs, copying the kept patterns into one flat arena shared by the whole
-  /// batch (core::OnlineAdapter::CollectRebuildJobs). Phase 2 then scores
-  /// every request in one lock-free parallel sweep over the arena
-  /// (ScoreCollectedJobsInto) — degraded requests simply carry zero jobs,
-  /// so the frozen fallback is the same sweep. Request i's scores and status
-  /// are bit-identical to serving the requests one call at a time in
-  /// request order (fault-point evaluation order included); what changes is
-  /// only where the arithmetic runs — outside the shard locks, batched.
-  ///
-  /// Never fails: under an armed `serve.session_lookup` /
-  /// `serve.ptta_generate` fault a request degrades (see AdaptStatus) but
-  /// still gets real-model scores; with no faults armed every status is
-  /// kAdapted.
-  ///
-  /// `statuses`, when non-null, is resized to requests.size() with request
-  /// i's AdaptStatus at index i.
+  /// ObserveAndPredictInto over `requests` in order, in kInline mode (the
+  /// overload below with default options). `statuses`, when non-null, is
+  /// resized to requests.size() with request i's AdaptStatus at index i.
+  /// Kept for the frozen benchmark revision and the tests that drive the
+  /// store directly (ROADMAP item 1).
   std::vector<std::vector<float>> BatchObserveAndPredictEncoded(
       const core::AdaptableModel& model,
       const std::vector<BatchRequest>& requests,
       std::vector<AdaptStatus>* statuses = nullptr);
 
-  /// Scheduler-aware variant (DESIGN.md §16): `options.mode` picks how each
-  /// request's adaptation executes (see AdaptExecMode), `adapt_stats`, when
-  /// non-null, receives this batch's exact deferral accounting. The
-  /// default-options overload above delegates here with kInline, which is
-  /// bit-identical to the historical path on a store that never deferred.
-  ///
-  /// Deferred-mode semantics per request: the transitions are buffered
-  /// (ObserveDeferred — exact coalescing against the per-location FIFO cap),
-  /// the prediction reuses the user's cached rebuild (no ranking; an empty
-  /// cache means frozen scores through the same sweep), and the status is
-  /// kStaleAdapt. A request that finds kMaxStaleDepth pending deltas is
-  /// forced inline instead, so staleness stays bounded. Faults
-  /// keep precedence: an armed serve.ptta_generate drops the transitions in
-  /// every mode (kStaleState — nothing is buffered either).
+  /// ObserveAndPredictInto over `requests` in order, in `options.mode`; each
+  /// request's scores and status equal serving it alone. `adapt_stats`,
+  /// when non-null, receives the requests' summed deferral accounting and
+  /// their stale depths.
   std::vector<std::vector<float>> BatchObserveAndPredictEncoded(
       const core::AdaptableModel& model,
       const std::vector<BatchRequest>& requests,
@@ -320,7 +339,7 @@ class SessionStore {
   common::IoResult Restore(const std::string& path,
                            SnapshotStats* stats = nullptr);
 
-  /// Warm-start gate. While active, BatchObserveAndPredictEncoded serves
+  /// Warm-start gate. While active, ObserveAndPredictInto serves
   /// users without resident state the frozen base model (AdaptStatus::
   /// kWarmStartPending) instead of growing fresh state that an in-flight
   /// Restore would clobber. Users whose frames have landed get the adapted
@@ -395,6 +414,13 @@ class SessionStore {
   /// two apart would itself require reading the tier.
   bool EnsureResidentLocked(Shard& shard, int64_t user)
       ADAMOVE_REQUIRES(shard.mu);
+
+  /// Phase 1 of ObserveAndPredictInto, under the user's shard lock (taken
+  /// and released here): everything up to the collected rebuild jobs.
+  AdaptStatus IngestAndCollect(const data::Sample& sample, RepsView reps,
+                               AdaptExecMode mode, RequestScratch* scratch,
+                               BatchAdaptStats* adapt_stats,
+                               uint32_t* stale_depth);
 
   /// Installs `snap` as its user's hot state (InjectUser, Restore): drops
   /// any cold copy first, so the user lives in one tier, then touches the

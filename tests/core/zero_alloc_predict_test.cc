@@ -4,7 +4,8 @@
 // extend-by-one encode that resumes from a prefix state
 // (ForwardPlanner::ExtendInto), the adapted predict
 // (OnlineAdapter::PredictInto = CollectRebuildJobs + ScoreCollectedJobsInto
-// over the caller's scratch), and the frozen fallback (PredictFrozenInto).
+// over the caller's scratch), the frozen fallback (PredictFrozenInto), and
+// the serving store's per-request call (SessionStore::ObserveAndPredictInto).
 // Counted by the common/alloc_probe operator-new interposition; under
 // sanitizer builds the probe is compiled out and the assertions degrade to
 // plain execution (the ASan stage then proves the same requests leak-free
@@ -22,6 +23,7 @@
 #include "core/online_adapter.h"
 #include "core/ptta.h"
 #include "data/dataset.h"
+#include "serve/session_store.h"
 
 namespace adamove::core {
 namespace {
@@ -220,6 +222,64 @@ TEST_F(ZeroAllocPredictTest, SteadyStateScoreCollectedJobsAllocatesNothing) {
   for (size_t i = 0; i < scores.size(); ++i) {
     ASSERT_EQ(scores[i], reference[i]) << "score " << i;
   }
+}
+
+/// The serving store's per-request call: once its scratch is warm, an
+/// extend-by-one request on a key whose locations all hold their full
+/// candidate FIFO (so an ingest replaces the oldest pattern in place and the
+/// slab cannot grow) allocates and frees nothing — fault probes, LRU touch,
+/// ingest, rebuild collect and scoring included.
+TEST_F(ZeroAllocPredictTest, WarmStoreRequestOnFullKeyAllocatesNothing) {
+  constexpr int64_t kLocations = 4;
+  constexpr size_t kWidth = 8;
+  constexpr size_t kWarm = 200;  // > kLocations x 32 transitions: all full
+  constexpr size_t kMeasured = 100;
+  constexpr size_t kPoints = kWarm + kMeasured + kWidth + 1;
+  const int64_t hidden = model_->config().hidden_size;
+  // Point j's prefix row: fixed values (the store never looks inside them).
+  std::vector<float> rows(kPoints * static_cast<size_t>(hidden));
+  for (size_t i = 0; i < rows.size(); ++i) {
+    rows[i] = 0.01f * static_cast<float>(i % 97) - 0.3f;
+  }
+  std::vector<data::Sample> windows(kWarm + kMeasured);
+  for (size_t j = 0; j < windows.size(); ++j) {
+    for (size_t k = j; k <= j + kWidth; ++k) {
+      const data::Point point{5, static_cast<int64_t>(k) % kLocations,
+                              1333238400 + static_cast<int64_t>(k) * 600};
+      if (k < j + kWidth) {
+        windows[j].recent.push_back(point);
+      } else {
+        windows[j].target = point;
+      }
+    }
+    windows[j].user = 5;
+  }
+  serve::SessionStore store{serve::SessionStoreConfig{}};
+  serve::SessionStore::RequestScratch scratch;
+  const auto serve = [&](size_t j) {
+    return store.ObserveAndPredictInto(
+        *model_, windows[j],
+        serve::SessionStore::RepsView(
+            rows.data() + j * static_cast<size_t>(hidden),
+            static_cast<int64_t>(kWidth), hidden),
+        serve::AdaptExecMode::kInline, &scratch, nullptr, nullptr);
+  };
+  for (size_t j = 0; j < kWarm; ++j) {
+    ASSERT_EQ(serve(j), serve::AdaptStatus::kAdapted);
+  }
+  const size_t full = store.PatternCount(5);
+  ASSERT_EQ(full, 32u * kLocations);
+  ASSERT_FALSE(scratch.jobs.empty());  // the adapted path really ran
+  common::AllocProbeScope window;
+  for (size_t j = kWarm; j < kWarm + kMeasured; ++j) {
+    ASSERT_EQ(serve(j), serve::AdaptStatus::kAdapted);
+  }
+  if (common::AllocProbeAvailable()) {
+    EXPECT_EQ(window.allocations(), 0u) << "warm store request allocated";
+    EXPECT_EQ(window.frees(), 0u);
+  }
+  EXPECT_EQ(store.PatternCount(5), full);
+  EXPECT_EQ(scratch.scores.size(), 12u);
 }
 
 /// The vector-returning Predict wraps the Into variants, so the arithmetic is

@@ -98,8 +98,6 @@ TEST_F(ChaosTest, SurvivesAllFaultPointsAtTenPercentUnderLoad) {
     SessionStore store{SessionStoreConfig{}};
     ServiceConfig config;
     config.workers = 4;
-    config.max_batch = 8;
-    config.max_wait_us = 500;
     config.queue_capacity = 64;
     PredictionService service(model, store, config);
 
@@ -145,7 +143,6 @@ TEST_F(ChaosTest, DegradedScoresAreFiniteAndCorrectlySized) {
   SessionStore store{SessionStoreConfig{}};
   ServiceConfig config;
   config.workers = 2;
-  config.max_batch = 4;
   PredictionService service(model, store, config);
 
   for (const char* point : kAllFaultPoints) {
@@ -193,7 +190,6 @@ TEST_F(ChaosTest, FallbackIsBitIdenticalToFrozenBaseModel) {
   SessionStore store{SessionStoreConfig{}};
   ServiceConfig config;
   config.workers = 1;
-  config.max_batch = 1;
   PredictionService service(model, store, config);
   for (size_t i = 0; i < stream.size(); ++i) {
     const Prediction p = service.Submit(stream[i]).get();
@@ -224,7 +220,6 @@ TEST_F(ChaosTest, ConvergesToBitIdenticalAfterFaultsClear) {
     SessionStore store{SessionStoreConfig{}};
     ServiceConfig config;
     config.workers = 2;
-    config.max_batch = 4;
     PredictionService service(model, store, config);
     for (const auto& sample : stream) {
       const Prediction p = service.Submit(sample).get();
@@ -244,7 +239,6 @@ TEST_F(ChaosTest, ConvergesToBitIdenticalAfterFaultsClear) {
   SessionStore store{SessionStoreConfig{}};
   ServiceConfig config;
   config.workers = 1;
-  config.max_batch = 1;
   PredictionService service(model, store, config);
   for (size_t i = 0; i < stream.size(); ++i) {
     const Prediction p = service.Submit(stream[i]).get();
@@ -270,7 +264,6 @@ TEST_F(ChaosTest, DeadlineOverrunsServeFallbackAsTimedOut) {
   SessionStore store{SessionStoreConfig{}};
   ServiceConfig config;
   config.workers = 1;
-  config.max_batch = 1;
   config.deadline_us = 1000;
   PredictionService service(model, store, config);
 
@@ -365,7 +358,6 @@ TEST_F(ChaosTest, StateHydrateFaultServesFrozenAndMutatesNeitherTier) {
   // The serving path accounts it as a degradation, scores still valid.
   ServiceConfig service_config;
   service_config.workers = 1;
-  service_config.max_batch = 1;
   PredictionService service(model, store, service_config);
   const std::vector<data::Sample> stream = MakeStream(6, 2);
   size_t degraded = 0;
@@ -399,7 +391,6 @@ TEST_F(ChaosTest, RouterLookupFaultFallsBackFrozenWithExactAccounting) {
   shard::ShardedServiceConfig config;
   config.num_shards = 2;
   config.service.workers = 2;
-  config.service.max_batch = 4;
   shard::ShardedService sharded(model, config);
 
   FaultRegistry::Instance().Arm("serve.router_lookup",
@@ -467,8 +458,6 @@ TEST_F(ChaosTest, PlanServiceEnduresTenThousandRequestsWithExactAccounting) {
   SessionStore store{SessionStoreConfig{}};
   ServiceConfig config;
   config.workers = 4;
-  config.max_batch = 8;
-  config.max_wait_us = 500;
   config.queue_capacity = 64;
   PredictionService service(model, store, config);
   ASSERT_EQ(service.forward_mode(), core::ForwardMode::kPlan);

@@ -127,12 +127,12 @@ TEST_F(OverloadChaosTest, PressureGaugeTripsWithHysteresisAndCountsSwitches) {
 }
 
 /// `serve.adapt_schedule` chaos, end to end through the service: a
-/// misfiring scheduler defers every batch even though the gauge reads calm,
+/// misfiring scheduler defers every request even though the gauge reads calm,
 /// so every request is answered from stale cached state and every ingest is
 /// buffered. The fault must only ever cost freshness — never an
 /// observation: once the fault clears and the store drains, per-user state
 /// is byte-for-byte identical to the inline run of the same sequence. (The
-/// calm gauge also drains a few dirty users after each batch; that replays
+/// calm gauge also drains a few dirty users after each take; that replays
 /// the same deltas in the same order, so it cannot change the end state.)
 TEST_F(OverloadChaosTest, SchedulerMisfireFaultDefersButLosesNothing) {
   core::LightMob model(SmallConfig());
@@ -143,7 +143,6 @@ TEST_F(OverloadChaosTest, SchedulerMisfireFaultDefersButLosesNothing) {
   {
     ServiceConfig config;
     config.workers = 1;
-    config.max_batch = 1;
     PredictionService service(model, inline_store, config);
     for (const auto& sample : stream) {
       const Prediction p = service.Submit(sample).get();
@@ -159,7 +158,6 @@ TEST_F(OverloadChaosTest, SchedulerMisfireFaultDefersButLosesNothing) {
   SessionStore store{SessionStoreConfig{}};
   ServiceConfig config;
   config.workers = 1;
-  config.max_batch = 1;
   // Elastic needs a deadline; requests are sequential, so nothing queues
   // near this one and the gauge reads calm.
   config.deadline_us = 10 * 1000 * 1000;
@@ -171,7 +169,7 @@ TEST_F(OverloadChaosTest, SchedulerMisfireFaultDefersButLosesNothing) {
     // A stale answer is still a valid on-time adapted response: kOk, with
     // the deferral flagged out of band.
     EXPECT_EQ(p.outcome, RequestOutcome::kOk);
-    EXPECT_TRUE(p.stale_adapt);  // every batch misfired into deferral
+    EXPECT_TRUE(p.stale_adapt);  // every request misfired into deferral
     ASSERT_EQ(p.scores.size(), 12u);
     EXPECT_TRUE(AllFinite(p.scores));
     max_depth = std::max(max_depth, p.stale_depth);
@@ -219,8 +217,6 @@ TEST_F(OverloadChaosTest, OpenLoopBurstsKeepExactAccountingUnderChaos) {
     SessionStore store{SessionStoreConfig{}};
     ServiceConfig config;
     config.workers = 2;
-    config.max_batch = 8;
-    config.max_wait_us = 500;
     config.queue_capacity = 32;
     // Elastic needs a deadline. 25 ms (perfbench overload's) is well above
     // a burst's queueing even under TSan, so requests reach the elastic
@@ -268,7 +264,7 @@ TEST_F(OverloadChaosTest, OpenLoopBurstsKeepExactAccountingUnderChaos) {
   }
 
   // Across three bursts the deferral rung must actually have been used —
-  // the armed fault alone guarantees it statistically (~75+ batches/run).
+  // the armed fault alone guarantees it statistically (~75+ takes/run).
   EXPECT_GT(stale_total, 0u);
   EXPECT_GT(
       FaultRegistry::Instance().StatsFor("serve.adapt_schedule").evaluations,

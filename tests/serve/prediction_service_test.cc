@@ -54,10 +54,10 @@ std::vector<data::Sample> MakeStream(int users, int steps_per_user) {
   return stream;
 }
 
-/// With max_batch=1 and one worker, the service must be *bit-identical* to
-/// driving core::OnlineAdapter::ObserveAndPredict over the same stream —
-/// micro-batching and sharding are pure scheduling, never arithmetic.
-TEST(PredictionServiceTest, MaxBatch1IsBitIdenticalToOnlineAdapter) {
+/// With one worker, the service must be *bit-identical* to driving
+/// core::OnlineAdapter::ObserveAndPredict over the same stream — workers and
+/// sharding are pure scheduling, never arithmetic.
+TEST(PredictionServiceTest, OneWorkerIsBitIdenticalToOnlineAdapter) {
   core::LightMob model(SmallConfig());
   const std::vector<data::Sample> stream = MakeStream(4, 10);
 
@@ -70,7 +70,6 @@ TEST(PredictionServiceTest, MaxBatch1IsBitIdenticalToOnlineAdapter) {
   SessionStore store{SessionStoreConfig{}};
   ServiceConfig config;
   config.workers = 1;
-  config.max_batch = 1;
   PredictionService service(model, store, config);
   for (size_t i = 0; i < stream.size(); ++i) {
     const Prediction p = service.Submit(stream[i]).get();
@@ -165,8 +164,6 @@ TEST(PredictionServiceTest, MicroBatchingServesAllRequestsConcurrently) {
   SessionStore store{SessionStoreConfig{}};
   ServiceConfig config;
   config.workers = 4;
-  config.max_batch = 8;
-  config.max_wait_us = 500;
   config.queue_capacity = 64;  // small: exercises Submit backpressure
   PredictionService service(model, store, config);
 
@@ -193,7 +190,6 @@ TEST(PredictionServiceTest, MicroBatchingServesAllRequestsConcurrently) {
   EXPECT_EQ(stats.encode_us.Count(), stream.size());
   EXPECT_EQ(stats.adapt_us.Count(), stream.size());
   EXPECT_GE(stats.batches, 1u);
-  EXPECT_GE(stats.MeanBatchSize(), 1.0);
 }
 
 TEST(PredictionServiceTest, TrySubmitRejectsWhenFullInsteadOfBlocking) {
@@ -201,26 +197,36 @@ TEST(PredictionServiceTest, TrySubmitRejectsWhenFullInsteadOfBlocking) {
   SessionStore store{SessionStoreConfig{}};
   ServiceConfig config;
   config.workers = 1;
-  // max_batch > capacity + a long flush deadline: the worker holds the
-  // 2 queued requests for the full 200 ms window, so the queue is
-  // observably full while the remaining arrivals pour in.
-  config.max_batch = 8;
-  config.max_wait_us = 200 * 1000;
   config.queue_capacity = 2;
   PredictionService service(model, store, config);
   const std::vector<data::Sample> stream = MakeStream(1, 8);
 
+  // The first request's completion hook holds the one worker inside it
+  // until every other arrival has been submitted, so the 2 requests queued
+  // behind it keep the queue full.
+  std::promise<void> entered;
+  std::future<void> worker_entered = entered.get_future();
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
   std::vector<std::future<Prediction>> accepted;
   int rejected = 0;
-  for (const auto& sample : stream) {
+  std::future<Prediction> first;
+  ASSERT_TRUE(service.TrySubmit(stream[0], &first, [&] {
+    entered.set_value();
+    released.wait();
+  }));
+  accepted.push_back(std::move(first));
+  worker_entered.wait();
+  for (size_t i = 1; i < stream.size(); ++i) {
     std::future<Prediction> f;
-    if (service.TrySubmit(sample, &f)) {
+    if (service.TrySubmit(stream[i], &f)) {
       accepted.push_back(std::move(f));
     } else {
       ++rejected;
     }
   }
-  EXPECT_GT(rejected, 0);  // capacity 2 cannot absorb 8 instant arrivals
+  release.set_value();
+  EXPECT_GT(rejected, 0);  // capacity 2 cannot absorb 7 instant arrivals
   for (auto& f : accepted) EXPECT_EQ(f.get().scores.size(), 12u);
   service.Shutdown();
   // The shed ledger: every rejection is counted, every submission accounted.
@@ -230,15 +236,14 @@ TEST(PredictionServiceTest, TrySubmitRejectsWhenFullInsteadOfBlocking) {
   EXPECT_EQ(stats.accounted(), stream.size());
 }
 
-/// The default batching policy is work-conserving: a lone request is taken
-/// as soon as a worker is free instead of waiting out a flush window for
-/// batch-mates that never come.
+/// The take policy is work-conserving: a lone request is taken as soon as a
+/// worker is free instead of waiting out a flush window for batch-mates
+/// that never come.
 TEST(PredictionServiceTest, LoneRequestsAreServedOnArrivalByDefault) {
   core::LightMob model(SmallConfig());
   SessionStore store{SessionStoreConfig{}};
   ServiceConfig config;
   config.workers = 1;
-  config.max_batch = 8;
   PredictionService service(model, store, config);
   const std::vector<data::Sample> stream = MakeStream(5, 10);
   ASSERT_EQ(stream.size(), 50u);
@@ -252,10 +257,10 @@ TEST(PredictionServiceTest, LoneRequestsAreServedOnArrivalByDefault) {
   EXPECT_EQ(service.Stats().batches, stream.size());
 }
 
-/// A positive max_wait_us opts into the size-or-deadline flush: with a
-/// 10 s window and max_batch 2, a lone request waits for its batch-mate and
-/// the two are served as one batch.
-TEST(PredictionServiceTest, PositiveMaxWaitHoldsALoneRequestForItsBatchMate) {
+/// max_batch and max_wait_us are ignored: a worker takes one request per
+/// take, so a 10 s flush window with room for a batch-mate never holds a
+/// lone request, and every take serves exactly one request.
+TEST(PredictionServiceTest, IgnoredBatchFieldsNeverHoldALoneRequest) {
   core::LightMob model(SmallConfig());
   SessionStore store{SessionStoreConfig{}};
   ServiceConfig config;
@@ -265,15 +270,14 @@ TEST(PredictionServiceTest, PositiveMaxWaitHoldsALoneRequestForItsBatchMate) {
   PredictionService service(model, store, config);
   const std::vector<data::Sample> stream = MakeStream(2, 3);
   std::future<Prediction> first = service.Submit(stream[2]);
-  EXPECT_EQ(first.wait_for(std::chrono::milliseconds(200)),
-            std::future_status::timeout);
-  std::future<Prediction> second = service.Submit(stream[5]);
+  ASSERT_EQ(first.wait_for(std::chrono::seconds(1)),
+            std::future_status::ready);
   EXPECT_EQ(first.get().scores.size(), 12u);
-  EXPECT_EQ(second.get().scores.size(), 12u);
+  EXPECT_EQ(service.Submit(stream[5]).get().scores.size(), 12u);
   service.Shutdown();
   const ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.MeanBatchSize(), 2.0);
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.batches, stats.completed);
 }
 
 /// The pressure gauge reads queueing against the request deadline, so an
@@ -294,7 +298,6 @@ TEST(PredictionServiceTest, ShutdownDrainsOutstandingRequests) {
   SessionStore store{SessionStoreConfig{}};
   ServiceConfig config;
   config.workers = 2;
-  config.max_batch = 4;
   PredictionService service(model, store, config);
   const std::vector<data::Sample> stream = MakeStream(2, 10);
   std::vector<std::future<Prediction>> inflight;
@@ -390,8 +393,6 @@ void ServeRoundAgainstReference(core::LightMob& model,
 ServiceConfig TwoWorkers() {
   ServiceConfig config;
   config.workers = 2;
-  config.max_batch = 4;
-  config.max_wait_us = 200;
   return config;
 }
 

@@ -554,7 +554,6 @@ TEST_F(SnapshotChaosTest, WarmStartServesFrozenUntilUserIsRestored) {
   {
     ServiceConfig config;
     config.workers = 1;
-    config.max_batch = 1;
     PredictionService service(model, before, config);
     for (int u = 0; u < 4; ++u) {
       service.Submit(MakeSample(u, 6)).get();
@@ -567,7 +566,6 @@ TEST_F(SnapshotChaosTest, WarmStartServesFrozenUntilUserIsRestored) {
   SessionStore after{SessionStoreConfig{}};
   ServiceConfig config;
   config.workers = 1;
-  config.max_batch = 1;
   PredictionService service(model, after, config);
   after.BeginWarmStart();
 
@@ -618,7 +616,6 @@ TEST_F(SnapshotChaosTest, WarmStartAsyncRestoresWhileServing) {
   SessionStore after{SessionStoreConfig{}};
   ServiceConfig config;
   config.workers = 2;
-  config.max_batch = 4;
   PredictionService service(model, after, config);
   service.WarmStartAsync(path);
   // Traffic races the restore; every response is valid regardless of
@@ -659,7 +656,6 @@ TEST_F(SnapshotChaosTest, WarmStartSurvivesInjectedReadFault) {
   SessionStore after{SessionStoreConfig{}};
   ServiceConfig config;
   config.workers = 1;
-  config.max_batch = 1;
   PredictionService service(model, after, config);
   service.WarmStartAsync(path);
   common::IoResult r = service.WaitWarmStart();

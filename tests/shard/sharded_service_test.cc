@@ -69,7 +69,6 @@ ShardedServiceConfig SmallShardedConfig(int num_shards) {
   ShardedServiceConfig config;
   config.num_shards = num_shards;
   config.service.workers = 2;
-  config.service.max_batch = 4;
   config.store.num_shards = 2;
   // A tiny hot cap per group so the cold tier is genuinely exercised.
   config.store.max_resident_users = 4;
