@@ -1,10 +1,9 @@
-// Million-user capacity bench (DESIGN.md §12): how many users fit resident,
-// and what sharding does to the serving tail.
+// Million-user capacity bench (DESIGN.md §12): how many users fit resident.
 //
-// Part 1 — representation: the same synthetic knowledge bases are held (a)
-// dense in a core::OnlineAdapter (measured on a sample — the accounting is
-// per-user linear) and (b) compact in a shard::CompactStore at FULL scale —
-// one million users by default, actually materialized, with process RSS
+// The same synthetic knowledge bases are held (a) dense in a
+// core::OnlineAdapter (measured on a sample — the accounting is per-user
+// linear) and (b) compact in a shard::CompactStore at FULL scale — one
+// million users by default, actually materialized, with process RSS
 // reported before and after. The acceptance ratio printed (and written to
 // BENCH_capacity.json) is hot resident bytes/user over compact payload
 // bytes/user, against a 4x target set when the hot tier held f32 patterns;
@@ -13,43 +12,25 @@
 // slice of users and verifies bit-identical state, so the number measured is
 // for a *lossless* representation, not a lossy one.
 //
-// Part 2 — serving: a shard::ShardedService sweep over shard-group counts at
-// a fixed total of 4 serving workers (1 group x 4 workers, 2 x 2, 4 x 1), so
-// a row differs from the next in how the workers are grouped, not in how
-// many there are. Closed-loop clients at max speed; each row runs
-// kSweepRepeats times, interleaved with the other rows, and reports the
-// median and quartiles of its throughput and end-to-end latency.
-//
 // Knobs (on top of the shared ADAMOVE_BENCH_* ones):
 //   ADAMOVE_BENCH_CAP_USERS    — resident users at full scale (default 1M)
 //   ADAMOVE_BENCH_CAP_PATTERNS — stored patterns per user (default 4)
-//   ADAMOVE_BENCH_CAP_REQUESTS — serving-sweep requests (default 2000)
-//   ADAMOVE_BENCH_CAP_CLIENTS  — serving-sweep client threads (default 8)
 //
 // Flags:
 //   --bench_report — write BENCH_capacity.json next to the binary.
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <iterator>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "common/env.h"
-#include "common/latency_histogram.h"
-#include "common/mutex.h"
 #include "common/qfloat.h"
 #include "common/table_printer.h"
-#include "core/lightmob.h"
 #include "core/online_adapter.h"
-#include "serve/load_gen.h"
 #include "shard/compact_store.h"
-#include "shard/sharded_service.h"
 
 using namespace adamove;
 
@@ -175,77 +156,7 @@ CapacityReport RunCapacity(size_t users, int patterns, int dim) {
   return rep;
 }
 
-/// Serving workers the sweep holds fixed, split evenly over the groups.
-constexpr int kSweepWorkers = 4;
-/// Runs per sweep row; the row reports their median and quartiles.
-constexpr int kSweepRepeats = 5;
-
-/// One closed-loop run of the sweep.
-struct SweepRun {
-  double qps = 0;
-  double p50_ms = 0;
-  double p99_ms = 0;
-  uint64_t degraded = 0;
-  uint64_t rss_bytes = 0;
-};
-
-/// One sweep row: its runs' spread.
-struct SweepRow {
-  int shards = 0;
-  bench::Spread qps, p50_ms, p99_ms;
-  uint64_t degraded = 0;   // summed over the runs
-  uint64_t rss_bytes = 0;  // largest over the runs
-};
-
-/// Closed-loop clients against the sharded service at max speed; e2e
-/// latency is Submit -> future resolution, merged across clients.
-SweepRun RunShardSweep(core::AdaptableModel& model,
-                       const std::vector<data::Sample>& stream, int shards,
-                       int clients) {
-  shard::ShardedServiceConfig config;
-  config.num_shards = shards;
-  config.service.workers = kSweepWorkers / shards;
-  config.store.max_resident_users = 4096;
-  shard::ShardedService service(model, config);
-
-  common::Mutex merge_mu;
-  common::LatencyHistogram e2e;
-  std::atomic<size_t> cursor{0};
-  const int64_t t0 = bench::SteadyNowUs();
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<size_t>(clients));
-  for (int c = 0; c < clients; ++c) {
-    workers.emplace_back([&] {
-      common::LatencyHistogram local;
-      while (true) {
-        const size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (i >= stream.size()) break;
-        const int64_t start = bench::SteadyNowUs();
-        service.Submit(stream[i]).get();
-        local.Record(static_cast<double>(bench::SteadyNowUs() - start));
-      }
-      common::MutexLock lock(merge_mu);
-      e2e.Merge(local);
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  const double wall_s =
-      static_cast<double>(bench::SteadyNowUs() - t0) / 1e6;
-
-  SweepRun run;
-  run.qps = static_cast<double>(stream.size()) / wall_s;
-  run.p50_ms = e2e.QuantileUs(0.50) / 1000.0;
-  run.p99_ms = e2e.QuantileUs(0.99) / 1000.0;
-  for (const auto& group : service.Stats()) {
-    run.degraded += group.service.degraded_requests + group.service.timeouts;
-  }
-  run.rss_bytes = bench::CurrentRssBytes();
-  service.Shutdown();
-  return run;
-}
-
-void WriteCapacityJson(const char* json_path, const CapacityReport& cap,
-                       const std::vector<SweepRow>& sweep) {
+void WriteCapacityJson(const char* json_path, const CapacityReport& cap) {
   std::FILE* f = std::fopen(json_path, "w");  // NOLINT(durable-io): bench
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", json_path);
@@ -269,26 +180,9 @@ void WriteCapacityJson(const char* json_path, const CapacityReport& cap,
                static_cast<double>(cap.rss_after) / (1024.0 * 1024.0));
   std::fprintf(f, "  \"rehydrate_spot_checks\": %zu,\n",
                cap.rehydrate_checked);
-  std::fprintf(f, "  \"rehydrate_bit_identical\": %s,\n",
+  std::fprintf(f, "  \"rehydrate_bit_identical\": %s\n",
                cap.rehydrate_ok ? "true" : "false");
-  std::fprintf(f, "  \"shard_sweep_workers\": %d,\n", kSweepWorkers);
-  std::fprintf(f, "  \"shard_sweep_runs_per_row\": %d,\n", kSweepRepeats);
-  std::fprintf(f, "  \"shard_sweep\": [\n");
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    const SweepRow& r = sweep[i];
-    std::fprintf(f,
-                 "    {\"shards\": %d, \"workers_per_shard\": %d, "
-                 "\"qps\": %s, \"p50_ms\": %s, \"p99_ms\": %s, "
-                 "\"degraded\": %llu, \"rss_mb\": %.1f}%s\n",
-                 r.shards, kSweepWorkers / r.shards,
-                 bench::SpreadJson(r.qps, 1).c_str(),
-                 bench::SpreadJson(r.p50_ms, 3).c_str(),
-                 bench::SpreadJson(r.p99_ms, 3).c_str(),
-                 static_cast<unsigned long long>(r.degraded),
-                 static_cast<double>(r.rss_bytes) / (1024.0 * 1024.0),
-                 i + 1 < sweep.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
+  std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote %s\n", json_path);
 }
@@ -316,8 +210,8 @@ int main(int argc, char** argv) {
   const int patterns = common::EnvInt("ADAMOVE_BENCH_CAP_PATTERNS", 4);
   const int dim = env.hidden;
 
-  std::printf("part 1: %zu users x %d patterns x %d dims, compact tier at "
-              "full scale\n",
+  std::printf("%zu users x %d patterns x %d dims, compact tier at full "
+              "scale\n",
               users, patterns, dim);
   const CapacityReport cap = RunCapacity(users, patterns, dim);
   common::TablePrinter ctable({"users", "dense B/user", "compact B/user",
@@ -346,67 +240,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::printf("\npart 2: serving per shard-group count, %d workers in all, "
-              "%d runs per row\n",
-              kSweepWorkers, kSweepRepeats);
-  bench::PreparedDataset prepared =
-      bench::Prepare(data::NycLikePreset(), env);
-  core::ModelConfig mc = bench::MakeModelConfig(prepared, env);
-  core::LightMob model(mc);
-  core::TrainConfig tc = bench::MakeTrainConfig(env);
-  tc.max_epochs = std::min(tc.max_epochs, 3);  // latency bench, not accuracy
-  bench::TrainModel(model, prepared.dataset, tc);
-
-  const size_t requests = static_cast<size_t>(
-      common::EnvInt("ADAMOVE_BENCH_CAP_REQUESTS", 2000));
-  const int clients = common::EnvInt("ADAMOVE_BENCH_CAP_CLIENTS", 8);
-  const std::vector<data::Sample> stream =
-      serve::BuildReplayStream(prepared.dataset.test, requests);
-
-  // Rows interleave run by run, so drift on the host spreads over all rows.
-  const int shard_counts[] = {1, 2, 4};
-  std::vector<std::vector<SweepRun>> runs(std::size(shard_counts));
-  for (int r = 0; r < kSweepRepeats; ++r) {
-    for (size_t i = 0; i < std::size(shard_counts); ++i) {
-      runs[i].push_back(
-          RunShardSweep(model, stream, shard_counts[i], clients));
-    }
-  }
-  common::TablePrinter stable({"shards", "workers/shard", "qps median",
-                               "qps q1-q3", "e2e p50 ms", "e2e p99 ms",
-                               "p99 q1-q3", "degraded", "rss MB"});
-  std::vector<SweepRow> sweep;
-  for (size_t i = 0; i < std::size(shard_counts); ++i) {
-    SweepRow row;
-    row.shards = shard_counts[i];
-    std::vector<double> qps, p50, p99;
-    for (const SweepRun& run : runs[i]) {
-      qps.push_back(run.qps);
-      p50.push_back(run.p50_ms);
-      p99.push_back(run.p99_ms);
-      row.degraded += run.degraded;
-      row.rss_bytes = std::max(row.rss_bytes, run.rss_bytes);
-    }
-    row.qps = bench::SpreadOf(qps);
-    row.p50_ms = bench::SpreadOf(p50);
-    row.p99_ms = bench::SpreadOf(p99);
-    stable.AddRow(
-        {std::to_string(row.shards),
-         std::to_string(kSweepWorkers / row.shards),
-         common::TablePrinter::Fmt(row.qps.median, 1),
-         common::TablePrinter::Fmt(row.qps.q1, 1) + "-" +
-             common::TablePrinter::Fmt(row.qps.q3, 1),
-         common::TablePrinter::Fmt(row.p50_ms.median, 3),
-         common::TablePrinter::Fmt(row.p99_ms.median, 3),
-         common::TablePrinter::Fmt(row.p99_ms.q1, 3) + "-" +
-             common::TablePrinter::Fmt(row.p99_ms.q3, 3),
-         std::to_string(row.degraded),
-         common::TablePrinter::Fmt(
-             static_cast<double>(row.rss_bytes) / (1024.0 * 1024.0), 1)});
-    sweep.push_back(row);
-  }
-  stable.Print();
-
-  if (report) WriteCapacityJson("BENCH_capacity.json", cap, sweep);
+  if (report) WriteCapacityJson("BENCH_capacity.json", cap);
   return cap.ratio >= 4.0 ? 0 : 1;
 }

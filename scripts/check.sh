@@ -14,8 +14,8 @@
 #   2. TSan:   `concurrency` + `persist` + `shard` + `plan` + `verify` +
 #              `overload` labels under -DADAMOVE_SANITIZE=thread (data races
 #              in the serving path / kernels / chaos suite, snapshot/restore
-#              racing live traffic, rebalance-while-serving in the shard
-#              subsystem, encode scratch/prefix-state sharing across
+#              racing live traffic, tier moves in the two-tier session
+#              store, encode scratch/prefix-state sharing across
 #              workers, and the elastic-adaptation scheduler under
 #              open-loop bursts)
 #   3. ASan+UBSan: `fault` + `persist` + `shard` + `plan` + `verify` +

@@ -18,7 +18,8 @@
 #      every FaultPoint in src/ documented in DESIGN.md and exercised under
 #      tests/, every ADAMOVE_* knob documented in README.md (and every
 #      README knob read by code or declared as a CMake option), every ctest
-#      label run by a check.sh stage. Diagnostics are `file:line: rule:
+#      label run by a check.sh stage and every staged label declared by a
+#      suite. Diagnostics are `file:line: rule:
 #      message`; any finding fails the pass. The rules themselves are
 #      unit-tested (tests/tools/adamove_lint_test.cc), including regressions
 #      for the grep era's two defect classes: NOLINT anywhere on a line

@@ -63,8 +63,6 @@ bool EvaluateSlow(const char* point);
 ///   core.state_hydrate    SessionStore cold-tier rehydration blocked —
 ///                         state unavailable, base-model fallback, neither
 ///                         tier mutated
-///   serve.router_lookup   ShardedService routing fails — request admitted
-///                         to a fallback group frozen-only (kDegraded)
 ///   serve.ptta_generate   pattern generation skipped — stale-KB prediction
 ///   serve.encode_forward  encoder forward fails — bounded retry
 ///   serve.batch_flush     probed once per request (the name predates one

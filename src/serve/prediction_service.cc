@@ -48,26 +48,10 @@ PredictionService::PredictionService(core::AdaptableModel& model,
 
 PredictionService::~PredictionService() { Shutdown(); }
 
-std::future<Prediction> PredictionService::Submit(
-    data::Sample sample, std::function<void()> on_complete) {
-  return SubmitInternal(std::move(sample), /*frozen_only=*/false,
-                        std::move(on_complete));
-}
-
-std::future<Prediction> PredictionService::SubmitFrozen(
-    data::Sample sample, std::function<void()> on_complete) {
-  return SubmitInternal(std::move(sample), /*frozen_only=*/true,
-                        std::move(on_complete));
-}
-
-std::future<Prediction> PredictionService::SubmitInternal(
-    data::Sample sample, bool frozen_only,
-    std::function<void()> on_complete) {
+std::future<Prediction> PredictionService::Submit(data::Sample sample) {
   ADAMOVE_CHECK(!sample.recent.empty());
   Request request;
   request.sample = std::move(sample);
-  request.frozen_only = frozen_only;
-  request.on_complete = std::move(on_complete);
   std::future<Prediction> result = request.promise.get_future();
   {
     common::MutexLock lock(mu_);
@@ -226,10 +210,9 @@ void PredictionService::ServeRequest(Request& request, size_t queue_depth,
   p.encode_us = encode_timer.ElapsedMs() * 1000.0;
 
   // Adapt stage: a request that can take the adapted path (no missed
-  // deadline, not flush-degraded, not frozen-only) goes through the store's
-  // per-request call — the knowledge-base update under the user's shard
-  // lock, the scoring after it. Any other request is answered by the base
-  // model.
+  // deadline, not flush-degraded) goes through the store's per-request
+  // call — the knowledge-base update under the user's shard lock, the
+  // scoring after it. Any other request is answered by the base model.
   common::Timer adapt_timer;
   const bool deadline_missed =
       config_.deadline_us > 0 &&
@@ -237,7 +220,7 @@ void PredictionService::ServeRequest(Request& request, size_t queue_depth,
           request.enqueue + std::chrono::microseconds(config_.deadline_us);
   AdaptStatus status = AdaptStatus::kAdapted;
   BatchAdaptStats adapt_stats;
-  if (deadline_missed || flush_degraded || request.frozen_only) {
+  if (deadline_missed || flush_degraded) {
     p.scores = store_.PredictFrozen(model_, view);
     p.outcome = deadline_missed ? RequestOutcome::kTimedOut
                                 : RequestOutcome::kDegraded;

@@ -182,33 +182,19 @@ class PredictionService {
   PredictionService& operator=(const PredictionService&) = delete;
 
   /// Enqueues one request, blocking while the queue is at capacity.
-  /// sample.recent must be non-empty. `on_complete`, when set, runs exactly
-  /// once in the worker, after the request has been accounted and its
-  /// promise fulfilled. The shard layer hangs its drain barrier off this
-  /// hook (every per-request state effect has happened by the time it
-  /// fires).
-  std::future<Prediction> Submit(data::Sample sample,
-                                 std::function<void()> on_complete = nullptr);
+  /// sample.recent must be non-empty.
+  std::future<Prediction> Submit(data::Sample sample);
 
   /// Non-blocking variant: false (and no enqueue) when the queue is full;
   /// the rejection is counted in ServiceStats::shed_requests. On success
   /// `*out` is assigned *before* the request becomes visible to workers, so
   /// an `on_complete` that reads the future through shared state cannot
-  /// race the assignment (the open-loop LoadGen leans on this). On false,
-  /// `*out` is untouched and `on_complete` never fires.
+  /// race the assignment (the open-loop LoadGen leans on this).
+  /// `on_complete`, when set, runs exactly once in the worker, after the
+  /// request has been accounted in Stats() and its promise fulfilled. On
+  /// false, `*out` is untouched and `on_complete` never fires.
   bool TrySubmit(data::Sample sample, std::future<Prediction>* out,
                  std::function<void()> on_complete = nullptr);
-
-  /// Frozen-only admission: the request flows through the normal queue and
-  /// encode stage, but the adapt stage is skipped — the frozen base model
-  /// answers and the request is accounted kDegraded. No per-user state is
-  /// read or written, which is the property the shard layer leans on: a
-  /// user whose state is mid-migration (or a mis-routed request under the
-  /// `serve.router_lookup` fault) gets a valid real-model answer without
-  /// forking state on the wrong shard group (DESIGN.md §12). `on_complete`
-  /// as in Submit.
-  std::future<Prediction> SubmitFrozen(
-      data::Sample sample, std::function<void()> on_complete = nullptr);
 
   /// Stops accepting requests, drains the queue, joins workers (including
   /// an in-flight warm-start restore). Idempotent; also run by the
@@ -262,15 +248,9 @@ class PredictionService {
     data::Sample sample;
     std::promise<Prediction> promise;
     Clock::time_point enqueue;
-    /// SubmitFrozen admission: skip the adapt stage, answer frozen.
-    bool frozen_only = false;
     /// Fired exactly once, after the promise is fulfilled (may be empty).
     std::function<void()> on_complete;
   };
-
-  std::future<Prediction> SubmitInternal(data::Sample sample,
-                                         bool frozen_only,
-                                         std::function<void()> on_complete);
 
   /// Per-worker stage histograms; merged on demand by Stats().
   struct WorkerStats {

@@ -290,8 +290,8 @@ class SessionStore {
 
   /// Removes `user`'s complete state from the store — hot tier first, then
   /// the cold tier — returning it via `out`. False when the user is unknown
-  /// to both tiers (out untouched). The extraction primitive behind shard
-  /// rebalancing: the moved state is re-installed elsewhere via InjectUser.
+  /// to both tiers (out untouched). InjectUser installs the state again, in
+  /// this store or another one.
   bool ExtractUser(int64_t user, core::OnlineAdapter::UserSnapshot* out);
 
   /// Installs a complete user state into the hot tier (replacing any

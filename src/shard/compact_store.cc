@@ -1,6 +1,5 @@
 #include "shard/compact_store.h"
 
-#include <algorithm>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -88,15 +87,6 @@ bool CompactStore::Contains(int64_t user) const {
 size_t CompactStore::UserCount() const {
   common::MutexLock lock(mu_);
   return blobs_.size();
-}
-
-std::vector<int64_t> CompactStore::Users() const {
-  common::MutexLock lock(mu_);
-  std::vector<int64_t> users;
-  users.reserve(blobs_.size());
-  for (const auto& [user, blob] : blobs_) users.push_back(user);
-  std::sort(users.begin(), users.end());
-  return users;
 }
 
 CompactStore::Stats CompactStore::GetStats() const {

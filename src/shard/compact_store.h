@@ -65,8 +65,6 @@ class CompactStore : public serve::ColdTier {
 
   bool Contains(int64_t user) const;
   size_t UserCount() const;
-  /// All dehydrated users, ascending.
-  std::vector<int64_t> Users() const;
   Stats GetStats() const;
 
  private:

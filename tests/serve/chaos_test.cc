@@ -16,7 +16,6 @@
 #include "serve/prediction_service.h"
 #include "serve/session_store.h"
 #include "shard/compact_store.h"
-#include "shard/sharded_service.h"
 #include "tests/serve/predict_only.h"
 
 namespace adamove::serve {
@@ -294,9 +293,9 @@ TEST_F(ChaosTest, DeadlineOverrunsServeFallbackAsTimedOut) {
 /// blob, no cold Take that would lose it. Once the fault clears, the
 /// original adapted state hydrates and serves.
 ///
-/// Note this point (and serve.router_lookup below) is deliberately NOT in
-/// kAllFaultPoints: it only evaluates when a cold tier is configured, which
-/// the plain-SessionStore chaos runs above never do.
+/// Note this point is deliberately NOT in kAllFaultPoints: it only
+/// evaluates when a cold tier is configured, which the plain-SessionStore
+/// chaos runs above never do.
 TEST_F(ChaosTest, StateHydrateFaultServesFrozenAndMutatesNeitherTier) {
   core::LightMob model(SmallConfig());
   common::Rng rng(11);
@@ -379,71 +378,6 @@ TEST_F(ChaosTest, StateHydrateFaultServesFrozenAndMutatesNeitherTier) {
   (void)PredictOnly(store, model, cold_user, query, t);
   EXPECT_GT(cold.GetStats().takes, takes_before);
   EXPECT_GT(store.PatternCount(cold_user), 0u);
-}
-
-/// `serve.router_lookup` at 100%: placement fails for every request, so the
-/// sharded layer admits each one to a live fallback group frozen-only. The
-/// ladder holds: never a crash, every request kDegraded with valid frozen
-/// scores, exact accounting, and zero per-user state created on groups the
-/// ring never chose.
-TEST_F(ChaosTest, RouterLookupFaultFallsBackFrozenWithExactAccounting) {
-  core::LightMob model(SmallConfig());
-  shard::ShardedServiceConfig config;
-  config.num_shards = 2;
-  config.service.workers = 2;
-  shard::ShardedService sharded(model, config);
-
-  FaultRegistry::Instance().Arm("serve.router_lookup",
-                                FaultSpec{1.0, 0, true});
-  const std::vector<data::Sample> stream = MakeStream(6, 4);
-  std::vector<std::future<Prediction>> futures;
-  for (const auto& sample : stream) futures.push_back(sharded.Submit(sample));
-  for (auto& f : futures) {
-    const Prediction p = f.get();
-    EXPECT_EQ(p.outcome, RequestOutcome::kDegraded);
-    ASSERT_EQ(p.scores.size(), 12u);
-    EXPECT_TRUE(AllFinite(p.scores));
-  }
-  EXPECT_EQ(sharded.RouterFallbacks(), stream.size());
-  uint64_t accounted = 0;
-  uint64_t degraded = 0;
-  size_t users = 0;
-  for (const auto& group : sharded.Stats()) {
-    accounted += group.service.accounted();
-    degraded += group.service.degraded_requests;
-    users += group.hot_users + group.cold_users;
-  }
-  EXPECT_EQ(accounted, stream.size());
-  EXPECT_EQ(degraded, stream.size());
-  EXPECT_EQ(users, 0u);  // frozen-only admission writes no state, ever
-  sharded.Shutdown();
-
-  // Partial outage: at 30% the service mixes adapted and fallback service,
-  // survives, and the ledger still balances exactly.
-  FaultRegistry::Instance().DisarmAll();
-  FaultRegistry::Instance().SetSeed(7);
-  FaultRegistry::Instance().Arm("serve.router_lookup",
-                                FaultSpec{0.3, 0, true});
-  shard::ShardedService partial(model, config);
-  std::vector<std::future<Prediction>> mixed;
-  for (const auto& sample : stream) mixed.push_back(partial.Submit(sample));
-  for (auto& f : mixed) {
-    const Prediction p = f.get();
-    ASSERT_EQ(p.scores.size(), 12u);
-    EXPECT_TRUE(AllFinite(p.scores));
-  }
-  uint64_t partial_accounted = 0;
-  uint64_t partial_degraded = 0;
-  for (const auto& group : partial.Stats()) {
-    partial_accounted += group.service.accounted();
-    partial_degraded += group.service.degraded_requests;
-  }
-  EXPECT_EQ(partial_accounted, stream.size());
-  EXPECT_GT(partial.RouterFallbacks(), 0u);
-  EXPECT_LT(partial.RouterFallbacks(), stream.size());
-  // With no other fault armed, router fallbacks are the only degradations.
-  EXPECT_EQ(partial_degraded, partial.RouterFallbacks());
-  partial.Shutdown();
 }
 
 /// Endurance: 10k requests through the default service, which encodes on

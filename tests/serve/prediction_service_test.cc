@@ -55,8 +55,9 @@ std::vector<data::Sample> MakeStream(int users, int steps_per_user) {
 }
 
 /// With one worker, the service must be *bit-identical* to driving
-/// core::OnlineAdapter::ObserveAndPredict over the same stream — workers and
-/// sharding are pure scheduling, never arithmetic.
+/// core::OnlineAdapter::ObserveAndPredict over the same stream. (With more
+/// workers, two requests of one user can be served at once, so per-user
+/// order across concurrent requests is not promised; DESIGN.md §4.5.)
 TEST(PredictionServiceTest, OneWorkerIsBitIdenticalToOnlineAdapter) {
   core::LightMob model(SmallConfig());
   const std::vector<data::Sample> stream = MakeStream(4, 10);
@@ -234,6 +235,59 @@ TEST(PredictionServiceTest, TrySubmitRejectsWhenFullInsteadOfBlocking) {
   EXPECT_EQ(stats.shed_requests, static_cast<uint64_t>(rejected));
   EXPECT_EQ(stats.completed, accepted.size());
   EXPECT_EQ(stats.accounted(), stream.size());
+}
+
+/// TrySubmit's completion hook runs exactly once per accepted request, after
+/// the request is counted in Stats() and its promise is fulfilled: LoadGen's
+/// open loop and perfbench's read the future and the ledger from inside it.
+/// With one worker the ledger check is exact (the hook of the k-th request
+/// sees k completions); with more it is a lower bound, raced under TSan.
+TEST(PredictionServiceTest, TrySubmitHookFiresOnceAfterTheAnswerIsAccounted) {
+  core::LightMob model(SmallConfig());
+  const std::vector<data::Sample> stream = MakeStream(4, 6);
+  const size_t n = stream.size();
+  for (const int workers : {1, 3}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    // Declared before the service, so its workers are joined before the
+    // state their hooks touch is destroyed.
+    std::vector<std::future<Prediction>> futures(n);
+    std::vector<std::atomic<int>> fired(n);
+    std::vector<std::atomic<bool>> ready_in_hook(n);
+    std::vector<std::atomic<bool>> counted_in_hook(n);
+    std::atomic<uint64_t> hooks_started{0};
+    std::atomic<size_t> hooks_done{0};
+    std::promise<void> all_fired;
+    SessionStore store{SessionStoreConfig{}};
+    ServiceConfig config;
+    config.workers = workers;
+    PredictionService service(model, store, config);
+    for (size_t i = 0; i < n; ++i) {
+      // TrySubmit assigns futures[i] before a worker can see the request,
+      // so the hook may read it.
+      ASSERT_TRUE(service.TrySubmit(stream[i], &futures[i], [&, i] {
+        // Each started hook's request was accounted before its hook began,
+        // this one's included.
+        const uint64_t started = hooks_started.fetch_add(1) + 1;
+        fired[i].fetch_add(1);
+        ready_in_hook[i] = futures[i].wait_for(std::chrono::seconds(0)) ==
+                           std::future_status::ready;
+        counted_in_hook[i] = service.Stats().completed >= started;
+        if (hooks_done.fetch_add(1) + 1 == n) all_fired.set_value();
+      }));
+    }
+    // Read the futures only once no hook can still be reading them.
+    ASSERT_EQ(all_fired.get_future().wait_for(std::chrono::seconds(60)),
+              std::future_status::ready);
+    for (auto& f : futures) EXPECT_EQ(f.get().scores.size(), 12u);
+    service.Shutdown();
+
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(fired[i].load(), 1) << "request " << i;
+      EXPECT_TRUE(ready_in_hook[i].load()) << "request " << i;
+      EXPECT_TRUE(counted_in_hook[i].load()) << "request " << i;
+    }
+    EXPECT_EQ(service.Stats().completed, n);
+  }
 }
 
 /// The take policy is work-conserving: a lone request is taken as soon as a

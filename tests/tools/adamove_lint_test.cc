@@ -206,7 +206,9 @@ TEST(RuleTest, SessionStoreConstructionScope) {
                   "session-store-construction"));
   EXPECT_TRUE(Hit(RulesHit("src/core/foo.cc", factory),
                   "session-store-construction"));
-  EXPECT_TRUE(RulesHit("src/shard/group.cc", direct).empty());
+  // src/shard/ is not exempt: the embedding program owns the store.
+  EXPECT_TRUE(Hit(RulesHit("src/shard/group.cc", direct),
+                  "session-store-construction"));
   EXPECT_TRUE(RulesHit("src/serve/session_store.cc", direct).empty());
 }
 
@@ -222,10 +224,8 @@ TEST(RuleTest, QfloatQuantizeScope) {
   // A second quantization site anywhere else under src/ fires...
   EXPECT_TRUE(Hit(RulesHit("src/serve/session_store.cc", canon),
                   "qfloat-quantize"));
-  EXPECT_TRUE(Hit(RulesHit("src/shard/compact_store.cc", encode),
-                  "qfloat-quantize"));
   // (nothing under src/shard/ is exempt)
-  EXPECT_TRUE(Hit(RulesHit("src/shard/sharded_service.cc", encode),
+  EXPECT_TRUE(Hit(RulesHit("src/shard/compact_store.cc", encode),
                   "qfloat-quantize"));
   // The pointer-level quantizer is a quantization site too.
   EXPECT_TRUE(Hit(RulesHit("src/serve/session_store.cc",
@@ -319,11 +319,16 @@ TEST_F(CrossRegistryTest, ReportsEveryMissingRegistration) {
   EXPECT_TRUE(Hit(rules, "fault-point-docs"));
   EXPECT_TRUE(Hit(rules, "fault-point-coverage"));
   EXPECT_TRUE(Hit(rules, "env-docs"));
-  EXPECT_TRUE(Hit(rules, "ctest-labels"));  // beta runs in no -L stage
-  // alpha IS staged: exactly one label diagnostic.
-  int labels = 0;
-  for (const std::string& r : rules) labels += r == "ctest-labels" ? 1 : 0;
-  EXPECT_EQ(labels, 1);
+  EXPECT_TRUE(Hit(rules, "ctest-labels"));
+  // alpha is declared and staged: one label diagnostic per direction, for
+  // beta (declared, run by no -L stage) and gamma (staged, declared by no
+  // suite).
+  std::vector<std::string> label_files;
+  for (const Diagnostic& d : CrossRegistryLints(root_)) {
+    if (d.rule == "ctest-labels") label_files.push_back(d.file);
+  }
+  EXPECT_EQ(label_files, (std::vector<std::string>{"scripts/check.sh",
+                                                   "tests/CMakeLists.txt"}));
 }
 
 TEST_F(CrossRegistryTest, RegisteredEverywhereIsClean) {
@@ -356,6 +361,39 @@ TEST_F(CrossRegistryTest, DocumentedKnobNothingReadsIsReported) {
   EXPECT_EQ(diags[0].file, "README.md");
   EXPECT_EQ(diags[0].line, 3);
   EXPECT_NE(diags[0].message.find("ADAMOVE_GHOST"), std::string::npos);
+}
+
+TEST_F(CrossRegistryTest, StagedLabelNoSuiteDeclaresIsReported) {
+  // Clean except one stage: it runs gamma, which no suite declares, so the
+  // stage would run nothing under it and still pass.
+  WriteFile("DESIGN.md", "point table: serve.widget_frob fires on frob\n");
+  WriteFile("tests/svc_test.cc", "Arm(\"serve.widget_frob\", 1.0);\n");
+  WriteFile("README.md", "set ADAMOVE_WIDGETS to tune widget count\n");
+  WriteFile("scripts/check.sh",
+            "ctest -L 'alpha|beta'\n"
+            "ctest -L 'beta|gamma'\n");
+  const std::vector<Diagnostic> diags = CrossRegistryLints(root_);
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].rule, "ctest-labels");
+  EXPECT_EQ(diags[0].file, "scripts/check.sh");
+  EXPECT_EQ(diags[0].line, 2);
+  EXPECT_NE(diags[0].message.find("'gamma'"), std::string::npos);
+
+  // A label declared only by tests/serving_labels.cmake counts...
+  WriteFile("tests/serving_labels.cmake",
+            "set_tests_properties(${t_TESTS} PROPERTIES LABELS \"gamma\")\n");
+  EXPECT_TRUE(Rules().empty());
+
+  // ...and must be staged like any other.
+  WriteFile("tests/serving_labels.cmake",
+            "# relabel\n"
+            "set_tests_properties(${t_TESTS} PROPERTIES LABELS "
+            "\"gamma;delta\")\n");
+  const std::vector<Diagnostic> unstaged = CrossRegistryLints(root_);
+  ASSERT_EQ(unstaged.size(), 1u);
+  EXPECT_EQ(unstaged[0].file, "tests/serving_labels.cmake");
+  EXPECT_EQ(unstaged[0].line, 2);
+  EXPECT_NE(unstaged[0].message.find("'delta'"), std::string::npos);
 }
 
 TEST_F(CrossRegistryTest, FaultPointInCommentIsNotADeclaration) {

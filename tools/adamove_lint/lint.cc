@@ -61,8 +61,8 @@ bool DurableScope(const std::string& p) {
 }
 
 bool SessionStoreScope(const std::string& p) {
-  return InSrc(p) && !HasPrefix(p, "src/shard/") &&
-         p != "src/serve/session_store.h" && p != "src/serve/session_store.cc";
+  return InSrc(p) && p != "src/serve/session_store.h" &&
+         p != "src/serve/session_store.cc";
 }
 
 bool X86Scope(const std::string& p) {
@@ -100,9 +100,9 @@ const std::vector<Rule>& Rules() {
        std::regex("\\bSessionStore[ \\t]+[A-Za-z_][A-Za-z0-9_]*[ \\t]*[({]|"
                   "make_unique<[^>]*SessionStore"),
        &SessionStoreScope,
-       "direct SessionStore construction outside src/shard — production "
-       "session state must be owned by a shard group so it gets the cold "
-       "tier and capacity management (DESIGN.md §12)"},
+       "direct SessionStore construction in src/ — the embedding program "
+       "builds the store and its cold tier and passes them to "
+       "PredictionService (DESIGN.md §12)"},
       {"raw-intrinsics-x86", std::regex("_mm256_|_mm512_|__m256|__m512"),
        &X86Scope,
        "x86 vector intrinsic outside src/nn/kernels_avx2.cc — all SIMD "
@@ -476,29 +476,21 @@ std::vector<Diagnostic> CrossRegistryLints(const fs::path& root) {
     }
   }
 
-  // ctest labels: every label registered in tests/CMakeLists.txt must appear
+  // ctest labels: every label a suite declares (tests/CMakeLists.txt, or
+  // tests/serving_labels.cmake for the discovered serving tests) must appear
   // in some `ctest -L` expression in scripts/check.sh — otherwise a labeled
   // suite silently runs in no gate stage beyond the unlabeled tier-1 pass.
-  const std::string cmake_path = "tests/CMakeLists.txt";
-  const std::string cmake_text = ReadFile(root / "tests" / "CMakeLists.txt");
-  const std::string check_text = ReadFile(root / "scripts" / "check.sh");
-  std::set<std::string> staged;
-  {
-    static const std::regex kStage("-L +'([^']+)'");
-    auto it = std::sregex_iterator(check_text.begin(), check_text.end(),
-                                   kStage);
-    for (; it != std::sregex_iterator(); ++it) {
-      std::istringstream expr((*it)[1].str());
-      std::string label;
-      while (std::getline(expr, label, '|')) staged.insert(label);
-    }
-  }
-  {
-    static const std::regex kLabels("LABELS +(\"([^\"]+)\"|([A-Za-z0-9_;]+))");
-    std::istringstream stream(cmake_text);
+  // And back: every label a stage names must be declared by some suite —
+  // otherwise the stage runs nothing under it and still passes.
+  std::vector<Decl> declared;  // first declaration of each label, in order
+  std::set<std::string> declared_names;
+  for (const char* file : {"tests/CMakeLists.txt",
+                           "tests/serving_labels.cmake"}) {
+    static const std::regex kLabels(
+        "LABELS +(\"([^\"]+)\"|([A-Za-z0-9_;]+))");
+    std::istringstream stream(ReadFile(root / file));
     std::string line;
     int lineno = 0;
-    std::set<std::string> reported;
     while (std::getline(stream, line)) {
       ++lineno;
       std::smatch m;
@@ -506,14 +498,45 @@ std::vector<Diagnostic> CrossRegistryLints(const fs::path& root) {
       std::istringstream list(m[2].matched ? m[2].str() : m[3].str());
       std::string label;
       while (std::getline(list, label, ';')) {
-        if (label.empty() || staged.count(label) != 0) continue;
-        if (!reported.insert(label).second) continue;
-        out.push_back({cmake_path, lineno, "ctest-labels",
-                       "ctest label '" + label +
-                           "' is not run by any `ctest -L` stage in "
-                           "scripts/check.sh"});
+        if (!label.empty() && declared_names.insert(label).second) {
+          declared.push_back({file, lineno, label});
+        }
       }
     }
+  }
+  const std::string check_path = "scripts/check.sh";
+  std::set<std::string> staged;
+  {
+    static const std::regex kStage("-L +'([^']+)'");
+    std::istringstream stream(ReadFile(root / check_path));
+    std::string line;
+    int lineno = 0;
+    while (std::getline(stream, line)) {
+      ++lineno;
+      for (auto it = std::sregex_iterator(line.begin(), line.end(), kStage);
+           it != std::sregex_iterator(); ++it) {
+        std::istringstream expr((*it)[1].str());
+        std::string label;
+        while (std::getline(expr, label, '|')) {
+          if (!staged.insert(label).second ||
+              declared_names.count(label) != 0) {
+            continue;
+          }
+          out.push_back({check_path, lineno, "ctest-labels",
+                         "ctest label '" + label +
+                             "' is run by a `ctest -L` stage but declared "
+                             "by no suite in tests/CMakeLists.txt or "
+                             "tests/serving_labels.cmake"});
+        }
+      }
+    }
+  }
+  for (const Decl& decl : declared) {
+    if (staged.count(decl.name) != 0) continue;
+    out.push_back({decl.file, decl.line, "ctest-labels",
+                   "ctest label '" + decl.name +
+                       "' is not run by any `ctest -L` stage in "
+                       "scripts/check.sh"});
   }
   return out;
 }

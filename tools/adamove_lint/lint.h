@@ -27,7 +27,8 @@ namespace adamove::lint {
 /// On top of the per-line rules, the linter proves three cross-registry
 /// consistency properties of the tree (things no single-file grep can see):
 /// fault points vs DESIGN.md and the test suite, ADAMOVE_* env knobs vs
-/// README.md (both directions), and ctest labels vs the check.sh stages that must run them.
+/// README.md (both directions), and ctest labels vs the check.sh stages that
+/// must run them (both directions).
 
 struct Diagnostic {
   std::string file;  // repo-relative, forward slashes
@@ -78,8 +79,10 @@ std::vector<Diagnostic> LintSource(const std::string& path,
 ///                         README.md, and every ADAMOVE_* name in README.md
 ///                         is read under src/, bench/, tests/, examples/ or
 ///                         tools/, or is a CMake cache option
-///   ctest-labels          every LABELS entry in tests/CMakeLists.txt appears
-///                         in a `ctest -L` expression in scripts/check.sh
+///   ctest-labels          every LABELS entry in tests/CMakeLists.txt or
+///                         tests/serving_labels.cmake appears in a `ctest -L`
+///                         expression in scripts/check.sh, and every label
+///                         such an expression names is declared there
 std::vector<Diagnostic> CrossRegistryLints(const std::filesystem::path& root);
 
 /// The whole gate: per-line rules over src/**/*.{h,cc} plus the
