@@ -8,16 +8,19 @@
 // BENCH_capacity.json) is hot resident bytes/user over compact payload
 // bytes/user, against a 4x target set when the hot tier held f32 patterns;
 // both tiers now hold the same q8 blocks, so the ratio measures only the
-// hot tier's per-entry containers. A rehydration spot-check re-decodes a
-// slice of users and verifies bit-identical state, so the number measured is
-// for a *lossless* representation, not a lossy one.
+// hot tier's per-entry containers. Reserved bytes/user counts each compact
+// blob at its heap block's size as the allocator reports it (usable size
+// plus chunk header), next to the payload bytes/user. A rehydration
+// spot-check re-decodes a slice of users and verifies bit-identical state,
+// so the number measured is for a *lossless* representation, not a lossy
+// one.
 //
 // Knobs (on top of the shared ADAMOVE_BENCH_* ones):
 //   ADAMOVE_BENCH_CAP_USERS    — resident users at full scale (default 1M)
 //   ADAMOVE_BENCH_CAP_PATTERNS — stored patterns per user (default 4)
 //
 // Flags:
-//   --bench_report — write BENCH_capacity.json next to the binary.
+//   --bench_report — write BENCH_capacity.json to the working directory.
 
 #include <algorithm>
 #include <cstdio>

@@ -19,7 +19,8 @@
 #      tests/, every ADAMOVE_* knob documented in README.md (and every
 #      README knob read by code or declared as a CMake option), every ctest
 #      label run by a check.sh stage and every staged label declared by a
-#      suite. Diagnostics are `file:line: rule:
+#      suite, and every `-L` expression in .github/workflows/ci.yml equal to
+#      one in check.sh and back. Diagnostics are `file:line: rule:
 #      message`; any finding fails the pass. The rules themselves are
 #      unit-tested (tests/tools/adamove_lint_test.cc), including regressions
 #      for the grep era's two defect classes: NOLINT anywhere on a line

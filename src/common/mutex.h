@@ -119,11 +119,6 @@ class CondVar {
     return status;
   }
 
-  std::cv_status WaitFor(Mutex& mu, std::chrono::steady_clock::duration rel)
-      ADAMOVE_REQUIRES(mu) {
-    return WaitUntil(mu, std::chrono::steady_clock::now() + rel);
-  }
-
   void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }
 

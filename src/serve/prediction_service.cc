@@ -221,7 +221,8 @@ void PredictionService::ServeRequest(Request& request, size_t queue_depth,
   AdaptStatus status = AdaptStatus::kAdapted;
   BatchAdaptStats adapt_stats;
   if (deadline_missed || flush_degraded) {
-    p.scores = store_.PredictFrozen(model_, view);
+    core::OnlineAdapter::PredictFrozenInto(model_, view.query(), view.cols,
+                                           &scratch.store.scores);
     p.outcome = deadline_missed ? RequestOutcome::kTimedOut
                                 : RequestOutcome::kDegraded;
   } else {
@@ -229,9 +230,6 @@ void PredictionService::ServeRequest(Request& request, size_t queue_depth,
     status = store_.ObserveAndPredictInto(model_, sample, view, exec_mode,
                                           &scratch.store, &adapt_stats,
                                           &stale_depth);
-    // The delivered scores take the scratch's buffer; the next request's
-    // scoring regrows it.
-    p.scores = std::move(scratch.store.scores);
     // A stale_adapt answer is a valid on-time adapted prediction — kOk,
     // flagged out-of-band (the RequestOutcome-adjacent deferral signal).
     const bool valid_adapt = status == AdaptStatus::kAdapted ||
@@ -243,6 +241,9 @@ void PredictionService::ServeRequest(Request& request, size_t queue_depth,
       p.stale_depth = stale_depth;
     }
   }
+  // Both branches score into the worker's scratch; the delivered scores
+  // take its buffer, and the next request's scoring regrows it.
+  p.scores = std::move(scratch.store.scores);
   p.adapt_us = adapt_timer.ElapsedMs() * 1000.0;
 
   {

@@ -108,14 +108,6 @@ void SessionStore::Observe(int64_t user, const std::vector<float>& pattern,
   shard.adapter.Observe(user, pattern, next_location, timestamp);
 }
 
-std::vector<float> SessionStore::PredictFrozen(
-    const core::AdaptableModel& model, RepsView reps) const {
-  std::vector<float> scores;
-  core::OnlineAdapter::PredictFrozenInto(model, reps.query(), reps.cols,
-                                         &scores);
-  return scores;
-}
-
 std::vector<std::vector<float>> SessionStore::BatchObserveAndPredictEncoded(
     const core::AdaptableModel& model,
     const std::vector<BatchRequest>& requests,

@@ -21,11 +21,11 @@ namespace adamove::serve {
 /// Second storage tier behind a SessionStore: evicted users are dehydrated
 /// into it instead of dropped, and users absent from the hot tier are
 /// hydrated back out of it on first touch. Implemented by the shard
-/// subsystem's CompactStore (arena-backed compact blobs — DESIGN.md §12);
-/// the interface lives here so serve/ does not depend on shard/. A user
-/// lives in at most one tier: the store moves a user between tiers only
-/// under the user's shard mutex, and drops any cold copy before it installs
-/// hot state (InjectUser, Restore).
+/// subsystem's CompactStore (each user's compact blob in one exact-size
+/// heap block — DESIGN.md §12); the interface lives here so serve/ does not
+/// depend on shard/. A user lives in at most one tier: the store moves a
+/// user between tiers only under the user's shard mutex, and drops any cold
+/// copy before it installs hot state (InjectUser, Restore).
 ///
 /// Concurrency contract: every call is invoked while the *caller's* shard
 /// mutex is held, so an implementation must use only its own locks and must
@@ -279,11 +279,6 @@ class SessionStore {
   /// Buffered pending deltas across all hot-resident users.
   size_t PendingDeltaCount() const;
 
-  /// The base-model fallback: frozen-classifier scores for the final row of
-  /// `reps` (the query pattern). Reads no per-user state and takes no lock.
-  std::vector<float> PredictFrozen(const core::AdaptableModel& model,
-                                   RepsView reps) const;
-
   /// Drops one user's state wherever it lives — hot tier and cold tier
   /// (no-op if absent from both).
   void Forget(int64_t user);
@@ -371,8 +366,6 @@ class SessionStore {
   uint64_t HydrationCount() const {
     return hydrations_.load(std::memory_order_relaxed);
   }
-
-  int num_shards() const { return static_cast<int>(shards_.size()); }
 
   /// SessionStoreConfig::max_resident_users (0 = unbounded) — the residency
   /// policy the serving encoder's prefix state follows too.

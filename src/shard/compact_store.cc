@@ -1,5 +1,8 @@
 #include "shard/compact_store.h"
 
+#include <malloc.h>
+
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -7,24 +10,22 @@
 #include "common/check.h"
 
 namespace adamove::shard {
+namespace {
 
-CompactStore::CompactStore(const CompactStoreConfig& config)
-    : config_(config), arena_(config.slab_bytes) {}
+/// Heap bytes one blob block occupies: the usable size glibc reports for it
+/// plus the 8-byte size field at the head of its chunk (DESIGN.md §12).
+uint64_t HeapBlockBytes(char* block) {
+  constexpr uint64_t kChunkHeaderBytes = 8;
+  return malloc_usable_size(block) + kChunkHeaderBytes;
+}
 
-void CompactStore::StoreBlobLocked(int64_t user, std::string_view bytes) {
-  auto it = blobs_.find(user);
-  if (it != blobs_.end()) {
-    blob_bytes_ -= it->second.length;
-    arena_.Free(it->second.block);
-    blobs_.erase(it);
-  }
-  if (bytes.empty()) return;
-  Blob blob;
-  blob.block = arena_.Allocate(bytes.size());
-  blob.length = static_cast<uint32_t>(bytes.size());
-  std::memcpy(blob.block.data, bytes.data(), bytes.size());
-  blob_bytes_ += blob.length;
-  blobs_.emplace(user, blob);
+}  // namespace
+
+void CompactStore::EraseLocked(
+    std::unordered_map<int64_t, Blob>::iterator it) {
+  blob_bytes_ -= it->second.length;
+  reserved_bytes_ -= HeapBlockBytes(it->second.data.get());
+  blobs_.erase(it);
 }
 
 void CompactStore::Accept(core::OnlineAdapter::UserSnapshot&& snap) {
@@ -35,10 +36,25 @@ void CompactStore::Accept(core::OnlineAdapter::UserSnapshot&& snap) {
   if (!snap.locations.empty() || !snap.pending.empty()) {
     core::OnlineAdapter::EncodeUser(snap, &encoded, &encode_stats);
   }
+  // The exact-size block is allocated and filled before the lock, so the
+  // copy stays out of the critical section.
+  Blob blob;
+  if (!encoded.empty()) {
+    blob.data.reset(static_cast<char*>(std::malloc(encoded.size())));
+    ADAMOVE_CHECK(blob.data != nullptr);
+    std::memcpy(blob.data.get(), encoded.data(), encoded.size());
+    blob.length = static_cast<uint32_t>(encoded.size());
+  }
   common::MutexLock lock(mu_);
   // An empty snapshot erases: "this user has no state" and "this user is
   // unknown" must stay indistinguishable to Take.
-  StoreBlobLocked(snap.user, encoded);
+  auto it = blobs_.find(snap.user);
+  if (it != blobs_.end()) EraseLocked(it);
+  if (blob.length > 0) {
+    blob_bytes_ += blob.length;
+    reserved_bytes_ += HeapBlockBytes(blob.data.get());
+    blobs_.emplace(snap.user, std::move(blob));
+  }
   accepts_ += 1;
   patterns_ += encode_stats.patterns;
   raw_patterns_ += encode_stats.raw_patterns;
@@ -48,15 +64,13 @@ bool CompactStore::Take(int64_t user, core::OnlineAdapter::UserSnapshot* out) {
   common::MutexLock lock(mu_);
   auto it = blobs_.find(user);
   if (it == blobs_.end()) return false;
-  const std::string_view bytes(it->second.block.data, it->second.length);
   // Blobs are only ever written by our own encoder (Accept), so an
   // undecodable blob here is memory corruption — abort loudly rather than
   // serve a half-user.
-  const common::IoResult decoded = core::OnlineAdapter::DecodeUser(bytes, out);
+  const common::IoResult decoded =
+      core::OnlineAdapter::DecodeUser(it->second.bytes(), out);
   ADAMOVE_CHECK(static_cast<bool>(decoded));
-  blob_bytes_ -= it->second.length;
-  arena_.Free(it->second.block);
-  blobs_.erase(it);
+  EraseLocked(it);
   takes_ += 1;
   return true;
 }
@@ -68,7 +82,7 @@ void CompactStore::CopyUsers(
   {
     common::MutexLock lock(mu_);
     for (const auto& [user, blob] : blobs_) {
-      if (wanted(user)) blobs.emplace_back(blob.block.data, blob.length);
+      if (wanted(user)) blobs.emplace_back(blob.bytes());
     }
   }
   for (const std::string& bytes : blobs) {
@@ -94,7 +108,8 @@ CompactStore::Stats CompactStore::GetStats() const {
   Stats stats;
   stats.users = blobs_.size();
   stats.blob_bytes = blob_bytes_;
-  stats.arena = arena_.stats();
+  stats.arena.used_bytes = blob_bytes_;
+  stats.arena.reserved_bytes = reserved_bytes_;
   stats.accepts = accepts_;
   stats.takes = takes_;
   stats.patterns = patterns_;

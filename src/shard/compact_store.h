@@ -2,42 +2,46 @@
 #define ADAMOVE_SHARD_COMPACT_STORE_H_
 
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <memory>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "common/annotations.h"
-#include "common/arena.h"
 #include "common/mutex.h"
 #include "serve/session_store.h"
 
 namespace adamove::shard {
 
-struct CompactStoreConfig {
-  /// Slab granule of the backing arena (common::SlabArena).
-  size_t slab_bytes = 64 * 1024;
-};
-
 /// The cold tier behind a serve::SessionStore (DESIGN.md §12): evicted
-/// users live here as their wire blobs (core::OnlineAdapter::EncodeUser)
-/// carved out of a slab arena — the same int8 blocks the hot tier holds,
-/// without its per-entry containers — freed in O(1) on rehydration.
-/// Implements serve::ColdTier, so the session store calls Take/Accept/
-/// CopyUsers without knowing the representation. It has no file of its
-/// own: the session store's snapshot carries its users (DESIGN.md §11).
+/// users live here as their wire blobs (core::OnlineAdapter::EncodeUser),
+/// each in one exact-size heap block owned by its map entry — the same int8
+/// blocks the hot tier holds, without its per-entry containers — freed on
+/// rehydration. Implements serve::ColdTier, so the session store calls
+/// Take/Accept/CopyUsers without knowing the representation. It has no file
+/// of its own: the session store's snapshot carries its users (DESIGN.md
+/// §11).
 ///
-/// Thread-safe: one internal mutex guards the arena and the blob map. The
-/// ColdTier contract says callers hold a session-store shard mutex while
-/// calling in; the lock order (shard mutex -> store mutex) is acyclic
-/// because the store never calls back out.
+/// Thread-safe: one internal mutex guards the blob map. The ColdTier
+/// contract says callers hold a session-store shard mutex while calling in;
+/// the lock order (shard mutex -> store mutex) is acyclic because the store
+/// never calls back out.
 class CompactStore : public serve::ColdTier {
  public:
   struct Stats {
     size_t users = 0;
-    /// Sum of encoded blob lengths (payload bytes, excluding arena slack).
+    /// Sum of encoded blob lengths (payload bytes).
     uint64_t blob_bytes = 0;
-    common::SlabArena::Stats arena;
+    /// The blobs' heap footprint. `used_bytes` equals `blob_bytes`;
+    /// `reserved_bytes` sums each blob's block at the size the allocator
+    /// holds for it (HeapBlockBytes in compact_store.cc), so it counts heap
+    /// bytes, not payload. The names are the frozen benchmark's.
+    struct Arena {
+      uint64_t used_bytes = 0;
+      uint64_t reserved_bytes = 0;
+    } arena;
     uint64_t accepts = 0;
     uint64_t takes = 0;
     /// Cumulative codec accounting across Accepts: patterns stored, and the
@@ -47,9 +51,7 @@ class CompactStore : public serve::ColdTier {
     uint64_t raw_patterns = 0;
   };
 
-  explicit CompactStore(const CompactStoreConfig& config = {});
-
-  /// ColdTier: removes and rehydrates one user's blob (O(1) arena free).
+  /// ColdTier: removes and rehydrates one user's blob, freeing its block.
   bool Take(int64_t user, core::OnlineAdapter::UserSnapshot* out) override;
 
   /// ColdTier: encodes and stores a user's complete state — entries and
@@ -68,20 +70,25 @@ class CompactStore : public serve::ColdTier {
   Stats GetStats() const;
 
  private:
+  /// One blob: a malloc block of exactly `length` bytes, freed with its
+  /// map entry.
   struct Blob {
-    common::SlabArena::Block block;
-    uint32_t length = 0;  // encoded payload bytes within the block
+    struct Free {
+      void operator()(char* block) const { std::free(block); }
+    };
+    std::unique_ptr<char, Free> data;
+    uint32_t length = 0;
+    std::string_view bytes() const { return {data.get(), length}; }
   };
 
-  /// Copies `bytes` into the arena under `user`, freeing any previous blob.
-  void StoreBlobLocked(int64_t user, std::string_view bytes)
+  /// Erases one blob and takes it out of the byte counts.
+  void EraseLocked(std::unordered_map<int64_t, Blob>::iterator it)
       ADAMOVE_REQUIRES(mu_);
 
-  CompactStoreConfig config_;
   mutable common::Mutex mu_;
-  common::SlabArena arena_ ADAMOVE_GUARDED_BY(mu_);
   std::unordered_map<int64_t, Blob> blobs_ ADAMOVE_GUARDED_BY(mu_);
   uint64_t blob_bytes_ ADAMOVE_GUARDED_BY(mu_) = 0;
+  uint64_t reserved_bytes_ ADAMOVE_GUARDED_BY(mu_) = 0;
   uint64_t accepts_ ADAMOVE_GUARDED_BY(mu_) = 0;
   uint64_t takes_ ADAMOVE_GUARDED_BY(mu_) = 0;
   uint64_t patterns_ ADAMOVE_GUARDED_BY(mu_) = 0;

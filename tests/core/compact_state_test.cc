@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/durable_io.h"
 #include "common/qfloat.h"
 #include "common/rng.h"
@@ -221,56 +220,6 @@ TEST(VarintTest, RejectsTruncationAndOverlongEncodings) {
   overlong.push_back(0x02);
   common::WireReader r2(overlong);
   EXPECT_FALSE(r2.ReadVarint(&v));
-}
-
-// ---- slab arena -----------------------------------------------------------
-
-TEST(SlabArenaTest, AllocatesFreesAndReusesSlots) {
-  common::SlabArena arena(4096);
-  common::SlabArena::Block a = arena.Allocate(100);
-  common::SlabArena::Block b = arena.Allocate(100);
-  ASSERT_NE(a.data, nullptr);
-  ASSERT_NE(b.data, nullptr);
-  EXPECT_NE(a.data, b.data);
-  EXPECT_EQ(arena.stats().live_blocks, 2u);
-  EXPECT_EQ(arena.stats().used_bytes, 200u);
-
-  arena.Free(a);
-  EXPECT_EQ(arena.stats().live_blocks, 1u);
-  // Same class, freed slot available: O(1) reuse of the same address.
-  common::SlabArena::Block c = arena.Allocate(90);
-  EXPECT_EQ(c.data, a.data);
-  arena.Free(b);
-  arena.Free(c);
-  EXPECT_EQ(arena.stats().live_blocks, 0u);
-  EXPECT_EQ(arena.stats().used_bytes, 0u);
-  // Slabs stay reserved for reuse — eviction cost never includes munmap.
-  EXPECT_GT(arena.stats().reserved_bytes, 0u);
-}
-
-TEST(SlabArenaTest, OversizeBlocksAreExactAndReclaimed) {
-  common::SlabArena arena(1024);
-  const size_t big = 10 * 1024;
-  EXPECT_EQ(arena.SlotSizeFor(big), big);  // exact, no class rounding
-  common::SlabArena::Block block = arena.Allocate(big);
-  EXPECT_EQ(block.cls, -1);
-  EXPECT_EQ(arena.stats().oversize_blocks, 1u);
-  const uint64_t reserved = arena.stats().reserved_bytes;
-  arena.Free(block);
-  EXPECT_EQ(arena.stats().oversize_blocks, 0u);
-  // Oversize memory really goes back (unlike slab slots).
-  EXPECT_EQ(arena.stats().reserved_bytes, reserved - big);
-}
-
-TEST(SlabArenaTest, GeometricClassesBoundInternalWaste) {
-  common::SlabArena arena(64 * 1024);
-  for (size_t n : {1u, 32u, 33u, 100u, 1000u, 5000u, 60000u}) {
-    const size_t slot = arena.SlotSizeFor(n);
-    EXPECT_GE(slot, n);
-    // x1.5 classes: a slot is never more than ~1.5x the request (plus the
-    // 32-byte floor for tiny blobs).
-    EXPECT_LE(slot, std::max<size_t>(32, n + n / 2));
-  }
 }
 
 // ---- compact user codec ---------------------------------------------------

@@ -570,11 +570,13 @@ TEST_F(SnapshotChaosTest, WarmStartServesFrozenUntilUserIsRestored) {
   after.BeginWarmStart();
 
   // A request while the user's state is still on disk: frozen fallback,
-  // bit-identical to PredictFrozen, and crucially no state materialises.
+  // bit-identical to PredictFrozenInto, and crucially no state materialises.
   const data::Sample sample = MakeSample(2, 6);
   const nn::Tensor reps = model.PrefixRepresentations(sample);
-  const std::vector<float> frozen =
-      after.PredictFrozen(model, SessionStore::RepsView(reps));
+  const SessionStore::RepsView view(reps);
+  std::vector<float> frozen;
+  core::OnlineAdapter::PredictFrozenInto(model, view.query(), view.cols,
+                                         &frozen);
   Prediction p = service.Submit(sample).get();
   EXPECT_EQ(p.outcome, RequestOutcome::kDegraded);
   ASSERT_EQ(p.scores.size(), frozen.size());

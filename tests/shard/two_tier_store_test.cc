@@ -1,6 +1,7 @@
 // The two-tier SessionStore: a capped hot tier over a shard::CompactStore
 // cold tier. Eviction and rehydration must be invisible to predictions, and
-// ExtractUser/InjectUser must move a user's whole state between stores.
+// ExtractUser/InjectUser must move a user's whole state between stores. The
+// cold tier's byte accounting must follow its blobs' heap blocks.
 
 #include <gtest/gtest.h>
 
@@ -203,6 +204,59 @@ TEST(TwoTierStoreTest, HeterogeneousPatternDimsSurviveDehydration) {
       EXPECT_EQ(got[e].pattern, want[e].pattern);  // exact block ==
     }
   }
+}
+
+/// A user whose blob grows with `locations`: one dim-64 q8 pattern each.
+core::OnlineAdapter::UserSnapshot SizedSnapshot(common::Rng& rng,
+                                                int64_t user, int locations) {
+  core::OnlineAdapter::UserSnapshot snap;
+  snap.user = user;
+  for (int loc = 0; loc < locations; ++loc) {
+    std::vector<core::OnlineAdapter::Entry> entries(1);
+    entries[0].pattern = RandomQ8Pattern(rng, 64);
+    entries[0].timestamp = 1333238400 + 600 * loc;
+    snap.locations.emplace_back(loc, std::move(entries));
+  }
+  return snap;
+}
+
+TEST(CompactStoreTest, ReservedBytesFollowEachBlobsHeapBlock) {
+  CompactStore store;
+  common::Rng rng(13);
+  // used_bytes is the payload; reserved_bytes adds each block's allocator
+  // rounding and chunk header, at most 32 bytes a blob.
+  const auto check_accounting = [&store](const char* step) {
+    SCOPED_TRACE(step);
+    const CompactStore::Stats stats = store.GetStats();
+    EXPECT_EQ(stats.arena.used_bytes, stats.blob_bytes);
+    EXPECT_LE(stats.arena.used_bytes, stats.arena.reserved_bytes);
+    EXPECT_LE(stats.arena.reserved_bytes,
+              stats.arena.used_bytes + 32u * stats.users);
+  };
+
+  const int64_t kUsers = 6;
+  for (int64_t user = 0; user < kUsers; ++user) {
+    store.Accept(SizedSnapshot(rng, user, 1 + 3 * static_cast<int>(user)));
+    check_accounting("accept");
+  }
+  const uint64_t bytes_before = store.GetStats().blob_bytes;
+  store.Accept(SizedSnapshot(rng, 2, 40));
+  check_accounting("re-accept larger");
+  EXPECT_GT(store.GetStats().blob_bytes, bytes_before);
+  store.Accept(SizedSnapshot(rng, 2, 1));
+  check_accounting("re-accept smaller");
+  EXPECT_LT(store.GetStats().blob_bytes, bytes_before);
+  EXPECT_EQ(store.GetStats().users, static_cast<size_t>(kUsers));
+
+  for (int64_t user = 0; user < kUsers; ++user) {
+    core::OnlineAdapter::UserSnapshot back;
+    ASSERT_TRUE(store.Take(user, &back));
+    check_accounting("take");
+  }
+  const CompactStore::Stats empty = store.GetStats();
+  EXPECT_EQ(empty.users, 0u);
+  EXPECT_EQ(empty.arena.used_bytes, 0u);
+  EXPECT_EQ(empty.arena.reserved_bytes, 0u);
 }
 
 }  // namespace

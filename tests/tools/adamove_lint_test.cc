@@ -289,18 +289,26 @@ class CrossRegistryTest : public ::testing::Test {
     fs::create_directories(root_ / "src" / "serve");
     fs::create_directories(root_ / "tests");
     fs::create_directories(root_ / "scripts");
+    fs::create_directories(root_ / ".github" / "workflows");
     WriteFile("src/serve/svc.cc",
               "f = FaultPoint(\"serve.widget_frob\");\n"
               "n = common::EnvInt(\"ADAMOVE_WIDGETS\", 1);\n");
     WriteFile("tests/CMakeLists.txt",
               "set_tests_properties(t PROPERTIES LABELS \"alpha;beta\")\n");
-    WriteFile("scripts/check.sh", "ctest -L 'alpha|gamma'\n");
+    WriteStages("ctest -L 'alpha|gamma'\n");
     WriteFile("DESIGN.md", "nothing here yet\n");
     WriteFile("README.md", "nothing here yet\n");
   }
 
   void WriteFile(const std::string& rel, const std::string& text) {
     std::ofstream(root_ / rel) << text;
+  }
+
+  /// The same stage commands in scripts/check.sh and the CI workflow that
+  /// mirrors it.
+  void WriteStages(const std::string& text) {
+    WriteFile("scripts/check.sh", text);
+    WriteFile(".github/workflows/ci.yml", text);
   }
 
   std::vector<std::string> Rules() {
@@ -335,7 +343,7 @@ TEST_F(CrossRegistryTest, RegisteredEverywhereIsClean) {
   WriteFile("DESIGN.md", "point table: serve.widget_frob fires on frob\n");
   WriteFile("tests/svc_test.cc", "Arm(\"serve.widget_frob\", 1.0);\n");
   WriteFile("README.md", "set ADAMOVE_WIDGETS to tune widget count\n");
-  WriteFile("scripts/check.sh", "ctest -L 'alpha|beta'\n");
+  WriteStages("ctest -L 'alpha|beta'\n");
   EXPECT_TRUE(Rules().empty());
 }
 
@@ -347,7 +355,7 @@ TEST_F(CrossRegistryTest, DocumentedKnobNothingReadsIsReported) {
   WriteFile("tests/svc_test.cc",
             "Arm(\"serve.widget_frob\", 1.0);\n"
             "v = getenv(\"ADAMOVE_TEST_ONLY\");\n");
-  WriteFile("scripts/check.sh", "ctest -L 'alpha|beta'\n");
+  WriteStages("ctest -L 'alpha|beta'\n");
   WriteFile("CMakeLists.txt",
             "option(ADAMOVE_FANCY \"Fancy build\" OFF)\n"
             "set(ADAMOVE_FLAVOR \"\" CACHE STRING \"Flavor\")\n");
@@ -369,9 +377,8 @@ TEST_F(CrossRegistryTest, StagedLabelNoSuiteDeclaresIsReported) {
   WriteFile("DESIGN.md", "point table: serve.widget_frob fires on frob\n");
   WriteFile("tests/svc_test.cc", "Arm(\"serve.widget_frob\", 1.0);\n");
   WriteFile("README.md", "set ADAMOVE_WIDGETS to tune widget count\n");
-  WriteFile("scripts/check.sh",
-            "ctest -L 'alpha|beta'\n"
-            "ctest -L 'beta|gamma'\n");
+  WriteStages("ctest -L 'alpha|beta'\n"
+              "ctest -L 'beta|gamma'\n");
   const std::vector<Diagnostic> diags = CrossRegistryLints(root_);
   ASSERT_EQ(diags.size(), 1u);
   EXPECT_EQ(diags[0].rule, "ctest-labels");
@@ -394,6 +401,46 @@ TEST_F(CrossRegistryTest, StagedLabelNoSuiteDeclaresIsReported) {
   EXPECT_EQ(unstaged[0].file, "tests/serving_labels.cmake");
   EXPECT_EQ(unstaged[0].line, 2);
   EXPECT_NE(unstaged[0].message.find("'delta'"), std::string::npos);
+}
+
+TEST_F(CrossRegistryTest, CiExpressionWithoutCheckTwinIsReported) {
+  // Clean except CI: its second job runs 'alpha' alone, an expression no
+  // check.sh stage has.
+  WriteFile("DESIGN.md", "point table: serve.widget_frob fires on frob\n");
+  WriteFile("tests/svc_test.cc", "Arm(\"serve.widget_frob\", 1.0);\n");
+  WriteFile("README.md", "set ADAMOVE_WIDGETS to tune widget count\n");
+  WriteFile("scripts/check.sh", "ctest -L 'alpha|beta'\n");
+  WriteFile(".github/workflows/ci.yml",
+            "  run: ctest -L 'alpha|beta'\n"
+            "  run: ctest -L 'alpha'\n");
+  const std::vector<Diagnostic> diags = CrossRegistryLints(root_);
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].rule, "ctest-labels");
+  EXPECT_EQ(diags[0].file, ".github/workflows/ci.yml");
+  EXPECT_EQ(diags[0].line, 2);
+  EXPECT_NE(diags[0].message.find("'alpha'"), std::string::npos);
+  EXPECT_NE(diags[0].message.find("scripts/check.sh"), std::string::npos);
+}
+
+TEST_F(CrossRegistryTest, CheckExpressionWithoutCiTwinIsReported) {
+  // Clean except CI: it lacks check.sh's second stage, so that stage runs
+  // locally and nowhere in CI. Equal means the same text: 'beta|alpha' is
+  // not a twin of 'alpha|beta'.
+  WriteFile("DESIGN.md", "point table: serve.widget_frob fires on frob\n");
+  WriteFile("tests/svc_test.cc", "Arm(\"serve.widget_frob\", 1.0);\n");
+  WriteFile("README.md", "set ADAMOVE_WIDGETS to tune widget count\n");
+  WriteFile("scripts/check.sh",
+            "ctest -L 'alpha|beta'\n"
+            "ctest -L 'beta|alpha'\n");
+  WriteFile(".github/workflows/ci.yml", "ctest -L 'alpha|beta'\n");
+  const std::vector<Diagnostic> diags = CrossRegistryLints(root_);
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].rule, "ctest-labels");
+  EXPECT_EQ(diags[0].file, "scripts/check.sh");
+  EXPECT_EQ(diags[0].line, 2);
+  EXPECT_NE(diags[0].message.find("'beta|alpha'"), std::string::npos);
+  EXPECT_NE(diags[0].message.find(".github/workflows/ci.yml"),
+            std::string::npos);
 }
 
 TEST_F(CrossRegistryTest, FaultPointInCommentIsNotADeclaration) {

@@ -387,6 +387,25 @@ std::map<std::string, Decl> CollectDecls(
   return decls;
 }
 
+/// Every `ctest -L '<expr>'` expression in `file`, with its line; the
+/// expression text is the Decl's name.
+std::vector<Decl> LabelExpressions(const fs::path& root,
+                                   const std::string& file) {
+  static const std::regex kStage("-L +'([^']+)'");
+  std::vector<Decl> exprs;
+  std::istringstream stream(ReadFile(root / file));
+  std::string line;
+  int lineno = 0;
+  while (std::getline(stream, line)) {
+    ++lineno;
+    for (auto it = std::sregex_iterator(line.begin(), line.end(), kStage);
+         it != std::sregex_iterator(); ++it) {
+      exprs.push_back({file, lineno, (*it)[1].str()});
+    }
+  }
+  return exprs;
+}
+
 std::string ReadTreeText(const fs::path& dir) {
   std::string all;
   if (!fs::exists(dir)) return all;
@@ -504,31 +523,21 @@ std::vector<Diagnostic> CrossRegistryLints(const fs::path& root) {
       }
     }
   }
-  const std::string check_path = "scripts/check.sh";
+  const std::vector<Decl> check_exprs =
+      LabelExpressions(root, "scripts/check.sh");
   std::set<std::string> staged;
-  {
-    static const std::regex kStage("-L +'([^']+)'");
-    std::istringstream stream(ReadFile(root / check_path));
-    std::string line;
-    int lineno = 0;
-    while (std::getline(stream, line)) {
-      ++lineno;
-      for (auto it = std::sregex_iterator(line.begin(), line.end(), kStage);
-           it != std::sregex_iterator(); ++it) {
-        std::istringstream expr((*it)[1].str());
-        std::string label;
-        while (std::getline(expr, label, '|')) {
-          if (!staged.insert(label).second ||
-              declared_names.count(label) != 0) {
-            continue;
-          }
-          out.push_back({check_path, lineno, "ctest-labels",
-                         "ctest label '" + label +
-                             "' is run by a `ctest -L` stage but declared "
-                             "by no suite in tests/CMakeLists.txt or "
-                             "tests/serving_labels.cmake"});
-        }
+  for (const Decl& expr : check_exprs) {
+    std::istringstream labels(expr.name);
+    std::string label;
+    while (std::getline(labels, label, '|')) {
+      if (!staged.insert(label).second || declared_names.count(label) != 0) {
+        continue;
       }
+      out.push_back({expr.file, expr.line, "ctest-labels",
+                     "ctest label '" + label +
+                         "' is run by a `ctest -L` stage but declared by no "
+                         "suite in tests/CMakeLists.txt or "
+                         "tests/serving_labels.cmake"});
     }
   }
   for (const Decl& decl : declared) {
@@ -538,6 +547,27 @@ std::vector<Diagnostic> CrossRegistryLints(const fs::path& root) {
                        "' is not run by any `ctest -L` stage in "
                        "scripts/check.sh"});
   }
+  // CI mirrors check.sh's stages: every `-L` expression in one file must
+  // equal one in the other, or CI and the local ladder run different label
+  // sets. A mismatch is reported at the expression that has no twin.
+  const std::vector<Decl> ci_exprs =
+      LabelExpressions(root, ".github/workflows/ci.yml");
+  const auto report_unmirrored = [&out](const std::vector<Decl>& exprs,
+                                        const std::vector<Decl>& twins,
+                                        const std::string& twin_file) {
+    for (const Decl& expr : exprs) {
+      if (std::any_of(twins.begin(), twins.end(), [&](const Decl& twin) {
+            return twin.name == expr.name;
+          })) {
+        continue;
+      }
+      out.push_back({expr.file, expr.line, "ctest-labels",
+                     "`ctest -L '" + expr.name +
+                         "'` has no equal expression in " + twin_file});
+    }
+  };
+  report_unmirrored(ci_exprs, check_exprs, "scripts/check.sh");
+  report_unmirrored(check_exprs, ci_exprs, ".github/workflows/ci.yml");
   return out;
 }
 

@@ -28,7 +28,7 @@ namespace adamove::lint {
 /// consistency properties of the tree (things no single-file grep can see):
 /// fault points vs DESIGN.md and the test suite, ADAMOVE_* env knobs vs
 /// README.md (both directions), and ctest labels vs the check.sh stages that
-/// must run them (both directions).
+/// must run them and the CI jobs that mirror those stages (both directions).
 
 struct Diagnostic {
   std::string file;  // repo-relative, forward slashes
@@ -82,7 +82,9 @@ std::vector<Diagnostic> LintSource(const std::string& path,
 ///   ctest-labels          every LABELS entry in tests/CMakeLists.txt or
 ///                         tests/serving_labels.cmake appears in a `ctest -L`
 ///                         expression in scripts/check.sh, and every label
-///                         such an expression names is declared there
+///                         such an expression names is declared there;
+///                         every `-L` expression in .github/workflows/ci.yml
+///                         equals one in scripts/check.sh, and back
 std::vector<Diagnostic> CrossRegistryLints(const std::filesystem::path& root);
 
 /// The whole gate: per-line rules over src/**/*.{h,cc} plus the

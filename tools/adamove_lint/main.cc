@@ -4,7 +4,7 @@
 //
 // Runs the nine per-line rules over src/**/*.{h,cc} plus the cross-registry
 // consistency checks (fault points vs DESIGN.md/tests, ADAMOVE_* knobs vs
-// README.md, ctest labels vs check.sh), printing one
+// README.md, ctest labels vs check.sh and ci.yml), printing one
 // `file:line: rule: message` diagnostic per finding. Exit 0 when clean,
 // 1 on findings, 2 on usage errors.
 
