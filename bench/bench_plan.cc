@@ -276,9 +276,7 @@ void BM_StoreRequestExtendByOne(benchmark::State& state) {
         rows.data() + (first % kStreamPoints) * kHidden,
         static_cast<int64_t>(next - first), kHidden);
     ++next;
-    store.ObserveAndPredictInto(model, sample, reps,
-                                serve::AdaptExecMode::kInline, &scratch,
-                                nullptr, nullptr);
+    store.ObserveAndPredictInto(model, sample, reps, &scratch);
     return scratch.scores.data();
   };
   for (size_t i = 0; i < kWarmRequests; ++i) request();

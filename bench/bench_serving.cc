@@ -21,16 +21,16 @@
 //   --bench_report       — write BENCH_serving_durability.json next to the
 //       binary (implies the durability pass with N = 500 if no
 //       --snapshot_every_n was given).
-//   --overload           — run ONLY the elastic-adaptation overload pass
-//       (DESIGN.md §16): measure the inline saturation QPS and unloaded
-//       p99, then replay true open-loop bursts at 1x/2x/3x saturation
-//       against inline vs elastic scheduling, reporting the
+//   --overload           — run ONLY the overload pass (DESIGN.md §16):
+//       measure the saturation QPS and unloaded p99, then replay true
+//       open-loop bursts at 1x/2x/3x saturation against a deep admission
+//       queue and a queue sized to the latency budget, reporting the
 //       accuracy-vs-QPS frontier into BENCH_overload.json.
-//   --overload_gate      — additionally assert the acceptance gate (exit 1
-//       on failure): at 2x saturation the elastic run holds p99 near the
-//       unloaded baseline while inline collapses (>10x p99 or timeouts),
-//       with staleness depth bounded. On a host with fewer than 4 cores the
-//       gate is recorded as not evaluable (with the reason) and never fails.
+//   --overload_gate      — additionally assert the gate (exit 1 on
+//       failure): at 2x saturation the budget-sized queue holds p99 near the
+//       unloaded baseline while the deep queue collapses (>10x p99 or
+//       timeouts). On a host with fewer than 4 cores the gate is recorded
+//       as not evaluable (with the reason) and never fails.
 
 #include <algorithm>
 #include <atomic>
@@ -50,7 +50,6 @@
 #include "common/table_printer.h"
 #include "core/lightmob.h"
 #include "nn/kernels.h"
-#include "serve/adapt_scheduler.h"
 #include "serve/load_gen.h"
 #include "serve/prediction_service.h"
 #include "serve/session_store.h"
@@ -296,19 +295,16 @@ void WriteDurabilityJson(const char* json_path, const DurabilityReport& r) {
   std::printf("wrote %s\n", json_path);
 }
 
-// --- elastic-adaptation overload pass (DESIGN.md §16) ----------------------
+// --- overload pass (DESIGN.md §16) ----------------------------------------
 
 /// One burst-intensity run of the overload pass: an open-loop replay at a
-/// fixed offered rate against one scheduling mode, plus the post-burst
-/// drain accounting.
+/// fixed offered rate against one admission-queue posture.
 struct OverloadRun {
-  const char* mode = "inline";  // "inline" | "elastic"
-  double mult = 0;              // offered rate as a multiple of saturation
+  const char* posture = "deep_queue";  // "deep_queue" | "budget_queue"
+  double mult = 0;  // offered rate as a multiple of saturation
   double offered_qps = 0;
   serve::LoadGenResult load;
   serve::ServiceStats stats;
-  size_t dirty_before_drain = 0;
-  size_t pending_before_drain = 0;
   double HitRate() const {
     return load.scored == 0
                ? 0.0
@@ -320,15 +316,13 @@ struct OverloadRun {
 OverloadRun RunOverloadOnce(core::AdaptableModel& model,
                             const std::vector<data::Sample>& stream,
                             size_t requests, double mult, double offered_qps,
-                            bool elastic, int64_t deadline_us,
+                            const char* posture, int64_t deadline_us,
                             size_t queue_capacity) {
   serve::SessionStore store{serve::SessionStoreConfig{}};
   serve::ServiceConfig svc;
   svc.workers = 4;
   svc.queue_capacity = queue_capacity;
   svc.deadline_us = deadline_us;
-  svc.adapt.mode =
-      elastic ? serve::AdaptMode::kElastic : serve::AdaptMode::kInline;
   serve::PredictionService service(model, store, svc);
 
   serve::LoadGenConfig lg;
@@ -340,27 +334,21 @@ OverloadRun RunOverloadOnce(core::AdaptableModel& model,
   lg.track_hits = true;  // the accuracy axis of the frontier
 
   OverloadRun run;
-  run.mode = elastic ? "elastic" : "inline";
+  run.posture = posture;
   run.mult = mult;
   run.offered_qps = offered_qps;
   run.load = serve::RunLoadGen(service, stream, lg);
   service.Shutdown();
   run.stats = service.Stats();
-  // Post-burst convergence: pressure is gone, one drain retires every
-  // pending delta (the bit-identity invariant itself is pinned by
-  // tests/serve/overload_chaos_test, not re-proven per bench run).
-  run.dirty_before_drain = store.DirtyUserCount();
-  run.pending_before_drain = store.PendingDeltaCount();
-  store.DrainDirtyUsers(0);
   return run;
 }
 
-/// Cores the elastic latency bar needs: with fewer, saturated service time
-/// itself exceeds the unloaded-p99 budget (every worker timeslices the load
-/// generator), so the bar measures the host rather than the scheduler.
+/// Cores the budget bar needs: with fewer, saturated service time itself
+/// exceeds the unloaded-p99 budget (every worker timeslices the load
+/// generator), so the bar measures the host rather than the queue.
 constexpr unsigned kOverloadGateMinCores = 4;
 
-/// Acceptance gate, evaluated on the 2x-saturation burst.
+/// The gate, evaluated on the 2x-saturation burst.
 struct OverloadGate {
   bool evaluated = false;
   /// False on a host the bar cannot judge (see kOverloadGateMinCores): the
@@ -368,15 +356,12 @@ struct OverloadGate {
   /// fails, and `reason` says why.
   bool evaluable = true;
   std::string reason;
-  bool inline_collapsed = false;   // p99 >= 10x unloaded, or timeouts
-  bool elastic_held = false;       // p99 within the elastic budget
-  bool staleness_bounded = false;  // max depth under the structural bound
-  double elastic_budget_us = 0;
-  double inline_p99_us = 0;
-  double elastic_p99_us = 0;
-  bool Pass() const {
-    return evaluated && inline_collapsed && elastic_held && staleness_bounded;
-  }
+  bool deep_collapsed = false;  // p99 >= 10x unloaded, or timeouts
+  bool budget_held = false;     // p99 within the latency budget
+  double budget_us = 0;
+  double deep_p99_us = 0;
+  double budget_p99_us = 0;
+  bool Pass() const { return evaluated && deep_collapsed && budget_held; }
 };
 
 void WriteOverloadJson(const char* json_path, double saturation_qps,
@@ -394,7 +379,7 @@ void WriteOverloadJson(const char* json_path, double saturation_qps,
                nn::kernels::BackendDescription().c_str());
   std::fprintf(f, "  \"cores\": %u,\n", std::thread::hardware_concurrency());
   std::fprintf(f, "  \"requests_per_run\": %zu,\n", requests);
-  std::fprintf(f, "  \"saturation_qps_inline\": %.1f,\n", saturation_qps);
+  std::fprintf(f, "  \"saturation_qps\": %.1f,\n", saturation_qps);
   std::fprintf(f, "  \"unloaded_p99_ms\": %.3f,\n", unloaded_p99_us / 1000.0);
   std::fprintf(f, "  \"deadline_ms\": %.3f,\n",
                static_cast<double>(deadline_us) / 1000.0);
@@ -403,45 +388,26 @@ void WriteOverloadJson(const char* json_path, double saturation_qps,
     const OverloadRun& r = runs[i];
     std::fprintf(
         f,
-        "    {\"mode\": \"%s\", \"mult\": %.1f, \"offered_qps\": %.1f, "
+        "    {\"posture\": \"%s\", \"mult\": %.1f, \"offered_qps\": %.1f, "
         "\"delivered_qps\": %.1f, "
         "\"e2e_ms\": {\"p50\": %.3f, \"p99\": %.3f}, "
         "\"timeouts\": %llu, \"shed\": %zu, \"dropped_arrivals\": %zu, "
-        "\"hit_rate\": %.4f, "
-        "\"stale\": {\"requests\": %llu, \"depth_p50\": %.1f, "
-        "\"depth_max\": %.1f, \"deferred_ingests\": %llu, "
-        "\"coalesced\": %llu, \"lazy_rebuilds\": %llu, "
-        "\"forced_inline\": %llu, \"background_drains\": %llu, "
-        "\"mode_switches\": %llu}, "
-        "\"drain\": {\"dirty_users\": %zu, \"pending_deltas\": %zu}}%s\n",
-        r.mode, r.mult, r.offered_qps, r.load.qps,
+        "\"hit_rate\": %.4f}%s\n",
+        r.posture, r.mult, r.offered_qps, r.load.qps,
         r.load.e2e_us.QuantileUs(0.50) / 1000.0,
         r.load.e2e_us.QuantileUs(0.99) / 1000.0,
         static_cast<unsigned long long>(r.stats.timeouts), r.load.shed,
-        r.load.dropped_arrivals, r.HitRate(),
-        static_cast<unsigned long long>(r.stats.stale_adapt_requests),
-        r.stats.stale_depth.QuantileUs(0.50), r.stats.stale_depth.MaxUs(),
-        static_cast<unsigned long long>(r.stats.deferred_ingests),
-        static_cast<unsigned long long>(r.stats.coalesced_ingests),
-        static_cast<unsigned long long>(r.stats.lazy_rebuilds),
-        static_cast<unsigned long long>(r.stats.forced_inline_rebuilds),
-        static_cast<unsigned long long>(r.stats.background_drains),
-        static_cast<unsigned long long>(r.stats.adapt_mode_switches),
-        r.dirty_before_drain, r.pending_before_drain,
-        i + 1 < runs.size() ? "," : "");
+        r.load.dropped_arrivals, r.HitRate(), i + 1 < runs.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"gate\": {\"evaluated\": %s, "
-               "\"inline_collapsed\": %s, \"elastic_held\": %s, "
-               "\"elastic_budget_ms\": %.3f, "
-               "\"inline_p99_ms\": %.3f, \"elastic_p99_ms\": %.3f, "
-               "\"staleness_bounded\": %s, ",
+               "\"deep_collapsed\": %s, \"budget_held\": %s, "
+               "\"budget_ms\": %.3f, "
+               "\"deep_p99_ms\": %.3f, \"budget_p99_ms\": %.3f, ",
                gate.evaluated ? "true" : "false",
-               gate.inline_collapsed ? "true" : "false",
-               gate.elastic_held ? "true" : "false",
-               gate.elastic_budget_us / 1000.0, gate.inline_p99_us / 1000.0,
-               gate.elastic_p99_us / 1000.0,
-               gate.staleness_bounded ? "true" : "false");
+               gate.deep_collapsed ? "true" : "false",
+               gate.budget_held ? "true" : "false", gate.budget_us / 1000.0,
+               gate.deep_p99_us / 1000.0, gate.budget_p99_us / 1000.0);
   if (gate.evaluable) {
     std::fprintf(f, "\"evaluable\": true, \"pass\": %s}\n",
                  gate.Pass() ? "true" : "false");
@@ -455,135 +421,112 @@ void WriteOverloadJson(const char* json_path, double saturation_qps,
 }
 
 /// The overload pass: saturation + unloaded baseline, then open-loop bursts
-/// at 1x/2x/3x saturation against inline vs elastic scheduling. Returns the
-/// gate verdict (enforced only when the caller asks and the host can
-/// evaluate it).
+/// at 1x/2x/3x saturation against the two queue postures. Returns the gate
+/// verdict (enforced only when the caller asks and the host can evaluate
+/// it).
 OverloadGate RunOverloadPass(core::AdaptableModel& model,
                              const std::vector<data::Sample>& stream,
                              size_t requests) {
-  // Phase A: closed-loop maximum through the inline path — the saturation
-  // reference every burst intensity is a multiple of.
+  // Phase A: closed-loop maximum — the saturation reference every burst
+  // intensity is a multiple of.
   serve::LoadGenConfig closed;
   closed.clients = 16;
   closed.max_requests = requests;
   const RunReport saturation = RunOnce(model, stream, 4, closed, 0);
   const double saturation_qps = std::max(saturation.qps, 1.0);
 
-  // Phase B: the unloaded latency baseline — the same inline service paced
-  // far below saturation, so p99 is pure service time.
+  // Phase B: the unloaded latency baseline — the same service paced far
+  // below saturation, so p99 is pure service time.
   serve::LoadGenConfig paced = closed;
   paced.target_qps = std::max(saturation_qps * 0.3, 10.0);
   const RunReport unloaded = RunOnce(model, stream, 4, paced, 0);
   const double unloaded_p99_us = unloaded.load.e2e_us.QuantileUs(0.99);
 
-  // The burst deadline sits well past the gate's 10x-collapse bar, so an
-  // inline p99 near the deadline is already collapsed — and any queue wait
-  // beyond it degrades to the frozen fallback as kTimedOut (PR 3 ladder).
+  // The burst deadline sits well past the gate's 10x-collapse bar, so a
+  // p99 near the deadline is already collapsed — and any queue wait beyond
+  // it degrades to the frozen fallback as kTimedOut.
   const auto deadline_us =
       static_cast<int64_t>(std::max(12.0 * unloaded_p99_us, 25000.0));
 
-  // The two serving postures under comparison (DESIGN.md §16). The
-  // baseline keeps the repo's pre-scheduler default: inline adaptation
-  // behind a deep admission queue, which is exactly the latency-collapse
-  // failure mode — at 2x saturation the queue holds ~25x-saturation-
-  // seconds of wait, far past any deadline. The elastic posture is
-  // pressure-aware end to end: the admission queue is scaled so a full
-  // queue is still inside the latency budget (excess arrivals shed at the
-  // door instead of rotting in line), and the scheduler defers adaptation
-  // under pressure so the served requests keep their adapted accuracy.
-  const size_t baseline_queue = serve::ServiceConfig{}.queue_capacity;
-  const double elastic_budget_us = std::max(1.5 * unloaded_p99_us, 2000.0);
-  const size_t elastic_queue = std::max<size_t>(
-      8, static_cast<size_t>(saturation_qps * elastic_budget_us * 0.5 / 1e6));
+  // The two admission postures under comparison (DESIGN.md §16), both
+  // adapting every request inline. The deep queue is the repo default: a
+  // burst that outruns the workers waits in line, so at 2x saturation it
+  // can hold far more wait than any deadline. The budget queue is sized so
+  // a full queue is still inside the latency budget, and excess arrivals
+  // shed at the door instead of waiting past it.
+  const size_t deep_queue = serve::ServiceConfig{}.queue_capacity;
+  const double budget_us = std::max(1.5 * unloaded_p99_us, 2000.0);
+  const size_t budget_queue = std::max<size_t>(
+      8, static_cast<size_t>(saturation_qps * budget_us * 0.5 / 1e6));
 
-  std::printf("\noverload pass: inline saturation %.1f qps, unloaded p99 "
-              "%.3f ms, burst deadline %.1f ms, queues: baseline %zu / "
-              "elastic %zu\n",
+  std::printf("\noverload pass: saturation %.1f qps, unloaded p99 %.3f ms, "
+              "burst deadline %.1f ms, queues: deep %zu / budget %zu\n",
               saturation_qps, unloaded_p99_us / 1000.0,
-              static_cast<double>(deadline_us) / 1000.0, baseline_queue,
-              elastic_queue);
-
-  // The structural staleness bound: kMaxStaleDepth pending deltas plus one
-  // request's worth of freshly buffered transitions.
-  size_t max_window = 0;
-  for (const auto& sample : stream) {
-    max_window = std::max(max_window, sample.recent.size());
-  }
-  const double stale_bound = static_cast<double>(
-      serve::kMaxStaleDepth + max_window);
+              static_cast<double>(deadline_us) / 1000.0, deep_queue,
+              budget_queue);
 
   std::vector<OverloadRun> runs;
-  common::TablePrinter table({"mode", "mult", "offered", "delivered",
+  common::TablePrinter table({"posture", "mult", "offered", "delivered",
                               "p50 ms", "p99 ms", "timeouts", "shed",
-                              "dropped", "hit@1", "stale", "depth max",
-                              "drained"});
+                              "dropped", "hit@1"});
   const double mults[] = {1.0, 2.0, 3.0};
   for (const double mult : mults) {
-    for (const bool elastic : {false, true}) {
+    for (const bool budget : {false, true}) {
       OverloadRun run = RunOverloadOnce(
-          model, stream, requests, mult, mult * saturation_qps, elastic,
-          deadline_us, elastic ? elastic_queue : baseline_queue);
+          model, stream, requests, mult, mult * saturation_qps,
+          budget ? "budget_queue" : "deep_queue", deadline_us,
+          budget ? budget_queue : deep_queue);
       table.AddRow(
-          {run.mode, common::TablePrinter::Fmt(mult, 1),
+          {run.posture, common::TablePrinter::Fmt(mult, 1),
            common::TablePrinter::Fmt(run.offered_qps, 1),
            common::TablePrinter::Fmt(run.load.qps, 1),
            Ms(run.load.e2e_us, 0.50), Ms(run.load.e2e_us, 0.99),
            std::to_string(run.stats.timeouts), std::to_string(run.load.shed),
            std::to_string(run.load.dropped_arrivals),
-           common::TablePrinter::Fmt(run.HitRate(), 3),
-           std::to_string(run.stats.stale_adapt_requests),
-           common::TablePrinter::Fmt(run.stats.stale_depth.MaxUs(), 0),
-           std::to_string(run.pending_before_drain)});
+           common::TablePrinter::Fmt(run.HitRate(), 3)});
       runs.push_back(std::move(run));
     }
   }
   table.Print();
 
-  // Gate: the 2x burst is the headline row. The elastic budget keeps the
+  // Gate: the 2x burst is the headline row. The budget keeps the
   // 1.5x-of-unloaded bar with a small absolute floor so a sub-ms unloaded
   // p99 doesn't turn scheduler jitter into a verdict.
   OverloadGate gate;
-  gate.elastic_budget_us = elastic_budget_us;
+  gate.budget_us = budget_us;
   const unsigned cores = std::thread::hardware_concurrency();
   if (cores < kOverloadGateMinCores) {
     gate.evaluable = false;
-    gate.reason = std::to_string(cores) + " core(s) visible; the elastic "
+    gate.reason = std::to_string(cores) + " core(s) visible; the budget "
                   "p99 bar needs >= " +
                   std::to_string(kOverloadGateMinCores) +
                   " because saturated service time itself exceeds the "
                   "unloaded-p99 budget";
   }
-  const OverloadRun* inline2x = nullptr;
-  const OverloadRun* elastic2x = nullptr;
+  const OverloadRun* deep2x = nullptr;
+  const OverloadRun* budget2x = nullptr;
   for (const OverloadRun& r : runs) {
-    if (r.mult == 2.0 && std::strcmp(r.mode, "inline") == 0) inline2x = &r;
-    if (r.mult == 2.0 && std::strcmp(r.mode, "elastic") == 0) elastic2x = &r;
+    if (r.mult != 2.0) continue;
+    if (std::strcmp(r.posture, "deep_queue") == 0) deep2x = &r;
+    if (std::strcmp(r.posture, "budget_queue") == 0) budget2x = &r;
   }
-  if (inline2x != nullptr && elastic2x != nullptr) {
+  if (deep2x != nullptr && budget2x != nullptr) {
     gate.evaluated = true;
-    gate.inline_p99_us = inline2x->load.e2e_us.QuantileUs(0.99);
-    gate.elastic_p99_us = elastic2x->load.e2e_us.QuantileUs(0.99);
-    gate.inline_collapsed =
-        inline2x->load.e2e_us.QuantileUs(0.99) >= 10.0 * unloaded_p99_us ||
-        inline2x->stats.timeouts > 0;
-    gate.elastic_held =
-        elastic2x->load.e2e_us.QuantileUs(0.99) <= gate.elastic_budget_us;
-    gate.staleness_bounded =
-        elastic2x->stats.stale_depth.MaxUs() <= stale_bound;
-    std::printf("\ngate @2x: inline %s (p99 %.3f ms, %llu timeouts), "
-                "elastic %s (p99 %.3f ms vs budget %.3f ms), staleness %s "
-                "(depth max %.0f vs bound %.0f)\n",
-                gate.inline_collapsed ? "collapsed" : "DID NOT collapse",
-                inline2x->load.e2e_us.QuantileUs(0.99) / 1000.0,
-                static_cast<unsigned long long>(inline2x->stats.timeouts),
-                gate.elastic_held ? "held" : "DID NOT hold",
-                elastic2x->load.e2e_us.QuantileUs(0.99) / 1000.0,
-                gate.elastic_budget_us / 1000.0,
-                gate.staleness_bounded ? "bounded" : "UNBOUNDED",
-                elastic2x->stats.stale_depth.MaxUs(), stale_bound);
+    gate.deep_p99_us = deep2x->load.e2e_us.QuantileUs(0.99);
+    gate.budget_p99_us = budget2x->load.e2e_us.QuantileUs(0.99);
+    gate.deep_collapsed = gate.deep_p99_us >= 10.0 * unloaded_p99_us ||
+                          deep2x->stats.timeouts > 0;
+    gate.budget_held = gate.budget_p99_us <= gate.budget_us;
+    std::printf("\ngate @2x: deep queue %s (p99 %.3f ms, %llu timeouts), "
+                "budget queue %s (p99 %.3f ms vs budget %.3f ms)\n",
+                gate.deep_collapsed ? "collapsed" : "DID NOT collapse",
+                gate.deep_p99_us / 1000.0,
+                static_cast<unsigned long long>(deep2x->stats.timeouts),
+                gate.budget_held ? "held" : "DID NOT hold",
+                gate.budget_p99_us / 1000.0, gate.budget_us / 1000.0);
     if (!gate.evaluable) {
-      std::printf("gate not evaluable: %s — compare the inline/elastic p99 "
-                  "ratio instead.\n",
+      std::printf("gate not evaluable: %s — compare the two p99s "
+                  "instead.\n",
                   gate.reason.c_str());
     }
   }

@@ -16,12 +16,11 @@
 #              in the serving path / kernels / chaos suite, snapshot/restore
 #              racing live traffic, tier moves in the two-tier session
 #              store, encode scratch/prefix-state sharing across
-#              workers, and the elastic-adaptation scheduler under
-#              open-loop bursts)
+#              workers, and the overload suite's open-loop bursts)
 #   3. ASan+UBSan: `fault` + `persist` + `shard` + `plan` + `verify` +
 #              `overload` labels under -DADAMOVE_SANITIZE=address (memory
 #              errors on the fault-injection, degradation, checkpoint-parsing,
-#              compact codec, raw-encoder and deferred-adaptation paths), then
+#              compact codec, raw-encoder and overload paths), then
 #              `nn` + `backend` + `fault` + `persist` + `shard` + `plan` +
 #              `verify` + `overload` under -DADAMOVE_SANITIZE=undefined with
 #              -fno-sanitize-recover=all (any UB aborts the test). The
@@ -51,10 +50,10 @@ ctest --test-dir build --output-on-failure
 echo "    ... ADAMOVE_KERNEL_BACKEND=scalar forced"
 ADAMOVE_KERNEL_BACKEND=scalar ctest --test-dir build --output-on-failure
 echo "    ... bench_serving --overload smoke (small env, no gate)"
-# Exercises the full elastic-adaptation overload pass end to end — saturation
-# probe, both postures, drain, JSON write — at toy scale. Deliberately no
-# --overload_gate: the latency bar needs >= 4 dedicated cores (DESIGN.md §16);
-# the checked-in BENCH_overload.json baseline carries the frontier numbers.
+# Exercises the full overload pass end to end — saturation probe, the deep
+# and the budget-sized queue postures, JSON write — at toy scale.
+# Deliberately no --overload_gate: the latency bar needs >= 4 dedicated cores
+# and its verdict follows a noisy saturation probe (DESIGN.md §16).
 # Run from the build tree so the JSON lands next to the other bench outputs
 # instead of clobbering the checked-in baseline at the repo root.
 (cd build/bench && \

@@ -68,9 +68,6 @@ bool EvaluateSlow(const char* point);
 ///   serve.batch_flush     probed once per request (the name predates one
 ///                         request per take) — that request degrades to
 ///                         the base model
-///   serve.adapt_schedule  elastic scheduler misfire — the request is forced
-///                         into deferred adaptation regardless of pressure
-///                         (probed only in AdaptMode::kElastic services)
 ///   io.snapshot_write     durable_io payload write fails — commit aborted,
 ///                         previous durable file intact
 ///   io.snapshot_fsync     pre-rename fsync fails — commit aborted, previous

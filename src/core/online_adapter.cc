@@ -90,13 +90,8 @@ OnlineAdapter::Slot OnlineAdapter::Append(UserState& state, int64_t location,
   }
   // FIFO: drop the oldest candidate before appending, so a full location
   // never holds more than kMaxCandidatesPerLocation records and a full slab
-  // does not grow. Under the ingest rule arrival order is label order, so
-  // the dropped record is never the newest one; only an interleaving that
-  // lands an inline observation ahead of older pending deltas can make it
-  // so, and then the watermark is rederived.
+  // does not grow.
   const bool full = last - first >= kMaxCandidatesPerLocation;
-  const bool dropped_newest =
-      full && records[first].timestamp >= state.watermark;
   if (full && records[first].size == size) {
     // The new pattern has the oldest one's size (always, for one encoder):
     // shift the group left by one record in place, so a full location
@@ -125,8 +120,9 @@ OnlineAdapter::Slot OnlineAdapter::Append(UserState& state, int64_t location,
     state.q.insert(state.q.begin() + static_cast<std::ptrdiff_t>(last_byte),
                    size, int8_t{0});
   }
-  state.watermark = dropped_newest ? MaxLabelTimestamp(state)
-                                   : std::max(state.watermark, timestamp);
+  // The ingest rule admitted the new label only above the watermark, so it
+  // is the newest one whatever the FIFO dropped.
+  state.watermark = timestamp;
   return {&records[last], state.q.data() + last_byte};
 }
 
@@ -134,9 +130,6 @@ int64_t OnlineAdapter::MaxLabelTimestamp(const UserState& state) {
   int64_t newest = kNoWatermark;
   for (const Record& record : state.records) {
     newest = std::max(newest, record.timestamp);
-  }
-  for (const PendingDelta& delta : state.pending) {
-    newest = std::max(newest, delta.timestamp);
   }
   return newest;
 }
@@ -163,114 +156,6 @@ void OnlineAdapter::Observe(int64_t user, const float* pattern, size_t size,
   slot.record->exponent = common::QfloatEncodeInto(pattern, size, slot.q);
 }
 
-size_t OnlineAdapter::ObserveDeferred(int64_t user, const float* pattern,
-                                      size_t size, int64_t next_location,
-                                      int64_t timestamp) {
-  ADAMOVE_CHECK_GT(size, 0u);
-  if (timestamp <= Watermark(user)) return 0;
-  if (!common::QfloatEncodable(pattern, size)) return 0;
-  PendingDelta delta{{}, next_location, timestamp};
-  common::QfloatEncode(pattern, size, &delta.pattern);
-  UserState& state = users_[user];
-  state.pending.push_back(std::move(delta));
-  state.watermark = timestamp;
-  dirty_.insert(user);
-  // Exact coalescing: the per-location FIFO cap keeps only the newest
-  // kMaxCandidatesPerLocation entries, so once that many deltas for one
-  // location are buffered, the oldest buffered delta for it could never
-  // survive the drain — drop it now and the post-drain state is unchanged.
-  // It is never the newest delta, so the watermark stands.
-  size_t for_location = 0;
-  for (const PendingDelta& delta : state.pending) {
-    if (delta.next_location == next_location) ++for_location;
-  }
-  if (for_location <= kMaxCandidatesPerLocation) return 0;
-  for (auto it = state.pending.begin(); it != state.pending.end(); ++it) {
-    if (it->next_location == next_location) {
-      state.pending.erase(it);
-      break;
-    }
-  }
-  return 1;
-}
-
-size_t OnlineAdapter::DrainPending(int64_t user) {
-  auto it = users_.find(user);
-  if (it == users_.end() || it->second.pending.empty()) return 0;
-  UserState& state = it->second;
-  std::vector<PendingDelta> pending = std::move(state.pending);
-  state.pending.clear();
-  dirty_.erase(user);
-  // Every delta passed the ingest rule when it was buffered, and the
-  // watermark already counts it, so the deltas land unchecked — only the
-  // ingest fault can still drop one.
-  bool dropped = false;
-  for (const PendingDelta& delta : pending) {
-    if (common::FaultPoint("core.kb.ingest")) {
-      dropped = true;
-      continue;
-    }
-    const std::vector<int8_t>& q = delta.pattern.q;
-    const Slot slot =
-        Append(state, delta.next_location, delta.timestamp, q.size());
-    slot.record->exponent = delta.pattern.exponent;
-    std::memcpy(slot.q, q.data(), q.size());
-  }
-  // A dropped delta may have held the watermark; rederive it so a re-send
-  // of that check-in is ingested.
-  if (dropped) state.watermark = MaxLabelTimestamp(state);
-  return pending.size();
-}
-
-size_t OnlineAdapter::DrainSomePending(size_t max_users) {
-  size_t drained = 0;
-  while (!dirty_.empty() && (max_users == 0 || drained < max_users)) {
-    DrainPending(*dirty_.begin());
-    ++drained;
-  }
-  return drained;
-}
-
-size_t OnlineAdapter::PendingCount(int64_t user) const {
-  auto it = users_.find(user);
-  return it == users_.end() ? 0 : it->second.pending.size();
-}
-
-size_t OnlineAdapter::PendingTotal() const {
-  size_t n = 0;
-  for (int64_t user : dirty_) n += PendingCount(user);
-  return n;
-}
-
-size_t OnlineAdapter::CollectCachedJobs(int64_t user,
-                                        common::AlignedBuffer<float>* arena,
-                                        std::vector<RebuildJob>* jobs) const {
-  auto it = users_.find(user);
-  if (it == users_.end() || it->second.cache.jobs.empty()) return 0;
-  const CachedRebuild& cache = it->second.cache;
-  const size_t base = arena->size();
-  // Every kept pattern has the query's width; a capacity of 0 keeps none.
-  const size_t width =
-      cache.exponents.empty() ? 0 : cache.q.size() / cache.exponents.size();
-  arena->Resize(base + cache.q.size());
-  for (size_t k = 0; k < cache.exponents.size(); ++k) {
-    common::QfloatDecodeInto(cache.q.data() + k * width, width,
-                             cache.exponents[k],
-                             arena->data() + base + k * width);
-  }
-  for (const RebuildJob& job : cache.jobs) {
-    RebuildJob rebased = job;
-    rebased.arena_offset += base;
-    jobs->push_back(rebased);
-  }
-  return cache.jobs.size();
-}
-
-bool OnlineAdapter::HasRebuildCache(int64_t user) const {
-  auto it = users_.find(user);
-  return it != users_.end() && !it->second.cache.jobs.empty();
-}
-
 void OnlineAdapter::PredictFrozenInto(const AdaptableModel& model,
                                       const float* query, int64_t hidden,
                                       std::vector<float>* scores) {
@@ -290,49 +175,16 @@ size_t OnlineAdapter::CollectRebuildJobs(
   auto it = common::FaultPoint("core.kb.lookup") ? users_.end()
                                                  : users_.find(user);
   if (it == users_.end()) return 0;
-  return Collect(it->second, query, hidden, query_time, arena, jobs, nullptr);
-}
-
-size_t OnlineAdapter::CollectAndCacheRebuildJobs(
-    int64_t user, const float* query, int64_t hidden, int64_t query_time,
-    common::AlignedBuffer<float>* arena, std::vector<RebuildJob>* jobs) {
-  const bool lookup_fault = common::FaultPoint("core.kb.lookup");
-  auto it = users_.find(user);
-  if (it == users_.end()) return 0;
-  CachedRebuild& cache = it->second.cache;
-  cache.jobs.clear();
-  cache.q.clear();
-  cache.exponents.clear();
-  if (lookup_fault) return 0;
-  return Collect(it->second, query, hidden, query_time, arena, jobs, &cache);
+  return Collect(it->second, query, hidden, query_time, arena, jobs);
 }
 
 size_t OnlineAdapter::Collect(const UserState& state, const float* query,
                               int64_t hidden, int64_t query_time,
                               common::AlignedBuffer<float>* arena,
-                              std::vector<RebuildJob>* jobs,
-                              CachedRebuild* cache) const {
+                              std::vector<RebuildJob>* jobs) const {
   const size_t width = static_cast<size_t>(hidden);
   const auto capacity = static_cast<size_t>(config_.capacity);
   const std::vector<Record>& records = state.records;
-  if (cache != nullptr) {
-    // Size the cache exactly, as its accounting assumes: one counting pass
-    // over the freshness rule the ranking applies.
-    size_t groups = 0, kept = 0;
-    for (size_t first = 0, last = 0; first < records.size(); first = last) {
-      size_t fresh = 0;
-      for (last = first; last < records.size() &&
-                         records[last].location == records[first].location;
-           ++last) {
-        if (Fresh(records[last].timestamp, query_time)) ++fresh;
-      }
-      groups += fresh > 0 ? 1 : 0;
-      kept += std::min(fresh, capacity);
-    }
-    cache->jobs.reserve(groups);
-    cache->q.reserve(kept * width);
-    cache->exponents.reserve(kept);
-  }
   const double query_norm = Norm(query, width);
   // A location's fresh candidates in FIFO order, ranked by similarity to the
   // query pattern: the record and where its int8 start.
@@ -379,14 +231,6 @@ size_t OnlineAdapter::Collect(const UserState& state, const float* query,
     }
     jobs->push_back(job);
     ++appended;
-    if (cache == nullptr) continue;
-    job.arena_offset = cache->q.size();
-    cache->jobs.push_back(job);
-    for (size_t k = 0; k < keep; ++k) {
-      const auto& [record, bytes] = ranked[k].second;
-      cache->q.insert(cache->q.end(), bytes, bytes + width);
-      cache->exponents.push_back(record->exponent);
-    }
   }
   return appended;
 }
@@ -488,7 +332,6 @@ OnlineAdapter::UserSnapshot OnlineAdapter::ExportUser(int64_t user) const {
     snap.locations.back().second.push_back(std::move(entry));
     q += record.size;
   }
-  snap.pending = state.pending;
   return snap;
 }
 
@@ -538,33 +381,9 @@ void OnlineAdapter::Adopt(UserSnapshot&& snap) {
       state.q.insert(state.q.end(), q.begin(), q.end());
     }
   }
-  // Install pending deltas under the same per-location coalescing bound
-  // ObserveDeferred enforces (newest win), so a hostile snapshot cannot
-  // inflate the buffer past what a live deferral could hold.
-  for (PendingDelta& delta : snap.pending) {
-    if (delta.pattern.q.empty()) continue;
-    size_t for_location = 0;
-    for (const PendingDelta& kept_delta : state.pending) {
-      if (kept_delta.next_location == delta.next_location) ++for_location;
-    }
-    state.pending.push_back(std::move(delta));
-    if (for_location + 1 <= kMaxCandidatesPerLocation) continue;
-    for (auto p = state.pending.begin(); p != state.pending.end(); ++p) {
-      if (p->next_location == state.pending.back().next_location) {
-        state.pending.erase(p);
-        break;
-      }
-    }
-  }
-  if (state.records.empty() && state.pending.empty()) {
+  if (state.records.empty()) {
     users_.erase(snap.user);  // adopting an empty snapshot == Forget
-    dirty_.erase(snap.user);
     return;
-  }
-  if (state.pending.empty()) {
-    dirty_.erase(snap.user);
-  } else {
-    dirty_.insert(snap.user);
   }
   state.watermark = MaxLabelTimestamp(state);
   users_[snap.user] = std::move(state);
@@ -575,7 +394,6 @@ size_t OnlineAdapter::Forget(int64_t user) {
   if (it == users_.end()) return 0;
   const size_t n = it->second.records.size();
   users_.erase(it);
-  dirty_.erase(user);
   return n;
 }
 
@@ -587,13 +405,6 @@ size_t OnlineAdapter::StateBytes(const UserState& state) {
   size_t bytes = sizeof(UserState) + kMapNodeOverhead;
   bytes += state.records.capacity() * sizeof(Record);
   bytes += state.q.capacity();
-  bytes += state.pending.capacity() * sizeof(PendingDelta);
-  for (const PendingDelta& delta : state.pending) {
-    bytes += delta.pattern.q.capacity();
-  }
-  bytes += state.cache.jobs.capacity() * sizeof(RebuildJob);
-  bytes += state.cache.q.capacity();
-  bytes += state.cache.exponents.capacity() * sizeof(int32_t);
   return bytes;
 }
 

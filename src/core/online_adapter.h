@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <set>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -28,14 +27,14 @@ struct AdapterStats;  // core/ptta.h
 ///
 /// Ingest-once rule (DESIGN.md §4.3): a transition is *new* for a user only
 /// if its label timestamp is strictly later than the user's watermark — the
-/// newest label timestamp its state holds, over stored entries and pending
-/// deltas. Observe and ObserveDeferred return without effect for anything
-/// else, so re-sending an overlapping window (every serving request carries
-/// the user's whole recent window) stores each check-in exactly once. The
-/// watermark is derived state: never serialized, recomputed by Adopt.
+/// newest label timestamp over its stored entries. Observe returns without
+/// effect for anything else, so re-sending an overlapping window (every
+/// serving request carries the user's whole recent window) stores each
+/// check-in exactly once. The watermark is derived state: never serialized,
+/// recomputed by Adopt.
 ///
 /// Stored form (DESIGN.md §4.3): every pattern is quantized once, where it
-/// enters the adapter (Observe, ObserveDeferred), into q8 — one power-of-two
+/// enters the adapter (Observe), into q8 — one power-of-two
 /// exponent and one int8 per element (common/qfloat.h) — and stays in that
 /// form through snapshots, eviction, migration and the compact cold tier. A
 /// user's knowledge base is one flat slab: a 24-byte record per pattern
@@ -74,28 +73,13 @@ class OnlineAdapter {
     int64_t timestamp = 0;
   };
 
-  /// One buffered (not yet ingested) transition of a deferred-mode user:
-  /// exactly Observe's arguments with the pattern already quantized, queued
-  /// in arrival order. Draining the buffer lands them through Observe's FIFO
-  /// append, so a drained user's knowledge base is bit-identical to an
-  /// inline run of the same observations.
-  struct PendingDelta {
-    common::QfloatBlock pattern;
-    int64_t next_location = 0;
-    int64_t timestamp = 0;
-  };
-
   /// The complete stored state of one user, in the deterministic order the
   /// snapshot wire format uses (locations ascending, entries in FIFO
-  /// arrival order, pending deltas in arrival order) — so identical adapter
-  /// state encodes to identical bytes, which is what lets the durability
-  /// tests pin snapshots golden. `pending` is the deferred-mode ingest
-  /// buffer; it travels with the user through eviction, migration and
-  /// snapshots so deferral never loses observations.
+  /// arrival order) — so identical adapter state encodes to identical
+  /// bytes, which is what lets the durability tests pin snapshots golden.
   struct UserSnapshot {
     int64_t user = 0;
     std::vector<std::pair<int64_t, std::vector<Entry>>> locations;
-    std::vector<PendingDelta> pending;
   };
 
   OnlineAdapter(const PttaConfig& config, int64_t max_age_seconds =
@@ -121,61 +105,14 @@ class OnlineAdapter {
     Observe(user, pattern.data(), pattern.size(), next_location, timestamp);
   }
 
-  /// Deferred-mode ingest: buffers the transition into the user's pending
-  /// queue instead of touching the knowledge base, under Observe's rule (a
-  /// transition that is not new returns 0 without effect; a buffered one
-  /// advances the watermark, so a later re-send is not buffered twice). The
-  /// pattern is quantized here; a non-finite one is not buffered.
-  /// Pending deltas are coalesced exactly: at most kMaxCandidatesPerLocation
-  /// deltas per next location are kept (dropping the oldest), because the
-  /// FIFO cap would discard anything older on drain anyway — so coalescing
-  /// changes nothing about the post-drain state. Returns the number of
-  /// deltas dropped by coalescing (0 or 1). Does not probe core.kb.ingest;
-  /// the probe happens at drain time, when the observation actually lands.
-  size_t ObserveDeferred(int64_t user, const float* pattern, size_t size,
-                         int64_t next_location, int64_t timestamp);
-
-  /// ObserveDeferred over a whole vector.
-  size_t ObserveDeferred(int64_t user, const std::vector<float>& pattern,
-                         int64_t next_location, int64_t timestamp) {
-    return ObserveDeferred(user, pattern.data(), pattern.size(), next_location,
-                           timestamp);
-  }
-
-  /// Lands the user's pending deltas in arrival order (each already passed
-  /// the ingest rule when it was buffered, so none is re-checked) and clears
-  /// the buffer. Returns the number of deltas drained. With faults
-  /// disarmed, Drain after any mix of ObserveDeferred calls leaves the
-  /// knowledge base bit-identical to inline Observe calls of the same
-  /// sequence (the deferred-drain parity invariant, pinned by tests).
-  size_t DrainPending(int64_t user);
-
   /// The user's watermark: the newest label timestamp over its stored
-  /// entries and pending deltas, or kNoWatermark for a user without state.
-  /// A transition is new iff its label timestamp is strictly later.
+  /// entries, or kNoWatermark for a user without state. A transition is new
+  /// iff its label timestamp is strictly later.
   int64_t Watermark(int64_t user) const;
 
   /// Watermark of a user without state: every transition is new.
   static constexpr int64_t kNoWatermark =
       std::numeric_limits<int64_t>::min();
-
-  /// Drains up to `max_users` dirty users (ascending user id — the
-  /// deterministic order; 0 = all). Returns the number of users drained.
-  size_t DrainSomePending(size_t max_users);
-
-  /// Buffered deltas for a user (0 if unknown or clean).
-  size_t PendingCount(int64_t user) const;
-
-  /// Total buffered deltas across users.
-  size_t PendingTotal() const;
-
-  /// Users with a non-empty pending buffer.
-  size_t DirtyUserCount() const { return dirty_.size(); }
-
-  /// All dirty users, ascending.
-  std::vector<int64_t> DirtyUsers() const {
-    return std::vector<int64_t>(dirty_.begin(), dirty_.end());
-  }
 
   /// Adapted scores for `user`'s current trajectory state: the model's
   /// classifier columns are replaced by centroids of {θ_l} ∪ the top-M
@@ -250,29 +187,6 @@ class OnlineAdapter {
     return CollectRebuildJobs(user, query, hidden, query_time, arena, jobs);
   }
 
-  /// CollectRebuildJobs, and the result becomes the user's cached rebuild,
-  /// so a later deferred-mode predict can reuse it without re-ranking — the
-  /// elastic rung's inline path. The cache holds the kept records' int8
-  /// bytes and exponents (copied out of the slab, so it survives any later
-  /// mutation) and replaces the previous one; a lookup fault or a rebuild
-  /// without jobs leaves it empty. Purely derived state: it is never
-  /// serialized, and Forget/Adopt drop it. ResidentBytes counts it.
-  size_t CollectAndCacheRebuildJobs(int64_t user, const float* query,
-                                    int64_t hidden, int64_t query_time,
-                                    common::AlignedBuffer<float>* arena,
-                                    std::vector<RebuildJob>* jobs);
-
-  /// Appends the user's cached rebuild jobs (rebased into `arena`) to
-  /// `jobs` — the deferred-mode predict path: no ranking, one dequantizing
-  /// pass over the cached block. Returns the number of jobs appended (0 when
-  /// the user has no cache; the caller then serves frozen-column scores,
-  /// which is the same scoring sweep with zero jobs).
-  size_t CollectCachedJobs(int64_t user, common::AlignedBuffer<float>* arena,
-                           std::vector<RebuildJob>* jobs) const;
-
-  /// Whether the user has a cached rebuild.
-  bool HasRebuildCache(int64_t user) const;
-
   /// Phase 2: frozen-classifier scores for `query` with the adjusted
   /// columns described by `jobs` (from CollectRebuildJobs with this same
   /// query) overwritten, plus bias — exactly Predict's arithmetic,
@@ -325,10 +239,8 @@ class OnlineAdapter {
   /// Heap-byte estimate of one user's resident state (0 if unknown): the
   /// capacity of the slab's two arrays — a stored dim-64 pattern costs its
   /// 24-byte record plus 64 int8, and both arrays grow by kSlabStep
-  /// patterns or a sixteenth of their size, whichever is larger — plus the
-  /// pending deltas, the cached rebuild (one int8 per kept element, one
-  /// exponent per kept pattern, one RebuildJob per job) and fixed per-user
-  /// overheads. Deterministic accounting rather than malloc truth — close
+  /// patterns or a sixteenth of their size, whichever is larger — plus fixed
+  /// per-user overheads. Deterministic accounting rather than malloc truth — close
   /// enough to compare the hot representation against the shard
   /// subsystem's compact tier (AdapterStats::resident_bytes,
   /// BENCH_capacity.json).
@@ -369,8 +281,8 @@ class OnlineAdapter {
   /// varint/zigzag over common::durable_io):
   ///
   ///   zigzag  user id
-  ///   varint  pattern dimension D (the first entry's size, else the first
-  ///           pending delta's; other sizes use mode 2 below)
+  ///   varint  pattern dimension D (the first entry's size, else 0; other
+  ///           sizes use mode 2 below)
   ///   varint  location count
   ///   per location (ids strictly ascending, delta-encoded):
   ///     zigzag  location delta vs previous location
@@ -380,13 +292,6 @@ class OnlineAdapter {
   ///       u8      mode: 1 = q8 (zigzag exponent followed by D int8 bytes —
   ///               common/qfloat.h), 2 = raw f32 with an explicit varint
   ///               length (entries whose size != D)
-  ///   pending-delta section, present only when `pending` is non-empty:
-  ///     varint  pending count (>= 1)
-  ///     per delta (arrival order, timestamps delta-encoded across the
-  ///     section):
-  ///       zigzag  timestamp delta vs previous delta
-  ///       zigzag  next location
-  ///       u8      mode + payload, as for entries
   ///
   /// Encode copies each block's exponent and int8 bytes (mode 1), and Decode
   /// copies them back — no float conversion. Only an entry whose size
@@ -400,7 +305,9 @@ class OnlineAdapter {
   /// can decode a frame before deciding which shard lock to take. Decode is
   /// strictly bounds-checked: hostile counts, non-ascending locations, an
   /// unknown mode and trailing bytes fail with a structured error naming
-  /// the field, never an allocation blow-up or an out-of-range read.
+  /// the field, never an allocation blow-up or an out-of-range read. (A
+  /// frame written by a build that deferred adaptation may end in a
+  /// pending-delta section; it fails here as trailing bytes.)
   struct EncodeStats {
     size_t locations = 0;
     size_t patterns = 0;
@@ -413,10 +320,7 @@ class OnlineAdapter {
                                      UserSnapshot* out);
 
   /// Drops state for all users.
-  void Reset() {
-    users_.clear();
-    dirty_.clear();
-  }
+  void Reset() { users_.clear(); }
 
  private:
   /// One slab record: a stored pattern's label, timestamp and q8 exponent,
@@ -429,16 +333,6 @@ class OnlineAdapter {
   };
   static_assert(sizeof(Record) == 24);
 
-  /// One user's cached rebuild: CollectRebuildJobs output with the kept
-  /// records' int8 bytes and exponents copied into a private block (job
-  /// offsets index `q`; pattern k's exponent is exponents[k]). Derived state
-  /// only — never serialized, dropped on Forget/Adopt.
-  struct CachedRebuild {
-    std::vector<RebuildJob> jobs;
-    std::vector<int8_t> q;
-    std::vector<int32_t> exponents;
-  };
-
   struct UserState {
     // The knowledge base: records grouped by ascending location, FIFO
     // (arrival) order within a location, at most kMaxCandidatesPerLocation
@@ -447,12 +341,8 @@ class OnlineAdapter {
     // time (Append).
     std::vector<Record> records;
     std::vector<int8_t> q;
-    // Deferred-mode ingest buffer, arrival order (see ObserveDeferred).
-    std::vector<PendingDelta> pending;
-    // Last inline rebuild, reusable by deferred predicts (may be empty).
-    CachedRebuild cache;
-    // Newest label timestamp over records and pending (see Watermark); a
-    // cache of MaxLabelTimestamp, equal to it at every call boundary.
+    // Newest label timestamp over the records (see Watermark); a cache of
+    // MaxLabelTimestamp, equal to it at every call boundary.
     int64_t watermark = kNoWatermark;
     // The size every record shares, or 0 while the slab is empty or may mix
     // sizes: record i's int8 then start at byte i * width, so Append finds
@@ -467,24 +357,23 @@ class OnlineAdapter {
     int8_t* q = nullptr;
   };
 
-  /// Makes room for one transition that already passed the ingest rule,
-  /// under the per-location FIFO cap, keeping `state.watermark` exact. The
-  /// slot stays valid until the state's next mutation.
+  /// Makes room for one transition that passed the ingest rule, under the
+  /// per-location FIFO cap; it becomes the watermark. The slot stays valid
+  /// until the state's next mutation.
   static Slot Append(UserState& state, int64_t location, int64_t timestamp,
                      size_t size);
 
-  /// The ranking behind both collect forms, over one user's slab; fills
-  /// `cache` as well when it is non-null.
+  /// The ranking behind CollectRebuildJobs, over one user's slab.
   size_t Collect(const UserState& state, const float* query, int64_t hidden,
                  int64_t query_time, common::AlignedBuffer<float>* arena,
-                 std::vector<RebuildJob>* jobs, CachedRebuild* cache) const;
+                 std::vector<RebuildJob>* jobs) const;
 
   /// Whether a record observed at `timestamp` is fresh at `query_time`.
   bool Fresh(int64_t timestamp, int64_t query_time) const {
     return max_age_seconds_ <= 0 || query_time - timestamp <= max_age_seconds_;
   }
 
-  /// Newest label timestamp over a state's records and pending deltas.
+  /// Newest label timestamp over a state's records.
   static int64_t MaxLabelTimestamp(const UserState& state);
 
   /// The ResidentBytes accounting for one user's state.
@@ -502,9 +391,6 @@ class OnlineAdapter {
   PttaConfig config_;
   int64_t max_age_seconds_;
   std::unordered_map<int64_t, UserState> users_;
-  /// Users with a non-empty pending buffer, ordered — so drains walk users
-  /// deterministically and DirtyUsers() needs no sort.
-  std::set<int64_t> dirty_;
 };
 
 }  // namespace adamove::core

@@ -21,10 +21,9 @@ constexpr uint8_t kModeRawVar = 2;
 /// is corruption, rejected before any allocation.
 constexpr uint64_t kMaxPatternDim = 1u << 20;
 
-/// Appends one pattern as mode byte + payload (shared by stored entries and
-/// pending deltas): the q8 block itself at the header dimension, else its
-/// exact dequantized floats with an explicit length. Returns whether the q8
-/// mode was used.
+/// Appends one pattern as mode byte + payload: the q8 block itself at the
+/// header dimension, else its exact dequantized floats with an explicit
+/// length. Returns whether the q8 mode was used.
 bool AppendPattern(const common::QfloatBlock& pattern, uint64_t dim,
                    std::vector<float>* scratch, std::string* out) {
   if (pattern.q.size() == dim) {
@@ -111,11 +110,6 @@ void OnlineAdapter::EncodeUser(const UserSnapshot& snap, std::string* out,
       break;
     }
   }
-  // A pending-only user (dirty, nothing drained yet) still has a natural
-  // dimension; taking it keeps q8 available for the buffered deltas.
-  if (dim == 0 && !snap.pending.empty()) {
-    dim = snap.pending.front().pattern.q.size();
-  }
   common::AppendZigzag(out, snap.user);
   common::AppendVarint(out, dim);
   common::AppendVarint(out, snap.locations.size());
@@ -137,29 +131,11 @@ void OnlineAdapter::EncodeUser(const UserSnapshot& snap, std::string* out,
     }
     if (stats != nullptr) stats->locations += 1;
   }
-  // Pending-delta section, present only for dirty users: a clean user's
-  // blob ends after its locations (decoders read that as "no pending").
-  // Layout per delta (arrival order): zigzag timestamp delta vs previous
-  // delta, zigzag next location, then the shared mode byte + payload.
-  if (snap.pending.empty()) return;
-  common::AppendVarint(out, snap.pending.size());
-  int64_t prev_timestamp = 0;
-  for (const PendingDelta& delta : snap.pending) {
-    common::AppendZigzag(out, delta.timestamp - prev_timestamp);
-    prev_timestamp = delta.timestamp;
-    common::AppendZigzag(out, delta.next_location);
-    const bool quantized = AppendPattern(delta.pattern, dim, &scratch, out);
-    if (stats != nullptr) {
-      stats->patterns += 1;
-      if (!quantized) stats->raw_patterns += 1;
-    }
-  }
 }
 
 common::IoResult OnlineAdapter::DecodeUser(std::string_view bytes,
                                            UserSnapshot* out) {
   out->locations.clear();
-  out->pending.clear();
   common::WireReader reader(bytes);
   if (!reader.ReadZigzag(&out->user)) {
     return common::IoResult::Fail("compact user: truncated user id");
@@ -233,41 +209,8 @@ common::IoResult OnlineAdapter::DecodeUser(std::string_view bytes,
     if (entries.empty()) continue;
     out->locations.emplace_back(location, std::move(entries));
   }
-  // Pending-delta section: absent (end of blob — every clean user) or a
-  // varint count followed by that many deltas.
-  if (reader.AtEnd()) return common::IoResult::Ok();
-  uint64_t pending_count = 0;
-  if (!reader.ReadVarint(&pending_count)) {
-    return common::IoResult::Fail("compact user: truncated pending count");
-  }
-  if (pending_count == 0) {
-    // The encoder omits the section entirely when there is nothing pending;
-    // an explicit zero is a corrupt (or trailing-garbage) blob.
-    return common::IoResult::Fail("compact user: empty pending section");
-  }
-  // A pending delta is at least timestamp + location + mode (3 bytes).
-  if (pending_count > reader.remaining() / 3 + 1) {
-    return common::IoResult::Fail(
-        "compact user: pending count " + std::to_string(pending_count) +
-        " larger than the blob could hold");
-  }
-  out->pending.reserve(pending_count);
-  int64_t prev_timestamp = 0;
-  for (uint64_t p = 0; p < pending_count; ++p) {
-    PendingDelta delta;
-    int64_t ts_delta = 0;
-    if (!reader.ReadZigzag(&ts_delta) ||
-        !reader.ReadZigzag(&delta.next_location)) {
-      return common::IoResult::Fail(
-          "compact user: truncated pending delta header");
-    }
-    delta.timestamp = prev_timestamp + ts_delta;
-    prev_timestamp = delta.timestamp;
-    common::IoResult read =
-        ReadPattern(&reader, dim, &raw, &delta.pattern, &kept);
-    if (!read.ok) return read;
-    if (kept) out->pending.push_back(std::move(delta));
-  }
+  // The blob ends after its locations. Anything more is corruption — or the
+  // pending-delta section a build that deferred adaptation appended.
   if (!reader.AtEnd()) {
     return common::IoResult::Fail("compact user: trailing bytes");
   }

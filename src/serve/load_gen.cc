@@ -33,10 +33,6 @@ void RecordDelivered(const Prediction& p, Clock::time_point submit_at,
   ++result->completed;
   if (p.outcome == RequestOutcome::kDegraded) ++result->degraded;
   if (p.outcome == RequestOutcome::kTimedOut) ++result->timed_out;
-  if (p.stale_adapt) {
-    ++result->stale_adapt;
-    result->max_stale_depth = std::max(result->max_stale_depth, p.stale_depth);
-  }
   if (track_hits) {
     ++result->scored;
     if (Hit(p, target_location)) ++result->hits;
@@ -201,9 +197,6 @@ LoadGenResult RunLoadGen(PredictionService& service,
     result.completed += local.completed;
     result.degraded += local.degraded;
     result.timed_out += local.timed_out;
-    result.stale_adapt += local.stale_adapt;
-    result.max_stale_depth =
-        std::max(result.max_stale_depth, local.max_stale_depth);
     result.hits += local.hits;
     result.scored += local.scored;
   };

@@ -50,10 +50,6 @@ struct LoadGenResult {
   /// Open loop only: dropped at the generator's own in-flight limit —
   /// never submitted, never seen by the service.
   size_t dropped_arrivals = 0;
-  /// Delivered from deferred (stale) adapter state (Prediction::stale_adapt).
-  size_t stale_adapt = 0;
-  /// Maximum staleness depth observed across delivered requests.
-  uint32_t max_stale_depth = 0;
   /// hit@1 accounting (track_hits only): delivered requests whose argmax
   /// score matched the true next location, over those scored.
   size_t hits = 0;
@@ -77,7 +73,7 @@ struct LoadGenResult {
 /// Open loop (config.open_loop, target_qps > 0): arrivals fire on schedule
 /// regardless of completions (TrySubmit + completion callback), bounded
 /// only by max_in_flight, with exact shed / drop accounting — the overload
-/// harness for the elastic-adaptation bench and chaos tests.
+/// harness for the overload bench and chaos tests.
 LoadGenResult RunLoadGen(PredictionService& service,
                          const std::vector<data::Sample>& stream,
                          const LoadGenConfig& config);

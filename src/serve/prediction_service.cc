@@ -35,9 +35,6 @@ PredictionService::PredictionService(core::AdaptableModel& model,
       prefix_(store.max_resident_users()) {
   ADAMOVE_CHECK_GT(config_.workers, 0);
   ADAMOVE_CHECK_GT(config_.queue_capacity, 0u);
-  if (config_.adapt.mode == AdaptMode::kElastic) {
-    ADAMOVE_CHECK_GT(config_.deadline_us, 0);
-  }
   worker_stats_.reserve(static_cast<size_t>(config_.workers));
   workers_.reserve(static_cast<size_t>(config_.workers));
   for (int i = 0; i < config_.workers; ++i) {
@@ -133,45 +130,22 @@ void PredictionService::WorkerLoop(int worker_index) {
   WorkerScratch scratch;
   for (;;) {
     std::optional<Request> request;
-    size_t depth = 0;
     {
       common::MutexLock lock(mu_);
       while (!stop_ && queue_.empty()) not_empty_.Wait(mu_);
       if (queue_.empty()) return;  // stop_ set and fully drained
-      // The pressure signal is the depth this take sees, this request
-      // included: an elastic queue that holds only the request being taken
-      // is a backlog of one, not calm.
-      depth = queue_.size();
       request.emplace(std::move(queue_.front()));
       queue_.pop_front();
     }
     not_full_.NotifyAll();
-    ServeRequest(*request, depth, stats, scratch);
+    ServeRequest(*request, stats, scratch);
   }
 }
 
-void PredictionService::ServeRequest(Request& request, size_t queue_depth,
-                                     WorkerStats& stats,
+void PredictionService::ServeRequest(Request& request, WorkerStats& stats,
                                      WorkerScratch& scratch) {
   Prediction p;
   p.queue_us = ElapsedUs(request.enqueue, Clock::now());
-
-  // Elastic scheduling (DESIGN.md §16): fold this take's backlog and the
-  // request's wait into the pressure gauge, then pick how the adapt stage
-  // executes. The `serve.adapt_schedule` fault simulates a scheduler
-  // misfire — the request is forced deferred regardless of pressure — and
-  // is probed only in elastic mode, so inline services keep their exact
-  // fault evaluation sequence (bit-identity with the pre-scheduler path).
-  AdaptExecMode exec_mode = AdaptExecMode::kInline;
-  if (config_.adapt.mode == AdaptMode::kElastic) {
-    // The wait ratio's saturation reference is the request deadline, which
-    // the constructor requires of an elastic service.
-    gauge_.Update(queue_depth, config_.queue_capacity, p.queue_us,
-                  static_cast<double>(config_.deadline_us));
-    const bool forced = common::FaultPoint("serve.adapt_schedule");
-    exec_mode = gauge_.deferred() || forced ? AdaptExecMode::kDeferred
-                                            : AdaptExecMode::kInlineElastic;
-  }
 
   // A flush-path fault (e.g. a corrupted request buffer) degrades this
   // request to the base model rather than failing it.
@@ -219,27 +193,17 @@ void PredictionService::ServeRequest(Request& request, size_t queue_depth,
       Clock::now() >
           request.enqueue + std::chrono::microseconds(config_.deadline_us);
   AdaptStatus status = AdaptStatus::kAdapted;
-  BatchAdaptStats adapt_stats;
   if (deadline_missed || flush_degraded) {
     core::OnlineAdapter::PredictFrozenInto(model_, view.query(), view.cols,
                                            &scratch.store.scores);
     p.outcome = deadline_missed ? RequestOutcome::kTimedOut
                                 : RequestOutcome::kDegraded;
   } else {
-    uint32_t stale_depth = 0;
-    status = store_.ObserveAndPredictInto(model_, sample, view, exec_mode,
-                                          &scratch.store, &adapt_stats,
-                                          &stale_depth);
-    // A stale_adapt answer is a valid on-time adapted prediction — kOk,
-    // flagged out-of-band (the RequestOutcome-adjacent deferral signal).
-    const bool valid_adapt = status == AdaptStatus::kAdapted ||
-                             status == AdaptStatus::kStaleAdapt;
-    p.outcome = valid_adapt && !encode_degraded ? RequestOutcome::kOk
-                                                : RequestOutcome::kDegraded;
-    if (status == AdaptStatus::kStaleAdapt) {
-      p.stale_adapt = true;
-      p.stale_depth = stale_depth;
-    }
+    status = store_.ObserveAndPredictInto(model_, sample, view,
+                                          &scratch.store);
+    p.outcome = status == AdaptStatus::kAdapted && !encode_degraded
+                    ? RequestOutcome::kOk
+                    : RequestOutcome::kDegraded;
   }
   // Both branches score into the worker's scratch; the delivered scores
   // take its buffer, and the next request's scoring regrows it.
@@ -251,10 +215,6 @@ void PredictionService::ServeRequest(Request& request, size_t queue_depth,
     stats.stats.queue_us.Record(p.queue_us);
     stats.stats.encode_us.Record(p.encode_us);
     stats.stats.adapt_us.Record(p.adapt_us);
-    if (p.stale_adapt) {
-      stats.stats.stale_adapt_requests += 1;
-      stats.stats.stale_depth.Record(static_cast<double>(p.stale_depth));
-    }
     if (p.outcome == RequestOutcome::kDegraded) {
       stats.stats.degraded_requests += 1;
       if (status == AdaptStatus::kWarmStartPending) {
@@ -267,25 +227,9 @@ void PredictionService::ServeRequest(Request& request, size_t queue_depth,
     stats.stats.batches += 1;
     stats.stats.encoded_rows += encoded_rows;
     stats.stats.reused_rows += reused_rows;
-    stats.stats.deferred_ingests += adapt_stats.deferred_ingests;
-    stats.stats.coalesced_ingests += adapt_stats.coalesced_ingests;
-    stats.stats.lazy_rebuilds += adapt_stats.lazy_rebuilds;
-    stats.stats.forced_inline_rebuilds += adapt_stats.forced_inline;
   }
   request.promise.set_value(std::move(p));
   if (request.on_complete) request.on_complete();
-
-  // Background drain: once pressure has subsided, each take retires a few
-  // dirty users' pending queues — after the request's promise resolved, so
-  // callers never wait on catch-up work. Deferral therefore converges to
-  // the inline state even for users who stop sending requests.
-  if (config_.adapt.mode == AdaptMode::kElastic && !gauge_.deferred()) {
-    const size_t drained = store_.DrainDirtyUsers(kDrainUsersPerTake);
-    if (drained > 0) {
-      common::MutexLock lock(stats.mu);
-      stats.stats.background_drains += drained;
-    }
-  }
 }
 
 ServiceStats PredictionService::Stats() const {
@@ -302,15 +246,7 @@ ServiceStats PredictionService::Stats() const {
     merged.degraded_requests += ws->stats.degraded_requests;
     merged.warm_start_fallbacks += ws->stats.warm_start_fallbacks;
     merged.timeouts += ws->stats.timeouts;
-    merged.stale_adapt_requests += ws->stats.stale_adapt_requests;
-    merged.deferred_ingests += ws->stats.deferred_ingests;
-    merged.coalesced_ingests += ws->stats.coalesced_ingests;
-    merged.lazy_rebuilds += ws->stats.lazy_rebuilds;
-    merged.forced_inline_rebuilds += ws->stats.forced_inline_rebuilds;
-    merged.background_drains += ws->stats.background_drains;
-    merged.stale_depth.Merge(ws->stats.stale_depth);
   }
-  merged.adapt_mode_switches = gauge_.mode_switches();
   merged.shed_requests = shed_requests_.load(std::memory_order_relaxed);
   merged.prefix_state_entries = prefix_.entries();
   merged.prefix_state_bytes = prefix_.bytes();

@@ -18,7 +18,6 @@
 #include "core/forward_plan.h"
 #include "core/model.h"
 #include "data/dataset.h"
-#include "serve/adapt_scheduler.h"
 #include "serve/session_store.h"
 
 namespace adamove::serve {
@@ -41,6 +40,16 @@ enum class RequestOutcome : uint8_t {
   kShed,
 };
 
+/// Ignored: every request adapts inline whichever mode is set (DESIGN.md
+/// §16). AdaptMode, AdaptSchedulerConfig, ServiceConfig::adapt and
+/// PredictionService::adapt_config() remain only because the frozen
+/// benchmark revision assigns and reads them (ROADMAP item 1).
+enum class AdaptMode : uint8_t { kInline, kElastic };
+
+struct AdaptSchedulerConfig {
+  AdaptMode mode = AdaptMode::kInline;
+};
+
 struct ServiceConfig {
   /// Serving worker threads; each takes one queued request at a time and
   /// serves it end to end.
@@ -58,9 +67,7 @@ struct ServiceConfig {
   /// deadline has passed when its adapt stage would start skips adaptation
   /// and is served the base-model fallback as kTimedOut.
   int64_t deadline_us = 0;
-  /// Elastic adaptation scheduling (DESIGN.md §16); the default
-  /// AdaptMode::kInline is the legacy bit-identical path. kElastic requires
-  /// deadline_us > 0: the deadline is the pressure gauge's wait reference.
+  /// Ignored (see AdaptMode).
   AdaptSchedulerConfig adapt;
 };
 
@@ -68,16 +75,10 @@ struct ServiceConfig {
 struct Prediction {
   std::vector<float> scores;  // real-model scores, one per location
   RequestOutcome outcome = RequestOutcome::kOk;
-  /// RequestOutcome-adjacent deferral signal: the answer is a valid adapted
-  /// prediction served from slightly stale per-user state (this request's
-  /// observations were buffered, the rebuild was the user's cached one).
-  /// Orthogonal to `outcome` — a stale_adapt response is still kOk: it was
-  /// on time and came from the real adapted model, just not the freshest
-  /// state (DESIGN.md §16's deferral rung sits between full adaptation and
-  /// the frozen fallback).
+  /// Always false and 0: every request adapts inline, so no answer comes
+  /// from state that lags its own observations. Kept only because the
+  /// frozen benchmark revision reads them (ROADMAP item 1).
   bool stale_adapt = false;
-  /// Pending-delta depth the prediction was served at (0 unless
-  /// stale_adapt) — below kMaxStaleDepth plus one request's transitions.
   uint32_t stale_depth = 0;
   double queue_us = 0;   // enqueue -> picked up by a worker
   double encode_us = 0;  // this request's encoder forward
@@ -115,25 +116,14 @@ struct ServiceStats {
   /// (PrefixState::Bytes) — memory outside SessionStore::ResidentBytes.
   uint64_t prefix_state_entries = 0;
   uint64_t prefix_state_bytes = 0;
-  /// Elastic-adaptation ledger (DESIGN.md §16; all zero on an inline-mode
-  /// service): requests answered from deferred (stale) state, transitions
-  /// buffered instead of ingested, buffered deltas dropped by exact
-  /// coalescing, pending queues drained by an inline predict, deferred
-  /// requests forced inline by the kMaxStaleDepth bound, and users drained
-  /// in the background once pressure subsided.
-  uint64_t stale_adapt_requests = 0;
+  /// Always 0: nothing of a request's adaptation is deferred. Kept only
+  /// because the frozen benchmark revision reads them (ROADMAP item 1).
   uint64_t deferred_ingests = 0;
   uint64_t coalesced_ingests = 0;
   uint64_t lazy_rebuilds = 0;
   uint64_t forced_inline_rebuilds = 0;
   uint64_t background_drains = 0;
-  /// Pressure-gauge inline<->deferred transitions (hysteresis crossings).
   uint64_t adapt_mode_switches = 0;
-  /// Staleness depth distribution: one sample per stale_adapt request,
-  /// valued at the pending-delta depth it was served at. (The histogram is
-  /// log-bucketed for latencies but exact in count/sum/max, which is what
-  /// the bounded-staleness gate reads.)
-  common::LatencyHistogram stale_depth;
   /// Fully adapted, on-time responses.
   uint64_t ok_requests() const {
     return completed - degraded_requests - timeouts;
@@ -170,8 +160,8 @@ struct ServiceStats {
 /// synchronization. All mutable state lives in the SessionStore shards.
 class PredictionService {
  public:
-  /// Checks `config` (positive workers and queue_capacity; a deadline when
-  /// adapt.mode is kElastic) before any worker starts.
+  /// Checks `config` (positive workers and queue_capacity) before any
+  /// worker starts.
   PredictionService(core::AdaptableModel& model, SessionStore& store,
                     const ServiceConfig& config);
 
@@ -236,7 +226,7 @@ class PredictionService {
                                    : core::ForwardMode::kGraph;
   }
 
-  /// This service's adaptation schedule (ServiceConfig::adapt).
+  /// ServiceConfig::adapt, which is ignored (see AdaptMode).
   const AdaptSchedulerConfig& adapt_config() const { return config_.adapt; }
 
   const ServiceConfig& config() const { return config_; }
@@ -266,17 +256,13 @@ class PredictionService {
   };
 
   void WorkerLoop(int worker_index);
-  /// Serves one taken request. `queue_depth` is the admission-queue size
-  /// the take saw, this request included — the gauge's backlog signal
-  /// (DESIGN.md §16).
-  void ServeRequest(Request& request, size_t queue_depth, WorkerStats& stats,
+  /// Serves one taken request end to end.
+  void ServeRequest(Request& request, WorkerStats& stats,
                     WorkerScratch& scratch);
 
   core::AdaptableModel& model_;
   SessionStore& store_;
   ServiceConfig config_;
-  /// The per-service pressure signal driving elastic scheduling.
-  PressureGauge gauge_;
   /// The raw encode path, shared by all workers (thread-safe).
   core::ForwardPlanner planner_;
   /// Every user's encoder prefix state, keyed by the encoder's own input

@@ -8,7 +8,6 @@
 
 #include "common/check.h"
 #include "common/fault_injection.h"
-#include "serve/adapt_scheduler.h"
 
 namespace adamove::serve {
 
@@ -112,27 +111,14 @@ std::vector<std::vector<float>> SessionStore::BatchObserveAndPredictEncoded(
     const core::AdaptableModel& model,
     const std::vector<BatchRequest>& requests,
     std::vector<AdaptStatus>* statuses) {
-  return BatchObserveAndPredictEncoded(model, requests, BatchAdaptOptions{},
-                                       statuses, nullptr);
-}
-
-std::vector<std::vector<float>> SessionStore::BatchObserveAndPredictEncoded(
-    const core::AdaptableModel& model,
-    const std::vector<BatchRequest>& requests,
-    const BatchAdaptOptions& options, std::vector<AdaptStatus>* statuses,
-    BatchAdaptStats* adapt_stats) {
   const size_t n = requests.size();
   if (statuses != nullptr) statuses->resize(n);
-  if (adapt_stats != nullptr) adapt_stats->stale_depth.resize(n);
   RequestScratch scratch;
   std::vector<std::vector<float>> scores(n);
   for (size_t r = 0; r < n; ++r) {
-    uint32_t depth = 0;
-    const AdaptStatus status =
-        ObserveAndPredictInto(model, *requests[r].sample, requests[r].reps,
-                              options.mode, &scratch, adapt_stats, &depth);
+    const AdaptStatus status = ObserveAndPredictInto(
+        model, *requests[r].sample, requests[r].reps, &scratch);
     if (statuses != nullptr) (*statuses)[r] = status;
-    if (adapt_stats != nullptr) adapt_stats->stale_depth[r] = depth;
     scores[r] = scratch.scores;
   }
   return scores;
@@ -140,14 +126,11 @@ std::vector<std::vector<float>> SessionStore::BatchObserveAndPredictEncoded(
 
 AdaptStatus SessionStore::ObserveAndPredictInto(
     const core::AdaptableModel& model, const data::Sample& sample,
-    RepsView reps, AdaptExecMode mode, RequestScratch* scratch,
-    BatchAdaptStats* adapt_stats, uint32_t* stale_depth) {
+    RepsView reps, RequestScratch* scratch) {
   ADAMOVE_CHECK_EQ(static_cast<size_t>(reps.rows), sample.recent.size());
   scratch->arena.Clear();
   scratch->jobs.clear();
-  if (stale_depth != nullptr) *stale_depth = 0;
-  const AdaptStatus status =
-      IngestAndCollect(sample, reps, mode, scratch, adapt_stats, stale_depth);
+  const AdaptStatus status = IngestAndCollect(sample, reps, scratch);
   // Phase 2, outside every shard lock: frozen column scores + the collected
   // adjusted columns + bias — Predict's exact arithmetic. The kernels run
   // serial inside ScoreCollectedJobsInto (value-neutral — DESIGN.md §13 —
@@ -159,10 +142,8 @@ AdaptStatus SessionStore::ObserveAndPredictInto(
 }
 
 AdaptStatus SessionStore::IngestAndCollect(const data::Sample& sample,
-                                           RepsView reps, AdaptExecMode mode,
-                                           RequestScratch* scratch,
-                                           BatchAdaptStats* adapt_stats,
-                                           uint32_t* stale_depth) {
+                                           RepsView reps,
+                                           RequestScratch* scratch) {
   const int64_t t = reps.rows;
   const int64_t hidden = reps.cols;
   // Simulated session-state loss (cache miss, shard failover): no
@@ -190,64 +171,6 @@ AdaptStatus SessionStore::IngestAndCollect(const data::Sample& sample,
     return AdaptStatus::kStateUnavailable;
   }
   TouchLocked(shard, sample.user);
-  // A `serve.ptta_generate` fault drops this request's transitions in every
-  // exec mode (nothing is ingested *or* buffered) — fault precedence over
-  // scheduling, so deferral never smuggles a faulted request's patterns in
-  // later.
-  const bool generate_fault = common::FaultPoint("serve.ptta_generate");
-  AdaptStatus status =
-      generate_fault ? AdaptStatus::kStaleState : AdaptStatus::kAdapted;
-  // Scheduler decision: a deferred-mode request stays deferred only while
-  // its pending depth is under kMaxStaleDepth; at the bound it is forced
-  // inline (drain + fresh rebuild), so staleness is bounded by construction.
-  bool defer = mode == AdaptExecMode::kDeferred;
-  if (defer && shard.adapter.PendingCount(sample.user) >= kMaxStaleDepth) {
-    defer = false;
-    if (adapt_stats != nullptr) adapt_stats->forced_inline += 1;
-  }
-
-  if (defer) {
-    if (!generate_fault) {
-      // Only transitions the key has not absorbed or buffered yet are
-      // buffered (the ingest-once rule, DESIGN.md §4.3).
-      const size_t pending_before = shard.adapter.PendingCount(sample.user);
-      uint64_t coalesced = 0;
-      for (int64_t k = FirstNewTransition(
-               sample, shard.adapter.Watermark(sample.user));
-           k + 1 < t; ++k) {
-        coalesced += shard.adapter.ObserveDeferred(
-            sample.user, reps.data + k * hidden, static_cast<size_t>(hidden),
-            sample.recent[static_cast<size_t>(k + 1)].location,
-            sample.recent[static_cast<size_t>(k + 1)].timestamp);
-      }
-      if (adapt_stats != nullptr) {
-        adapt_stats->deferred_ingests +=
-            shard.adapter.PendingCount(sample.user) + coalesced -
-            pending_before;
-        adapt_stats->coalesced_ingests += coalesced;
-      }
-      status = AdaptStatus::kStaleAdapt;
-    }
-    // Predict from the last cached rebuild — no ranking, one dequantizing
-    // pass over the cached q8 block. An empty cache contributes zero jobs:
-    // the frozen scores stand, through the same phase-2 call.
-    shard.adapter.CollectCachedJobs(sample.user, &scratch->arena,
-                                    &scratch->jobs);
-    if (stale_depth != nullptr) {
-      *stale_depth = static_cast<uint32_t>(std::min<size_t>(
-          shard.adapter.PendingCount(sample.user), UINT32_MAX));
-    }
-    return status;
-  }
-
-  // Inline path. Any pending deltas from an earlier deferral drain first
-  // (the lazy rebuild), so an inline predict always answers from fully
-  // caught-up state; on a store that never deferred this is a no-op map
-  // probe and the path below is byte-for-byte the historical one.
-  if (shard.adapter.PendingCount(sample.user) > 0) {
-    shard.adapter.DrainPending(sample.user);
-    if (adapt_stats != nullptr) adapt_stats->lazy_rebuilds += 1;
-  }
   // Mirrors OnlineAdapter::ObserveAndPredict exactly (the determinism test
   // depends on bit-identical arithmetic): each prefix representation is a
   // labeled pattern for the *next* point, the final row is the query.
@@ -256,6 +179,7 @@ AdaptStatus SessionStore::IngestAndCollect(const data::Sample& sample,
   // `serve.ptta_generate` fault skips ingestion of this request's
   // transitions — the prediction then answers from stale state, and the
   // next request of the key sends them again.
+  const bool generate_fault = common::FaultPoint("serve.ptta_generate");
   if (!generate_fault) {
     for (int64_t k = FirstNewTransition(
              sample, shard.adapter.Watermark(sample.user));
@@ -266,48 +190,10 @@ AdaptStatus SessionStore::IngestAndCollect(const data::Sample& sample,
           sample.recent[static_cast<size_t>(k + 1)].timestamp);
     }
   }
-  // In an elastic service the fresh rebuild doubles as the user's stale
-  // cache for later deferred predicts. Pure kInline keeps no cache, so the
-  // legacy path keeps its exact memory behaviour.
-  if (mode == AdaptExecMode::kInline) {
-    shard.adapter.CollectRebuildJobs(sample.user, reps.query(), hidden,
-                                     sample.target.timestamp,
-                                     &scratch->arena, &scratch->jobs);
-  } else {
-    shard.adapter.CollectAndCacheRebuildJobs(
-        sample.user, reps.query(), hidden, sample.target.timestamp,
-        &scratch->arena, &scratch->jobs);
-  }
-  return status;
-}
-
-size_t SessionStore::DrainDirtyUsers(size_t max_users) {
-  size_t drained = 0;
-  for (const auto& shard : shards_) {
-    if (max_users > 0 && drained >= max_users) break;
-    common::MutexLock lock(shard->mu);
-    drained += shard->adapter.DrainSomePending(
-        max_users == 0 ? 0 : max_users - drained);
-  }
-  return drained;
-}
-
-size_t SessionStore::DirtyUserCount() const {
-  size_t n = 0;
-  for (const auto& shard : shards_) {
-    common::MutexLock lock(shard->mu);
-    n += shard->adapter.DirtyUserCount();
-  }
-  return n;
-}
-
-size_t SessionStore::PendingDeltaCount() const {
-  size_t n = 0;
-  for (const auto& shard : shards_) {
-    common::MutexLock lock(shard->mu);
-    n += shard->adapter.PendingTotal();
-  }
-  return n;
+  shard.adapter.CollectRebuildJobs(sample.user, reps.query(), hidden,
+                                   sample.target.timestamp, &scratch->arena,
+                                   &scratch->jobs);
+  return generate_fault ? AdaptStatus::kStaleState : AdaptStatus::kAdapted;
 }
 
 void SessionStore::Forget(int64_t user) {
@@ -344,9 +230,7 @@ bool SessionStore::ExtractUser(int64_t user,
 }
 
 void SessionStore::InjectUser(core::OnlineAdapter::UserSnapshot&& snap) {
-  // A user whose only state is a pending buffer is still a user — dropping
-  // the snapshot would lose deferred observations across a migration.
-  if (snap.locations.empty() && snap.pending.empty()) return;
+  if (snap.locations.empty()) return;
   Shard& shard = *shards_[static_cast<size_t>(ShardOf(snap.user))];
   common::MutexLock lock(shard.mu);
   AdoptLocked(shard, std::move(snap));
@@ -443,7 +327,7 @@ common::IoResult SessionStore::Snapshot(const std::string& path,
     std::sort(captured.begin(), captured.end(),
               [](const auto& a, const auto& b) { return a.user < b.user; });
     for (const auto& snap : captured) {
-      if (snap.locations.empty() && snap.pending.empty()) continue;
+      if (snap.locations.empty()) continue;
       std::string frame;
       core::OnlineAdapter::EncodeUser(snap, &frame);
       frames.push_back(std::move(frame));
@@ -453,13 +337,6 @@ common::IoResult SessionStore::Snapshot(const std::string& path,
           pattern_dim =
               static_cast<uint32_t>(entries.front().pattern.q.size());
         }
-      }
-      // A dirty user's buffered deltas persist too (frozen mid-deferral is
-      // still durable); they can carry the dimension when the user holds
-      // nothing else yet.
-      if (pattern_dim == 0 && !snap.pending.empty()) {
-        pattern_dim =
-            static_cast<uint32_t>(snap.pending.front().pattern.q.size());
       }
     }
   }
@@ -537,17 +414,12 @@ common::IoResult SessionStore::Restore(const std::string& path,
         ++user_patterns;
       }
     }
-    for (const auto& delta : snap.pending) {
-      if (delta.pattern.q.size() != pattern_dim) dim_ok = false;
-    }
     if (!dim_ok) {
       return reject("user " + std::to_string(snap.user) +
                     " has a pattern whose dimension does not match the "
                     "snapshot header");
     }
-    if (snap.locations.empty() && snap.pending.empty()) {
-      continue;  // nothing to install
-    }
+    if (snap.locations.empty()) continue;  // nothing to install
     imported.bytes += framed.frames[f].size();
     imported.patterns += user_patterns;
     ++imported.users;

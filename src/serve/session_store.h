@@ -91,53 +91,19 @@ enum class AdaptStatus : uint8_t {
   /// (a fresh knowledge base would be clobbered — or worse, merged — when
   /// the user's snapshot frame arrives).
   kWarmStartPending,
-  /// Deferred adaptation (DESIGN.md §16): this request's transitions were
-  /// buffered into the user's pending queue instead of ingested, and the
-  /// prediction came from the user's last cached rebuild — a valid, slightly
-  /// stale adapted answer. The buffered deltas drain lazily (next inline
-  /// predict) or in the background, after which state is bit-identical to
-  /// the inline run.
-  kStaleAdapt,
 };
 
-/// How one request executes its per-user adaptation work.
-enum class AdaptExecMode : uint8_t {
-  /// Legacy inline adaptation — with no prior deferral this is byte-for-byte
-  /// the pre-scheduler path (it still drains any pending deltas it finds, so
-  /// a mode switch back to inline self-heals).
-  kInline,
-  /// Inline adaptation in an elastic service: same state semantics as
-  /// kInline, plus each request's fresh rebuild is cached for later deferred
-  /// predicts of the same user.
-  kInlineElastic,
-  /// Deferred adaptation: ingests buffered, predictions from the cached
-  /// rebuild (kStaleAdapt), bounded by kMaxStaleDepth (adapt_scheduler.h).
-  kDeferred,
-};
+/// Ignored: every request adapts inline, whichever value is passed. Both
+/// values, BatchAdaptOptions and BatchAdaptStats remain only because the
+/// frozen benchmark revision passes them to the five-argument
+/// BatchObserveAndPredictEncoded (ROADMAP item 1's deletion list).
+enum class AdaptExecMode : uint8_t { kInline, kInlineElastic };
 
-/// Scheduler inputs of one BatchObserveAndPredictEncoded call.
 struct BatchAdaptOptions {
   AdaptExecMode mode = AdaptExecMode::kInline;
 };
 
-/// Exact accounting of the scheduler's decisions, summed over every request
-/// it is passed to (all zero in kInline mode on a store that never
-/// deferred).
-struct BatchAdaptStats {
-  /// Transitions buffered into pending queues instead of ingested.
-  uint64_t deferred_ingests = 0;
-  /// Buffered deltas dropped by exact coalescing (provably could not have
-  /// survived the per-location FIFO cap on drain).
-  uint64_t coalesced_ingests = 0;
-  /// Pending queues drained because an inline predict found them.
-  uint64_t lazy_rebuilds = 0;
-  /// Deferred requests forced inline by the kMaxStaleDepth bound.
-  uint64_t forced_inline = 0;
-  /// BatchObserveAndPredictEncoded only, per request: pending-delta depth
-  /// the prediction was served at (0 for inline-served requests). Resized to
-  /// requests.size().
-  std::vector<uint32_t> stale_depth;
-};
+struct BatchAdaptStats {};
 
 /// On-disk serving snapshots: a durable_io framed file (DESIGN.md §11), the
 /// one state file of a store — hot and cold users alike. Frame 0 is a
@@ -214,30 +180,13 @@ class SessionStore {
   /// call. The copy makes phase 2 immune to anything that happens to the
   /// user's state once the lock is gone.
   ///
-  /// `mode` picks how the adaptation executes (DESIGN.md §16, see
-  /// AdaptExecMode); kInline is bit-identical to the historical path on a
-  /// store that never deferred. Deferred-mode semantics: the transitions are
-  /// buffered (ObserveDeferred — exact coalescing against the per-location
-  /// FIFO cap), the prediction reuses the user's cached rebuild (no ranking;
-  /// an empty cache means frozen scores), and the status is kStaleAdapt. A
-  /// request that finds kMaxStaleDepth pending deltas is forced inline
-  /// instead, so staleness stays bounded. Faults keep precedence: an armed
-  /// serve.ptta_generate drops the transitions in every mode (kStaleState —
-  /// nothing is buffered either).
-  ///
   /// Never fails: under an armed `serve.session_lookup` /
   /// `serve.ptta_generate` fault the request degrades (see AdaptStatus) but
   /// still gets real-model scores; with no faults armed the status is
-  /// kAdapted or kStaleAdapt. `adapt_stats`, when non-null, accumulates this
-  /// request's deferral accounting; `stale_depth`, when non-null, receives
-  /// the pending-delta depth a deferred-mode request was served at (0
-  /// otherwise).
+  /// kAdapted.
   AdaptStatus ObserveAndPredictInto(const core::AdaptableModel& model,
                                     const data::Sample& sample, RepsView reps,
-                                    AdaptExecMode mode,
-                                    RequestScratch* scratch,
-                                    BatchAdaptStats* adapt_stats,
-                                    uint32_t* stale_depth);
+                                    RequestScratch* scratch);
 
   /// One request of a BatchObserveAndPredictEncoded call: the sample and its
   /// pre-computed prefix representations, both borrowed (must outlive the
@@ -247,8 +196,8 @@ class SessionStore {
     RepsView reps;
   };
 
-  /// ObserveAndPredictInto over `requests` in order, in kInline mode (the
-  /// overload below with default options). `statuses`, when non-null, is
+  /// ObserveAndPredictInto over `requests` in order; each request's scores
+  /// and status equal serving it alone. `statuses`, when non-null, is
   /// resized to requests.size() with request i's AdaptStatus at index i.
   /// Kept for the frozen benchmark revision and the tests that drive the
   /// store directly (ROADMAP item 1).
@@ -257,27 +206,19 @@ class SessionStore {
       const std::vector<BatchRequest>& requests,
       std::vector<AdaptStatus>* statuses = nullptr);
 
-  /// ObserveAndPredictInto over `requests` in order, in `options.mode`; each
-  /// request's scores and status equal serving it alone. `adapt_stats`,
-  /// when non-null, receives the requests' summed deferral accounting and
-  /// their stale depths.
+  /// The overload above; `options` and `adapt_stats` are ignored (see
+  /// AdaptExecMode).
   std::vector<std::vector<float>> BatchObserveAndPredictEncoded(
       const core::AdaptableModel& model,
       const std::vector<BatchRequest>& requests,
-      const BatchAdaptOptions& options, std::vector<AdaptStatus>* statuses,
-      BatchAdaptStats* adapt_stats);
+      const BatchAdaptOptions& /*options*/, std::vector<AdaptStatus>* statuses,
+      BatchAdaptStats* /*adapt_stats*/) {
+    return BatchObserveAndPredictEncoded(model, requests, statuses);
+  }
 
-  /// Drains up to `max_users` dirty users' pending deltas into their
-  /// knowledge bases (per shard, ascending user id within a shard; 0 = all).
-  /// The background-drain hook the service calls when pressure subsides.
-  /// Returns the number of users drained.
-  size_t DrainDirtyUsers(size_t max_users);
-
-  /// Hot-resident users with a non-empty pending buffer, across shards.
-  size_t DirtyUserCount() const;
-
-  /// Buffered pending deltas across all hot-resident users.
-  size_t PendingDeltaCount() const;
+  /// Always 0: no observation waits outside a knowledge base. Kept only
+  /// because the frozen benchmark revision reads it.
+  size_t PendingDeltaCount() const { return 0; }
 
   /// Drops one user's state wherever it lives — hot tier and cold tier
   /// (no-op if absent from both).
@@ -411,9 +352,7 @@ class SessionStore {
   /// Phase 1 of ObserveAndPredictInto, under the user's shard lock (taken
   /// and released here): everything up to the collected rebuild jobs.
   AdaptStatus IngestAndCollect(const data::Sample& sample, RepsView reps,
-                               AdaptExecMode mode, RequestScratch* scratch,
-                               BatchAdaptStats* adapt_stats,
-                               uint32_t* stale_depth);
+                               RequestScratch* scratch);
 
   /// Installs `snap` as its user's hot state (InjectUser, Restore): drops
   /// any cold copy first, so the user lives in one tier, then touches the

@@ -31,9 +31,7 @@ void CompactStore::EraseLocked(
 void CompactStore::Accept(core::OnlineAdapter::UserSnapshot&& snap) {
   std::string encoded;
   core::OnlineAdapter::EncodeStats encode_stats;
-  // A dirty user evicted before its first drain holds only pending deltas;
-  // they are its state too.
-  if (!snap.locations.empty() || !snap.pending.empty()) {
+  if (!snap.locations.empty()) {
     core::OnlineAdapter::EncodeUser(snap, &encoded, &encode_stats);
   }
   // The exact-size block is allocated and filled before the lock, so the

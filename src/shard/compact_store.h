@@ -54,9 +54,9 @@ class CompactStore : public serve::ColdTier {
   /// ColdTier: removes and rehydrates one user's blob, freeing its block.
   bool Take(int64_t user, core::OnlineAdapter::UserSnapshot* out) override;
 
-  /// ColdTier: encodes and stores a user's complete state — entries and
-  /// pending deltas — replacing any previous blob. A snapshot with neither
-  /// just erases (that user has nothing to keep).
+  /// ColdTier: encodes and stores a user's complete state, replacing any
+  /// previous blob. A snapshot without entries just erases (that user has
+  /// nothing to keep).
   void Accept(core::OnlineAdapter::UserSnapshot&& snap) override;
 
   /// ColdTier: decodes a copy of every selected user's blob; the blobs stay.

@@ -262,12 +262,6 @@ bool SnapshotsBitIdentical(const OnlineAdapter::UserSnapshot& a,
       if (ea[e].pattern != eb[e].pattern) return false;  // exact block ==
     }
   }
-  if (a.pending.size() != b.pending.size()) return false;
-  for (size_t p = 0; p < a.pending.size(); ++p) {
-    if (a.pending[p].timestamp != b.pending[p].timestamp) return false;
-    if (a.pending[p].next_location != b.pending[p].next_location) return false;
-    if (a.pending[p].pattern != b.pending[p].pattern) return false;
-  }
   return true;
 }
 
@@ -297,7 +291,6 @@ TEST(CompactStateTest, LegacyRawBlobDecodesToItsCanonicalQ8State) {
   std::vector<float> raw = RandomPattern(rng, 16);
   raw[0] = 0.1f;  // inexact in any 2^e grid
   const std::vector<float> raw_var = RandomPattern(rng, 16);
-  const std::vector<float> raw_pending = RandomPattern(rng, 16);
   std::vector<float> non_finite = RandomPattern(rng, 16);
   non_finite[3] = std::nanf("");
   const auto append_raw = [](std::string* blob, const std::vector<float>& p) {
@@ -319,10 +312,6 @@ TEST(CompactStateTest, LegacyRawBlobDecodesToItsCanonicalQ8State) {
   common::AppendVarint(&legacy, 1);
   common::AppendZigzag(&legacy, 1200);
   append_raw(&legacy, non_finite);
-  common::AppendVarint(&legacy, 1);    // one pending delta, raw
-  common::AppendZigzag(&legacy, 2000);
-  common::AppendZigzag(&legacy, 9);
-  append_raw(&legacy, raw_pending);
 
   OnlineAdapter::UserSnapshot back;
   const common::IoResult decoded = OnlineAdapter::DecodeUser(legacy, &back);
@@ -332,20 +321,19 @@ TEST(CompactStateTest, LegacyRawBlobDecodesToItsCanonicalQ8State) {
   want.user = 7;
   want.locations.emplace_back(5, std::vector<OnlineAdapter::Entry>{
                                      {Q8(raw), 1000}, {Q8(raw_var), 1500}});
-  want.pending.push_back({Q8(raw_pending), 9, 2000});
   EXPECT_TRUE(SnapshotsBitIdentical(want, back));
 
   // Re-encoding the decoded state writes q8 only, and round-trips exactly.
   std::string encoded;
   OnlineAdapter::EncodeStats stats;
   OnlineAdapter::EncodeUser(back, &encoded, &stats);
-  EXPECT_EQ(stats.patterns, 3u);
+  EXPECT_EQ(stats.patterns, 2u);
   EXPECT_EQ(stats.raw_patterns, 0u);
   OnlineAdapter::UserSnapshot again;
   ASSERT_TRUE(static_cast<bool>(OnlineAdapter::DecodeUser(encoded, &again)));
   EXPECT_TRUE(SnapshotsBitIdentical(want, again));
 
-  // A mode-0 pattern, in an entry or in a pending delta, is rejected.
+  // A mode-0 pattern is rejected.
   std::string entry_mode0;
   common::AppendZigzag(&entry_mode0, 7);     // user
   common::AppendVarint(&entry_mode0, 16);    // dim
@@ -353,22 +341,12 @@ TEST(CompactStateTest, LegacyRawBlobDecodesToItsCanonicalQ8State) {
   common::AppendZigzag(&entry_mode0, 5);
   common::AppendVarint(&entry_mode0, 1);
   common::AppendZigzag(&entry_mode0, 1000);
-  std::string pending_mode0 = entry_mode0;
   entry_mode0.push_back(0);
   common::AppendF32Array(&entry_mode0, raw.data(), raw.size());
-  append_raw(&pending_mode0, raw);
-  common::AppendVarint(&pending_mode0, 1);   // one pending delta
-  common::AppendZigzag(&pending_mode0, 2000);
-  common::AppendZigzag(&pending_mode0, 9);
-  pending_mode0.push_back(0);
-  common::AppendF32Array(&pending_mode0, raw_pending.data(),
-                         raw_pending.size());
-  for (const std::string& blob : {entry_mode0, pending_mode0}) {
-    const common::IoResult r = OnlineAdapter::DecodeUser(blob, &back);
-    ASSERT_FALSE(static_cast<bool>(r));
-    EXPECT_NE(r.error.find("unknown pattern mode 0"), std::string::npos)
-        << r.error;
-  }
+  const common::IoResult r = OnlineAdapter::DecodeUser(entry_mode0, &back);
+  ASSERT_FALSE(static_cast<bool>(r));
+  EXPECT_NE(r.error.find("unknown pattern mode 0"), std::string::npos)
+      << r.error;
 }
 
 TEST(CompactStateTest, CompactBlobIsSmallerThanResident) {
@@ -483,134 +461,35 @@ TEST(CompactStateTest, DecodeRejectsHostileCounts) {
   EXPECT_NE(r2.error.find("ascending"), std::string::npos) << r2.error;
 }
 
-// ---- pending-delta section (elastic adaptation, DESIGN.md §16) -----------
-
-TEST(CompactStateTest, PendingDeltasRoundTripLosslessAndQuantized) {
-  common::Rng rng(61);
-  OnlineAdapter::UserSnapshot snap = CanonicalSnapshot(17, 3, 4, 8, 19);
-  // Pending patterns from a random and an off-grid observation (both q8
-  // at the header dimension) and an off-dimension one (explicit-length
-  // raw), out-of-order locations, and a timestamp regression — arrival
-  // order is whatever arrived.
-  OnlineAdapter::PendingDelta canonical;
-  canonical.pattern = Q8(RandomPattern(rng, 8));
-  canonical.next_location = 9;
-  canonical.timestamp = 5000;
-  snap.pending.push_back(std::move(canonical));
-  OnlineAdapter::PendingDelta off_grid;
-  std::vector<float> observed = RandomPattern(rng, 8);
-  observed[2] = 0.1f;  // inexact in any 2^e grid
-  off_grid.pattern = Q8(observed);
-  off_grid.next_location = 1;
-  off_grid.timestamp = 4000;  // earlier than the previous delta
-  snap.pending.push_back(std::move(off_grid));
-  OnlineAdapter::PendingDelta off_dim;
-  off_dim.pattern = Q8(RandomPattern(rng, 3));
-  off_dim.next_location = 9;
-  off_dim.timestamp = 6000;
-  snap.pending.push_back(std::move(off_dim));
-
-  std::string encoded;
-  OnlineAdapter::EncodeStats stats;
-  OnlineAdapter::EncodeUser(snap, &encoded, &stats);
-  EXPECT_EQ(stats.patterns, 12u + 3u);
-  EXPECT_EQ(stats.raw_patterns, 1u);  // the off-dim delta only
-
-  OnlineAdapter::UserSnapshot back;
-  const common::IoResult r = OnlineAdapter::DecodeUser(encoded, &back);
-  ASSERT_TRUE(static_cast<bool>(r)) << r.error;
-  EXPECT_TRUE(SnapshotsBitIdentical(snap, back));
-}
-
-TEST(CompactStateTest, CleanBlobsStayByteIdenticalAndDecodeWithoutPending) {
-  // Backward compatibility both ways: a clean user's blob has no pending
-  // section (byte-identical to the pre-deferral encoder), and decoding it
-  // yields an empty pending buffer, not an error.
-  const OnlineAdapter::UserSnapshot snap = CanonicalSnapshot(3, 2, 3, 8, 29);
-  std::string clean;
-  OnlineAdapter::EncodeUser(snap, &clean);
-
-  OnlineAdapter::UserSnapshot dirty = snap;
-  common::Rng rng(7);
-  OnlineAdapter::PendingDelta delta;
-  delta.pattern = Q8(RandomPattern(rng, 8));
-  delta.next_location = 2;
-  delta.timestamp = 100;
-  dirty.pending.push_back(std::move(delta));
-  std::string dirty_encoded;
-  OnlineAdapter::EncodeUser(dirty, &dirty_encoded);
-  // The pending section strictly appends: the clean blob is a prefix.
-  ASSERT_GT(dirty_encoded.size(), clean.size());
-  EXPECT_EQ(dirty_encoded.compare(0, clean.size(), clean), 0);
-
-  OnlineAdapter::UserSnapshot back;
-  ASSERT_TRUE(static_cast<bool>(OnlineAdapter::DecodeUser(clean, &back)));
-  EXPECT_TRUE(back.pending.empty());
-}
-
-TEST(CompactStateTest, PendingOnlyUserRoundTrips) {
-  // A user evicted mid-deferral may hold *only* buffered deltas; the codec
-  // derives its dimension from them so q8 still applies.
-  common::Rng rng(43);
-  OnlineAdapter::UserSnapshot snap;
-  snap.user = 21;
-  for (int i = 0; i < 4; ++i) {
-    OnlineAdapter::PendingDelta delta;
-    delta.pattern = Q8(RandomPattern(rng, 8));
-    delta.next_location = i % 3;
-    delta.timestamp = 1000 + i;
-    snap.pending.push_back(std::move(delta));
-  }
-  std::string encoded;
-  OnlineAdapter::EncodeStats stats;
-  OnlineAdapter::EncodeUser(snap, &encoded, &stats);
-  EXPECT_EQ(stats.raw_patterns, 0u);  // dim came from the pending section
-  OnlineAdapter::UserSnapshot back;
-  const common::IoResult r = OnlineAdapter::DecodeUser(encoded, &back);
-  ASSERT_TRUE(static_cast<bool>(r)) << r.error;
-  EXPECT_TRUE(SnapshotsBitIdentical(snap, back));
-}
-
+/// The deleted elastic deferral rung appended a pending-delta section to
+/// the blob of a user with buffered check-ins: a varint count, then per
+/// delta a zigzag timestamp delta, a zigzag next location and a pattern.
+/// The codec has no such section, so every blob that carries one is refused
+/// as trailing bytes — never decoded into a knowledge base with the deltas
+/// dropped — while the clean prefix still decodes.
 TEST(CompactStateTest, DecodeRejectsHostilePendingSections) {
-  OnlineAdapter::UserSnapshot snap = CanonicalSnapshot(5, 1, 1, 4, 53);
+  const OnlineAdapter::UserSnapshot snap = CanonicalSnapshot(5, 1, 1, 4, 53);
   std::string clean;
   OnlineAdapter::EncodeUser(snap, &clean);
   OnlineAdapter::UserSnapshot out;
+  ASSERT_TRUE(static_cast<bool>(OnlineAdapter::DecodeUser(clean, &out)));
+  EXPECT_TRUE(SnapshotsBitIdentical(snap, out));
 
-  // Explicit zero pending count: the encoder omits the empty section, so a
-  // zero can only be corruption (or trailing garbage).
+  std::string one_delta = clean;
+  common::AppendVarint(&one_delta, 1);
+  common::AppendZigzag(&one_delta, 900);
+  common::AppendZigzag(&one_delta, 2);
+  one_delta.push_back(1);  // q8 at the header dimension
+  common::AppendZigzag(&one_delta, -6);
+  one_delta.append(4, '\x10');
   std::string zero = clean;
   common::AppendVarint(&zero, 0);
-  const common::IoResult r0 = OnlineAdapter::DecodeUser(zero, &out);
-  ASSERT_FALSE(static_cast<bool>(r0));
-  EXPECT_NE(r0.error.find("pending"), std::string::npos) << r0.error;
-
-  // A pending count far beyond what the bytes could hold.
   std::string huge = clean;
   common::AppendVarint(&huge, 1ULL << 40);
-  const common::IoResult r1 = OnlineAdapter::DecodeUser(huge, &out);
-  ASSERT_FALSE(static_cast<bool>(r1));
-  EXPECT_NE(r1.error.find("pending count"), std::string::npos) << r1.error;
-
-  // A complete dirty blob survives neither truncation nor trailing bytes.
-  snap.pending.push_back(
-      OnlineAdapter::PendingDelta{Q8({1.0f, 2.0f, 3.0f, 4.0f}), 2, 900});
-  std::string dirty;
-  OnlineAdapter::EncodeUser(snap, &dirty);
-  // (cut == clean.size() is the valid pending-free blob, so start past it.)
-  for (size_t cut = clean.size() + 1; cut < dirty.size(); ++cut) {
-    const common::IoResult r =
-        OnlineAdapter::DecodeUser(std::string_view(dirty).substr(0, cut), &out);
-    EXPECT_FALSE(static_cast<bool>(r)) << "cut " << cut;
-  }
-  std::string padded = dirty + "x";
-  EXPECT_FALSE(static_cast<bool>(OnlineAdapter::DecodeUser(padded, &out)));
-  // Byte flips across the pending section: valid or structured error,
-  // never a crash (the sanitizer stages are the real assertion).
-  for (size_t i = clean.size(); i < dirty.size(); ++i) {
-    std::string flipped = dirty;
-    flipped[i] = static_cast<char>(flipped[i] ^ 0x5A);
-    (void)OnlineAdapter::DecodeUser(flipped, &out);
+  for (const std::string& blob : {one_delta, zero, huge}) {
+    const common::IoResult r = OnlineAdapter::DecodeUser(blob, &out);
+    ASSERT_FALSE(static_cast<bool>(r)) << blob.size();
+    EXPECT_NE(r.error.find("trailing bytes"), std::string::npos) << r.error;
   }
 }
 

@@ -159,10 +159,9 @@ TEST(OnlineAdapterTest, NonFinitePatternIsNotStored) {
   adapter.Observe(1, with_nan, 4, 2000);
   EXPECT_EQ(adapter.PatternCount(1), 1u);
   EXPECT_EQ(adapter.Watermark(1), 1000);  // as if core.kb.ingest had fired
-  // Deferred ingest buffers nothing either, and the watermark stands.
-  EXPECT_EQ(adapter.ObserveDeferred(1, {INFINITY, 0, 0, 0}, 4, 2000), 0u);
-  EXPECT_EQ(adapter.PendingCount(1), 0u);
-  EXPECT_EQ(adapter.DirtyUserCount(), 0u);
+  // An infinite element is dropped the same way.
+  adapter.Observe(1, {INFINITY, 0, 0, 0}, 4, 2000);
+  EXPECT_EQ(adapter.PatternCount(1), 1u);
   EXPECT_EQ(adapter.Watermark(1), 1000);
   // A finite re-send of the same check-in is ingested.
   adapter.Observe(1, {0, 1, 0, 0}, 4, 2000);
@@ -234,168 +233,10 @@ TEST(OnlineAdapterTest, OldPatternsAgeOut) {
   EXPECT_NEAR(scores[7], model.Scores(future)[7], 1e-4f);
 }
 
-/// The deferred-drain parity invariant (DESIGN.md §16): buffering a mixed
-/// observation sequence through ObserveDeferred and draining leaves the
-/// knowledge base bit-identical to inline Observe calls of the same
-/// sequence — including interleavings where some observations went inline.
-TEST(OnlineAdapterTest, DeferredDrainMatchesInlineBitIdentically) {
-  LightMob model(SmallConfig());
-  OnlineAdapter inline_run{PttaConfig{}};
-  OnlineAdapter deferred_run{PttaConfig{}};
-  const int64_t user = 2;  // must index into SmallConfig's user embedding
-  int64_t t = 1333238400;
-  for (int i = 0; i < 50; ++i) {
-    std::vector<float> pattern(8, 0.0f);
-    pattern[static_cast<size_t>(i % 8)] = 1.0f + static_cast<float>(i) * 0.25f;
-    const int64_t location = i % 7;
-    inline_run.Observe(user, pattern, location, t);
-    if (i % 3 == 0) {
-      // Interleaved inline observation: the deferred adapter must drain its
-      // backlog first or the arrival order would fork.
-      deferred_run.DrainPending(user);
-      deferred_run.Observe(user, pattern, location, t);
-    } else {
-      deferred_run.ObserveDeferred(user, std::move(pattern), location, t);
-    }
-    t += 3600;
-  }
-  EXPECT_GT(deferred_run.PendingCount(user), 0u);
-  EXPECT_EQ(deferred_run.DirtyUserCount(), 1u);
-  deferred_run.DrainPending(user);
-  EXPECT_EQ(deferred_run.PendingCount(user), 0u);
-  EXPECT_EQ(deferred_run.DirtyUserCount(), 0u);
-  EXPECT_EQ(StateBytes(deferred_run, user), StateBytes(inline_run, user));
-
-  // And the adapted predictions agree bit for bit.
-  data::Sample s = MakeSample(user, {2, 4, 6}, 1, t);
-  nn::Tensor reps = model.PrefixRepresentations(s);
-  const int64_t hidden = reps.cols();
-  std::vector<float> query(reps.data().end() - hidden, reps.data().end());
-  const std::vector<float> a =
-      inline_run.Predict(model, user, query, s.target.timestamp);
-  const std::vector<float> b =
-      deferred_run.Predict(model, user, query, s.target.timestamp);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << i;
-}
-
-/// Pending coalescing is exact: with > kMaxCandidatesPerLocation deltas
-/// buffered for one location, the oldest are dropped — which is provably
-/// what Observe's FIFO cap would have done on drain, so the post-drain
-/// state still matches the inline run of the *full* sequence.
-TEST(OnlineAdapterTest, PendingCoalescingDropsOnlyWhatTheFifoCapWould) {
-  OnlineAdapter inline_run{PttaConfig{}};
-  OnlineAdapter deferred_run{PttaConfig{}};
-  const int64_t user = 2;
-  size_t coalesced = 0;
-  for (int i = 0; i < 100; ++i) {
-    std::vector<float> pattern(4, static_cast<float>(i));
-    inline_run.Observe(user, pattern, 3, 1000 + i);
-    coalesced +=
-        deferred_run.ObserveDeferred(user, std::move(pattern), 3, 1000 + i);
-  }
-  // The buffer is bounded exactly like the knowledge base.
-  EXPECT_EQ(deferred_run.PendingCount(user), 32u);
-  EXPECT_EQ(coalesced, 100u - 32u);
-  EXPECT_EQ(deferred_run.DrainPending(user), 32u);
-  EXPECT_EQ(StateBytes(deferred_run, user), StateBytes(inline_run, user));
-  EXPECT_EQ(deferred_run.PatternCount(user), 32u);
-}
-
-/// The user wire codec carries pending deltas in a section of its own: a
-/// dirty user's bytes are its clean bytes plus that section, and a frame
-/// without it decodes as pending-free.
-TEST(OnlineAdapterTest, PendingSectionRoundTripsAndCleanUsersAreUnchanged) {
-  OnlineAdapter adapter{PttaConfig{}};
-  const int64_t user = 9;
-  adapter.Observe(user, {1, 2, 3, 4}, 5, 1000);
-  const std::string clean_bytes = StateBytes(adapter, user);
-
-  adapter.ObserveDeferred(user, {5, 6, 7, 8}, 2, 2000);
-  adapter.ObserveDeferred(user, {9, 10, 11, 12}, 5, 3000);
-  const OnlineAdapter::UserSnapshot snap = adapter.ExportUser(user);
-  ASSERT_EQ(snap.pending.size(), 2u);
-  std::string dirty_bytes;
-  OnlineAdapter::EncodeUser(snap, &dirty_bytes);
-  // The pending section is strictly appended: the clean prefix is intact.
-  ASSERT_GT(dirty_bytes.size(), clean_bytes.size());
-  EXPECT_EQ(dirty_bytes.compare(0, clean_bytes.size(), clean_bytes), 0);
-
-  OnlineAdapter::UserSnapshot back;
-  ASSERT_TRUE(static_cast<bool>(OnlineAdapter::DecodeUser(dirty_bytes, &back)));
-  ASSERT_EQ(back.pending.size(), 2u);
-  EXPECT_EQ(back.pending[0].pattern, snap.pending[0].pattern);
-  EXPECT_EQ(back.pending[0].next_location, 2);
-  EXPECT_EQ(back.pending[0].timestamp, 2000);
-  EXPECT_EQ(back.pending[1].next_location, 5);
-
-  // A clean user's bytes decode with an empty pending buffer, not an error.
-  OnlineAdapter::UserSnapshot old_format;
-  ASSERT_TRUE(
-      static_cast<bool>(OnlineAdapter::DecodeUser(clean_bytes, &old_format)));
-  EXPECT_TRUE(old_format.pending.empty());
-
-  // Adopt of the dirty snapshot round-trips through a fresh adapter: the
-  // user is dirty there too, and drains to the same final state.
-  OnlineAdapter fresh{PttaConfig{}};
-  OnlineAdapter::UserSnapshot copy = snap;
-  fresh.Adopt(std::move(copy));
-  EXPECT_EQ(fresh.PendingCount(user), 2u);
-  adapter.DrainPending(user);
-  fresh.DrainPending(user);
-  EXPECT_EQ(StateBytes(fresh, user), StateBytes(adapter, user));
-}
-
-/// A pending-only user (buffered observations, nothing drained yet) is real
-/// state: Adopt keeps it, and Forget clears both the buffer and the dirty
-/// mark.
-TEST(OnlineAdapterTest, PendingOnlyUsersSurviveAdoptAndForgetClearsDirty) {
-  OnlineAdapter::UserSnapshot snap;
-  snap.user = 6;
-  OnlineAdapter::PendingDelta delta;
-  delta.pattern = Q8({1, 2, 3});
-  delta.next_location = 4;
-  delta.timestamp = 500;
-  snap.pending.push_back(delta);
-
-  OnlineAdapter adapter{PttaConfig{}};
-  adapter.Adopt(std::move(snap));
-  EXPECT_EQ(adapter.UserCount(), 1u);
-  EXPECT_EQ(adapter.PendingCount(6), 1u);
-  EXPECT_EQ(adapter.PendingTotal(), 1u);
-  EXPECT_EQ(adapter.DirtyUsers(), std::vector<int64_t>{6});
-
-  adapter.Forget(6);
-  EXPECT_EQ(adapter.UserCount(), 0u);
-  EXPECT_EQ(adapter.PendingCount(6), 0u);
-  EXPECT_EQ(adapter.DirtyUserCount(), 0u);
-
-  // An adopted empty-pending + empty-locations snapshot stays absent.
-  OnlineAdapter::UserSnapshot empty;
-  empty.user = 6;
-  adapter.Adopt(std::move(empty));
-  EXPECT_EQ(adapter.UserCount(), 0u);
-}
-
-/// DrainSomePending walks dirty users in ascending order with an exact
-/// budget — the deterministic background-drain primitive.
-TEST(OnlineAdapterTest, DrainSomePendingHonoursBudgetInUserOrder) {
-  OnlineAdapter adapter{PttaConfig{}};
-  for (int64_t user : {30, 10, 20}) {
-    adapter.ObserveDeferred(user, {1, 2}, 1, 100);
-  }
-  EXPECT_EQ(adapter.DirtyUserCount(), 3u);
-  EXPECT_EQ(adapter.DrainSomePending(2), 2u);  // drains users 10 and 20
-  EXPECT_EQ(adapter.DirtyUsers(), std::vector<int64_t>{30});
-  EXPECT_EQ(adapter.DrainSomePending(0), 1u);  // 0 = the rest
-  EXPECT_EQ(adapter.DirtyUserCount(), 0u);
-  EXPECT_EQ(adapter.PendingTotal(), 0u);
-}
-
 // ---- ingest once (DESIGN.md §4.3) ---------------------------------------
 
-/// Newest label timestamp over a user's exported entries and pending deltas
-/// — the watermark's definition, recomputed from scratch.
+/// Newest label timestamp over a user's exported entries — the watermark's
+/// definition, recomputed from scratch.
 int64_t MaxLabel(const OnlineAdapter& adapter, int64_t user) {
   const OnlineAdapter::UserSnapshot snap = adapter.ExportUser(user);
   int64_t newest = OnlineAdapter::kNoWatermark;
@@ -403,9 +244,6 @@ int64_t MaxLabel(const OnlineAdapter& adapter, int64_t user) {
     for (const auto& entry : entries) {
       newest = std::max(newest, entry.timestamp);
     }
-  }
-  for (const auto& delta : snap.pending) {
-    newest = std::max(newest, delta.timestamp);
   }
   return newest;
 }
@@ -446,7 +284,7 @@ TEST(OnlineAdapterTest, WindowExtendedByOneCheckInAddsOneEntry) {
 /// Edge cases of the rule: a label equal to the watermark counts as seen
 /// (the NYC-like stream has 52 of 1,540,329 window transitions sharing a
 /// timestamp with the point before them), and a label older than the
-/// watermark is skipped, inline and deferred alike.
+/// watermark is skipped.
 TEST(OnlineAdapterTest, EqualOrOlderLabelThanTheWatermarkCountsAsSeen) {
   OnlineAdapter adapter{PttaConfig{}};
   EXPECT_EQ(adapter.Watermark(1), OnlineAdapter::kNoWatermark);
@@ -455,26 +293,19 @@ TEST(OnlineAdapterTest, EqualOrOlderLabelThanTheWatermarkCountsAsSeen) {
   const std::string bytes = StateBytes(adapter, 1);
   adapter.Observe(1, {0, 1, 0, 0}, 4, 1000);  // same timestamp, new place
   adapter.Observe(1, {0, 0, 1, 0}, 5, 999);   // older than the watermark
-  EXPECT_EQ(adapter.ObserveDeferred(1, {0, 0, 0, 1}, 6, 1000), 0u);
-  EXPECT_EQ(adapter.ObserveDeferred(1, {0, 0, 0, 1}, 6, 10), 0u);
-  EXPECT_EQ(adapter.PendingCount(1), 0u);
-  EXPECT_EQ(adapter.DirtyUserCount(), 0u);
   EXPECT_EQ(StateBytes(adapter, 1), bytes);
-  // Strictly later is new; a buffered delta advances the watermark too, so
-  // the same check-in sent inline afterwards is not stored twice.
-  EXPECT_EQ(adapter.ObserveDeferred(1, {0, 1, 0, 0}, 4, 1001), 0u);
+  // Strictly later is new, and advances the watermark, so the same
+  // check-in sent again is not stored twice.
+  adapter.Observe(1, {0, 1, 0, 0}, 4, 1001);
   EXPECT_EQ(adapter.Watermark(1), 1001);
   adapter.Observe(1, {0, 1, 0, 0}, 4, 1001);
-  EXPECT_EQ(adapter.PendingCount(1), 1u);
-  EXPECT_EQ(adapter.PatternCount(1), 1u);
-  adapter.DrainPending(1);
   EXPECT_EQ(adapter.PatternCount(1), 2u);
   EXPECT_EQ(adapter.Watermark(1), 1001);
 }
 
 /// core.kb.ingest is probed only for new transitions, and a transition the
-/// fault dropped — inline or at drain time — is ingested when it is sent
-/// again, because the watermark never advanced past it.
+/// fault dropped is ingested when it is sent again, because the watermark
+/// never advanced past it.
 TEST(OnlineAdapterTest, IngestFaultDropIsIngestedWhenSentAgain) {
   common::FaultRegistry& faults = common::FaultRegistry::Instance();
   faults.DisarmAll();
@@ -488,46 +319,35 @@ TEST(OnlineAdapterTest, IngestFaultDropIsIngestedWhenSentAgain) {
   EXPECT_EQ(faults.StatsFor("core.kb.ingest").evaluations, 1u);
   EXPECT_EQ(adapter.PatternCount(1), 1u);
   EXPECT_EQ(adapter.Watermark(1), 1000);
-
-  // Deferred: buffering never probes; the drain does, and drops both.
-  adapter.ObserveDeferred(1, {0, 1, 0, 0}, 4, 2000);
-  adapter.ObserveDeferred(1, {0, 0, 1, 0}, 5, 3000);
-  EXPECT_EQ(faults.StatsFor("core.kb.ingest").evaluations, 1u);
-  EXPECT_EQ(adapter.Watermark(1), 3000);
-  EXPECT_EQ(adapter.DrainPending(1), 2u);
-  EXPECT_EQ(faults.StatsFor("core.kb.ingest").evaluations, 3u);
-  EXPECT_EQ(adapter.PatternCount(1), 1u);
-  EXPECT_EQ(adapter.Watermark(1), 1000);  // rederived after the drops
   faults.DisarmAll();
 
   adapter.Observe(1, {0, 1, 0, 0}, 4, 2000);
-  adapter.ObserveDeferred(1, {0, 0, 1, 0}, 5, 3000);
-  adapter.DrainPending(1);
-  EXPECT_EQ(adapter.PatternCount(1), 3u);
-  EXPECT_EQ(adapter.Watermark(1), 3000);
+  EXPECT_EQ(adapter.PatternCount(1), 2u);
+  EXPECT_EQ(adapter.Watermark(1), 2000);
 }
 
 /// The watermark is derived state: after every step of a seeded mix of
-/// inline observes, deferrals, drains, export/adopt round trips and armed
-/// ingest faults it equals the newest label over entries and pending
-/// deltas. Few locations and a slow clock exercise the FIFO cap, exact
-/// coalescing, equal and older labels, and inline observations landing
-/// ahead of older pending deltas.
+/// observes, export/adopt round trips and armed ingest faults it equals the
+/// newest label over the entries. Few locations and a slow clock exercise
+/// the FIFO cap and equal and older labels.
 TEST(OnlineAdapterTest, WatermarkIsTheNewestLabelAfterEveryStep) {
   common::FaultRegistry& faults = common::FaultRegistry::Instance();
   faults.DisarmAll();
   faults.SetSeed(7);
   OnlineAdapter adapter{PttaConfig{}};
-  // The one interleaving in which the FIFO drops the newest label: an
-  // inline observation lands ahead of 32 older pending deltas for its
-  // location, and the drain overflows that location.
-  for (int64_t ts = 1; ts <= 32; ++ts) {
-    adapter.ObserveDeferred(9, {1, 0, 0, 0}, 2, ts);
+  // An adopted location whose oldest entry holds the newest label: the
+  // next observe there drops it, and the new label is the watermark.
+  OnlineAdapter::UserSnapshot snap;
+  snap.user = 9;
+  snap.locations.emplace_back(2, std::vector<OnlineAdapter::Entry>{});
+  for (int64_t ts = 32; ts >= 1; --ts) {
+    snap.locations.back().second.push_back({Q8({1, 0, 0, 0}), ts});
   }
-  adapter.Observe(9, {0, 1, 0, 0}, 2, 33);
-  adapter.DrainPending(9);
-  EXPECT_EQ(adapter.PatternCount(9), 32u);
+  adapter.Adopt(std::move(snap));
   EXPECT_EQ(adapter.Watermark(9), 32);
+  adapter.Observe(9, {0, 1, 0, 0}, 2, 33);
+  EXPECT_EQ(adapter.PatternCount(9), 32u);
+  EXPECT_EQ(adapter.Watermark(9), 33);
   EXPECT_EQ(adapter.Watermark(9), MaxLabel(adapter, 9));
   adapter.Reset();
   std::mt19937_64 rng(42);
@@ -538,24 +358,11 @@ TEST(OnlineAdapterTest, WatermarkIsTheNewestLabelAfterEveryStep) {
     const int64_t location = static_cast<int64_t>(rng() % 3);
     clock += static_cast<int64_t>(rng() % 3);  // 0 repeats the timestamp
     const int64_t timestamp = clock - static_cast<int64_t>(rng() % 2) * 5;
-    std::vector<float> pattern(4, static_cast<float>(step % 17));
-    switch (rng() % 8) {
-      case 0:
-      case 1:
-      case 2:
-        adapter.Observe(user, pattern, location, timestamp);
-        break;
-      case 3:
-      case 4:
-      case 5:
-        adapter.ObserveDeferred(user, std::move(pattern), location, timestamp);
-        break;
-      case 6:
-        adapter.DrainPending(user);
-        break;
-      default:
-        adapter.Adopt(adapter.ExportUser(user));
-        break;
+    const std::vector<float> pattern(4, static_cast<float>(step % 17));
+    if (rng() % 8 < 7) {
+      adapter.Observe(user, pattern, location, timestamp);
+    } else {
+      adapter.Adopt(adapter.ExportUser(user));
     }
     if (rng() % 50 == 0) {
       if (faults.IsArmed("core.kb.ingest")) {
@@ -574,74 +381,11 @@ TEST(OnlineAdapterTest, WatermarkIsTheNewestLabelAfterEveryStep) {
   EXPECT_GT(drops, 0u);  // the faults really fired
 }
 
-/// The elastic rung's cached rebuild is resident memory: ResidentBytes
-/// grows by exactly its jobs, the kept patterns' int8 and one exponent per
-/// kept pattern. A deferred predict from the cache collects exactly what the
-/// ranking collected.
-TEST(OnlineAdapterTest, RebuildCacheCountsInResidentBytes) {
-  OnlineAdapter adapter{PttaConfig{}};
-  const int64_t hidden = 4;
-  for (int i = 0; i < 12; ++i) {
-    adapter.Observe(1, {1, static_cast<float>(i), 0, 1}, i % 3, 1000 + i);
-  }
-  const std::vector<float> query = {1, 1, 0, 0};
-  common::AlignedBuffer<float> arena;
-  std::vector<OnlineAdapter::RebuildJob> jobs;
-  const size_t before = adapter.ResidentBytes(1);
-  adapter.CollectAndCacheRebuildJobs(1, query.data(), hidden, 2000, &arena,
-                                     &jobs);
-  ASSERT_EQ(jobs.size(), 3u);
-  ASSERT_TRUE(adapter.HasRebuildCache(1));
-  size_t kept = 0;
-  for (const auto& job : jobs) kept += static_cast<size_t>(job.keep);
-  EXPECT_EQ(adapter.ResidentBytes(1) - before,
-            jobs.size() * sizeof(OnlineAdapter::RebuildJob) +
-                kept * static_cast<size_t>(hidden) + kept * sizeof(int32_t));
-
-  common::AlignedBuffer<float> cached_arena;
-  std::vector<OnlineAdapter::RebuildJob> cached_jobs;
-  ASSERT_EQ(adapter.CollectCachedJobs(1, &cached_arena, &cached_jobs), 3u);
-  ASSERT_EQ(cached_arena.size(), arena.size());
-  for (size_t i = 0; i < arena.size(); ++i) {
-    EXPECT_EQ(cached_arena.data()[i], arena.data()[i]) << i;
-  }
-  for (size_t j = 0; j < jobs.size(); ++j) {
-    EXPECT_EQ(cached_jobs[j].location, jobs[j].location);
-    EXPECT_EQ(cached_jobs[j].keep, jobs[j].keep);
-    EXPECT_EQ(cached_jobs[j].arena_offset, jobs[j].arena_offset);
-  }
-}
-
-/// With a capacity of 0 every job keeps no pattern, so the cached rebuild
-/// holds jobs but no bytes; reusing it yields the same jobs over an empty
-/// arena.
-TEST(OnlineAdapterTest, ZeroCapacityRebuildCacheIsReusable) {
-  PttaConfig config;
-  config.capacity = 0;
-  OnlineAdapter adapter{config};
-  for (int i = 0; i < 6; ++i) {
-    adapter.Observe(1, {1, static_cast<float>(i), 0, 1}, i % 2, 1000 + i);
-  }
-  const std::vector<float> query = {1, 1, 0, 0};
-  common::AlignedBuffer<float> arena;
-  std::vector<OnlineAdapter::RebuildJob> jobs;
-  ASSERT_EQ(adapter.CollectAndCacheRebuildJobs(1, query.data(), 4, 2000,
-                                               &arena, &jobs),
-            2u);
-  ASSERT_TRUE(adapter.HasRebuildCache(1));
-  EXPECT_EQ(arena.size(), 0u);
-  common::AlignedBuffer<float> cached_arena;
-  std::vector<OnlineAdapter::RebuildJob> cached_jobs;
-  ASSERT_EQ(adapter.CollectCachedJobs(1, &cached_arena, &cached_jobs), 2u);
-  EXPECT_EQ(cached_arena.size(), 0u);
-  for (const auto& job : cached_jobs) EXPECT_EQ(job.keep, 0);
-}
-
 // ---- the flat slab against the nested layout it replaced -----------------
 
 /// The knowledge base in the nested layout the slab replaced — per user, a
 /// map from location to a deque of q8 entries — under the same ingest rule,
-/// 32-entry FIFO, watermark, coalescing and Adopt policy, ranking each
+/// 32-entry FIFO, watermark and Adopt policy, ranking each
 /// location's deque the way the old adapter did. Scoring reuses the
 /// adapter's static phase 2, which holds no knowledge-base state.
 class NestedReference {
@@ -652,23 +396,6 @@ class NestedReference {
                int64_t location, int64_t timestamp) {
     if (timestamp <= Watermark(user) || !Encodable(pattern)) return;
     Append(users_[user], location, {Q8(pattern), timestamp});
-  }
-  void ObserveDeferred(int64_t user, const std::vector<float>& pattern,
-                       int64_t location, int64_t timestamp) {
-    if (timestamp <= Watermark(user) || !Encodable(pattern)) return;
-    User& u = users_[user];
-    u.pending.push_back({Q8(pattern), location, timestamp});
-    u.watermark = timestamp;
-    Coalesce(&u.pending);
-  }
-  void Drain(int64_t user) {
-    auto it = users_.find(user);
-    if (it == users_.end()) return;
-    std::vector<OnlineAdapter::PendingDelta> pending;
-    pending.swap(it->second.pending);
-    for (auto& d : pending) {
-      Append(it->second, d.next_location, {d.pattern, d.timestamp});
-    }
   }
   void Forget(int64_t user) { users_.erase(user); }
   void Adopt(const OnlineAdapter::UserSnapshot& snap) {
@@ -681,13 +408,8 @@ class NestedReference {
       while (kept.size() > kCap) kept.pop_front();
       if (!kept.empty()) u.by_location[location] = kept;  // last one wins
     }
-    for (const auto& d : snap.pending) {
-      if (d.pattern.q.empty()) continue;
-      u.pending.push_back(d);
-      Coalesce(&u.pending);
-    }
     users_.erase(snap.user);
-    if (u.by_location.empty() && u.pending.empty()) return;
+    if (u.by_location.empty()) return;
     u.watermark = MaxLabel(u);
     users_[snap.user] = std::move(u);
   }
@@ -701,7 +423,6 @@ class NestedReference {
           location,
           std::vector<OnlineAdapter::Entry>(entries.begin(), entries.end()));
     }
-    snap.pending = it->second.pending;
     return snap;
   }
   std::vector<float> Predict(const AdaptableModel& model, int64_t user,
@@ -752,7 +473,6 @@ class NestedReference {
   using Locations = std::map<int64_t, std::deque<OnlineAdapter::Entry>>;
   struct User {
     Locations by_location;
-    std::vector<OnlineAdapter::PendingDelta> pending;
     int64_t watermark = OnlineAdapter::kNoWatermark;
   };
   static bool Encodable(const std::vector<float>& p) {
@@ -760,33 +480,15 @@ class NestedReference {
   }
   static void Append(User& u, int64_t location, OnlineAdapter::Entry entry) {
     auto& entries = u.by_location[location];
-    bool dropped_newest = false;
-    if (entries.size() >= kCap) {
-      dropped_newest = entries.front().timestamp >= u.watermark;
-      entries.pop_front();
-    }
+    if (entries.size() >= kCap) entries.pop_front();
     u.watermark = std::max(u.watermark, entry.timestamp);
     entries.push_back(std::move(entry));
-    if (dropped_newest) u.watermark = MaxLabel(u);
-  }
-  /// Drops the oldest pending delta for the newest delta's location once
-  /// more than kCap are buffered for it.
-  static void Coalesce(std::vector<OnlineAdapter::PendingDelta>* pending) {
-    const int64_t location = pending->back().next_location;
-    const auto same = [&](const auto& d) {
-      return d.next_location == location;
-    };
-    if (static_cast<size_t>(std::count_if(pending->begin(), pending->end(),
-                                          same)) > kCap) {
-      pending->erase(std::find_if(pending->begin(), pending->end(), same));
-    }
   }
   static int64_t MaxLabel(const User& u) {
     int64_t newest = OnlineAdapter::kNoWatermark;
     for (const auto& [location, entries] : u.by_location) {
       for (const auto& e : entries) newest = std::max(newest, e.timestamp);
     }
-    for (const auto& d : u.pending) newest = std::max(newest, d.timestamp);
     return newest;
   }
 
@@ -824,15 +526,9 @@ TEST(OnlineAdapterTest, SlabMatchesNestedReferenceUnderRandomOps) {
       clock += static_cast<int64_t>(rng() % 3);
       const int64_t timestamp = clock - (rng() % 4 == 0 ? 7 : 0);
       const uint64_t op = rng() % 1000;
-      if (op < 400) {
+      if (op < 840) {
         adapter.Observe(user, pattern, location, timestamp);
         reference.Observe(user, pattern, location, timestamp);
-      } else if (op < 700) {
-        adapter.ObserveDeferred(user, pattern, location, timestamp);
-        reference.ObserveDeferred(user, pattern, location, timestamp);
-      } else if (op < 840) {
-        adapter.DrainPending(user);
-        reference.Drain(user);
       } else if (op < 995) {
         OnlineAdapter::UserSnapshot snap = adapter.ExportUser(user);
         std::reverse(snap.locations.begin(), snap.locations.end());

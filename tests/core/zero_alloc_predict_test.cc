@@ -262,7 +262,7 @@ TEST_F(ZeroAllocPredictTest, WarmStoreRequestOnFullKeyAllocatesNothing) {
         serve::SessionStore::RepsView(
             rows.data() + j * static_cast<size_t>(hidden),
             static_cast<int64_t>(kWidth), hidden),
-        serve::AdaptExecMode::kInline, &scratch, nullptr, nullptr);
+        &scratch);
   };
   for (size_t j = 0; j < kWarm; ++j) {
     ASSERT_EQ(serve(j), serve::AdaptStatus::kAdapted);

@@ -14,20 +14,19 @@ namespace adamove::serve {
 /// A predict-only request through the batch API (N = 1): a one-point window
 /// carries no transition to ingest, so the call hydrates and touches `user`
 /// and scores `query` at `query_time` against the user's knowledge base.
-/// An inline call drains the user's pending deltas first (the lazy rebuild);
-/// pass AdaptExecMode::kDeferred to leave them buffered.
-inline std::vector<float> PredictOnly(
-    SessionStore& store, const core::AdaptableModel& model, int64_t user,
-    const std::vector<float>& query, int64_t query_time,
-    const BatchAdaptOptions& options = BatchAdaptOptions{}) {
+inline std::vector<float> PredictOnly(SessionStore& store,
+                                      const core::AdaptableModel& model,
+                                      int64_t user,
+                                      const std::vector<float>& query,
+                                      int64_t query_time) {
   data::Sample sample;
   sample.user = user;
   sample.recent.push_back({user, 0, query_time});
   sample.target = {user, 0, query_time};
   const SessionStore::RepsView reps(query.data(), 1,
                                     static_cast<int64_t>(query.size()));
-  std::vector<std::vector<float>> scores = store.BatchObserveAndPredictEncoded(
-      model, {{&sample, reps}}, options, nullptr, nullptr);
+  std::vector<std::vector<float>> scores =
+      store.BatchObserveAndPredictEncoded(model, {{&sample, reps}});
   return std::move(scores[0]);
 }
 

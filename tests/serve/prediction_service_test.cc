@@ -334,17 +334,74 @@ TEST(PredictionServiceTest, IgnoredBatchFieldsNeverHoldALoneRequest) {
   EXPECT_EQ(stats.batches, stats.completed);
 }
 
-/// The pressure gauge reads queueing against the request deadline, so an
-/// elastic service without one is a configuration error, rejected before
-/// any worker starts.
-TEST(PredictionServiceDeathTest, ElasticWithoutDeadlineAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+/// ServiceConfig::adapt is ignored. A one-worker service configured as the
+/// benchmark's `overload` workload is (elastic mode, a 25 ms deadline, a
+/// small queue) serves a full queue inline: its worker is held inside the
+/// first request's TrySubmit hook until the queue is full, then released.
+/// Every answer is kOk, never flagged stale, and bit-identical to one
+/// sequential OnlineAdapter fed the same windows, and every deferral counter
+/// the benchmark still reads stays 0.
+TEST(PredictionServiceTest, ElasticModeIsServedInline) {
   core::LightMob model(SmallConfig());
+  const std::vector<data::Sample> stream = MakeStream(2, 3);
+  constexpr size_t kQueue = 4;
+  ASSERT_EQ(stream.size(), kQueue + 2);
+  core::OnlineAdapter reference{core::PttaConfig{}};
+  std::vector<std::vector<float>> expected;
+  for (size_t i = 0; i <= kQueue; ++i) {
+    expected.push_back(reference.ObserveAndPredict(model, stream[i]));
+  }
+
   SessionStore store{SessionStoreConfig{}};
   ServiceConfig config;
+  config.workers = 1;
+  config.queue_capacity = kQueue;
+  config.deadline_us = 25000;
   config.adapt.mode = AdaptMode::kElastic;
-  EXPECT_DEATH({ PredictionService service(model, store, config); },
-               "deadline_us");
+  PredictionService service(model, store, config);
+  EXPECT_EQ(service.adapt_config().mode, AdaptMode::kElastic);
+
+  std::promise<void> entered;
+  std::future<void> worker_entered = entered.get_future();
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::vector<std::future<Prediction>> futures(kQueue + 1);
+  ASSERT_TRUE(service.TrySubmit(stream[0], &futures[0], [&] {
+    entered.set_value();
+    released.wait();
+  }));
+  worker_entered.wait();
+  for (size_t i = 1; i <= kQueue; ++i) {
+    ASSERT_TRUE(service.TrySubmit(stream[i], &futures[i])) << i;
+  }
+  std::future<Prediction> overflow;
+  EXPECT_FALSE(service.TrySubmit(stream[kQueue + 1], &overflow));  // full
+  release.set_value();
+
+  for (size_t i = 0; i <= kQueue; ++i) {
+    const Prediction p = futures[i].get();
+    const std::vector<float>& want = expected[i];
+    EXPECT_EQ(p.outcome, RequestOutcome::kOk) << "request " << i;
+    EXPECT_FALSE(p.stale_adapt) << "request " << i;
+    EXPECT_EQ(p.stale_depth, 0u) << "request " << i;
+    ASSERT_EQ(p.scores.size(), want.size());
+    EXPECT_EQ(std::memcmp(p.scores.data(), want.data(),
+                          want.size() * sizeof(float)),
+              0)
+        << "request " << i << " differs in its bits";
+  }
+  service.Shutdown();
+  const ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.completed, kQueue + 1);
+  EXPECT_EQ(stats.ok_requests(), kQueue + 1);
+  EXPECT_EQ(stats.shed_requests, 1u);
+  EXPECT_EQ(stats.deferred_ingests, 0u);
+  EXPECT_EQ(stats.coalesced_ingests, 0u);
+  EXPECT_EQ(stats.lazy_rebuilds, 0u);
+  EXPECT_EQ(stats.forced_inline_rebuilds, 0u);
+  EXPECT_EQ(stats.background_drains, 0u);
+  EXPECT_EQ(stats.adapt_mode_switches, 0u);
+  EXPECT_EQ(store.PendingDeltaCount(), 0u);
 }
 
 TEST(PredictionServiceTest, ShutdownDrainsOutstandingRequests) {

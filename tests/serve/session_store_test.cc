@@ -13,7 +13,6 @@
 
 #include "common/fault_injection.h"
 #include "core/lightmob.h"
-#include "serve/adapt_scheduler.h"
 #include "shard/compact_store.h"
 #include "tests/serve/predict_only.h"
 
@@ -289,224 +288,6 @@ TEST(SessionStoreTest, ConcurrentForgetRacesRestoreUnderCap) {
   std::remove(path.c_str());
 }
 
-/// Minimal in-memory cold tier: stores whatever snapshot it is handed —
-/// the fake that shows what the *store* hands a tier, next to the real
-/// shard::CompactStore that also has to pack it.
-class MapColdTier : public ColdTier {
- public:
-  bool Take(int64_t user, core::OnlineAdapter::UserSnapshot* out) override {
-    auto it = frames_.find(user);
-    if (it == frames_.end()) return false;
-    *out = std::move(it->second);
-    frames_.erase(it);
-    return true;
-  }
-  void Accept(core::OnlineAdapter::UserSnapshot&& snap) override {
-    frames_[snap.user] = std::move(snap);
-  }
-  void CopyUsers(
-      const std::function<bool(int64_t)>& wanted,
-      std::vector<core::OnlineAdapter::UserSnapshot>* out) const override {
-    for (const auto& [user, snap] : frames_) {
-      if (wanted(user)) out->push_back(snap);
-    }
-  }
-
- private:
-  std::unordered_map<int64_t, core::OnlineAdapter::UserSnapshot> frames_;
-};
-
-data::Sample WalkSample(int64_t user, std::initializer_list<int64_t> recent,
-                        int64_t target, int64_t t0) {
-  data::Sample s;
-  s.user = user;
-  int64_t t = t0;
-  for (int64_t l : recent) {
-    s.recent.push_back({user, l, t});
-    t += 3 * data::kSecondsPerHour;
-  }
-  s.target = {user, target, t};
-  return s;
-}
-
-/// Regression for the elastic scheduler (DESIGN.md §16): LRU-evicting a
-/// *dirty* user must dehydrate the pending deltas into the cold tier with
-/// the rest of the state — rehydrating and draining then yields exactly the
-/// state an inline run of the same observations produces. A cold tier that
-/// dropped the buffer would silently lose observations under overload. Run
-/// against the fake tier and the real compact one, which once erased a
-/// user whose only state was pending deltas.
-TEST(SessionStoreTest, DirtyUserEvictionDehydratesPendingDeltas) {
-  core::LightMob model(SmallConfig());
-  const data::Sample sample = WalkSample(1, {1, 2, 7, 2, 7}, 7, 1333238400);
-  const nn::Tensor reps = model.PrefixRepresentations(sample);
-
-  // Reference: the identical request served inline on a plain store.
-  SessionStoreConfig ref_config;
-  ref_config.num_shards = 1;
-  SessionStore reference(ref_config);
-  std::vector<AdaptStatus> ref_statuses;
-  (void)reference.BatchObserveAndPredictEncoded(
-      model, {{&sample, SessionStore::RepsView(reps)}}, &ref_statuses);
-  ASSERT_EQ(ref_statuses[0], AdaptStatus::kAdapted);
-  core::OnlineAdapter::UserSnapshot inline_state;
-  ASSERT_TRUE(reference.ExtractUser(1, &inline_state));
-  std::string inline_bytes;
-  core::OnlineAdapter::EncodeUser(inline_state, &inline_bytes);
-
-  MapColdTier map_tier;
-  shard::CompactStore compact_tier;
-  for (ColdTier* tier : std::initializer_list<ColdTier*>{&map_tier,
-                                                         &compact_tier}) {
-    SCOPED_TRACE(tier == &map_tier ? "MapColdTier" : "shard::CompactStore");
-    SessionStoreConfig config;
-    config.num_shards = 1;  // single stripe => user 2 evicts user 1
-    config.max_resident_users = 1;
-    config.cold_tier = tier;
-    SessionStore store(config);
-
-    // Serve the same request deferred: observations land in the pending
-    // buffer, the prediction is the (empty-cache => frozen) stale rung.
-    BatchAdaptOptions options;
-    options.mode = AdaptExecMode::kDeferred;
-    std::vector<AdaptStatus> statuses;
-    BatchAdaptStats adapt_stats;
-    (void)store.BatchObserveAndPredictEncoded(
-        model, {{&sample, SessionStore::RepsView(reps)}}, options, &statuses,
-        &adapt_stats);
-    ASSERT_EQ(statuses[0], AdaptStatus::kStaleAdapt);
-    EXPECT_GT(adapt_stats.deferred_ingests, 0u);
-    EXPECT_EQ(store.DirtyUserCount(), 1u);
-    const size_t pending_before = store.PendingDeltaCount();
-    ASSERT_GT(pending_before, 0u);
-    EXPECT_EQ(store.PatternCount(1), 0u);  // nothing ingested yet
-
-    // Evict the dirty user: its whole state, the pending buffer, moves cold.
-    store.Observe(2, Pattern(9), 3, 2000000000);
-    EXPECT_EQ(store.DehydrationCount(), 1u);
-    EXPECT_EQ(store.DirtyUserCount(), 0u);
-    EXPECT_EQ(store.PendingDeltaCount(), 0u);
-
-    // Rehydrate (a deferred predict touches the user without draining): the
-    // buffer comes back whole. Then drain: bit-identical to the inline run
-    // — eviction lost nothing, reordered nothing.
-    std::vector<float> query(reps.data().end() - reps.cols(),
-                             reps.data().end());
-    (void)PredictOnly(store, model, 1, query, sample.target.timestamp,
-                      options);
-    EXPECT_EQ(store.HydrationCount(), 1u);
-    EXPECT_EQ(store.DirtyUserCount(), 1u);
-    EXPECT_EQ(store.PendingDeltaCount(), pending_before);
-    EXPECT_EQ(store.DrainDirtyUsers(0), 1u);
-    EXPECT_EQ(store.DirtyUserCount(), 0u);
-
-    core::OnlineAdapter::UserSnapshot drained;
-    ASSERT_TRUE(store.ExtractUser(1, &drained));
-    std::string drained_bytes;
-    core::OnlineAdapter::EncodeUser(drained, &drained_bytes);
-    EXPECT_EQ(drained_bytes, inline_bytes);
-  }
-}
-
-/// The lazy-rebuild rung: an *inline* predict that finds pending deltas
-/// drains them first, so a single request self-heals the backlog and is
-/// served fresh — scores bit-identical to the never-deferred run.
-TEST(SessionStoreTest, InlinePredictLazilyDrainsPendingBacklog) {
-  core::LightMob model(SmallConfig());
-  const data::Sample first = WalkSample(3, {1, 2, 7, 2}, 7, 1333238400);
-  const data::Sample second =
-      WalkSample(3, {2, 7, 2, 7}, 7, first.target.timestamp);
-  const nn::Tensor first_reps = model.PrefixRepresentations(first);
-  const nn::Tensor second_reps = model.PrefixRepresentations(second);
-
-  // Reference: both requests inline.
-  SessionStore reference{SessionStoreConfig{}};
-  (void)reference.BatchObserveAndPredictEncoded(
-      model, {{&first, SessionStore::RepsView(first_reps)}});
-  const std::vector<std::vector<float>> want =
-      reference.BatchObserveAndPredictEncoded(
-          model, {{&second, SessionStore::RepsView(second_reps)}});
-
-  // Deferred first request, inline second: the second must lazy-drain.
-  SessionStore store{SessionStoreConfig{}};
-  BatchAdaptOptions deferred;
-  deferred.mode = AdaptExecMode::kDeferred;
-  std::vector<AdaptStatus> statuses;
-  (void)store.BatchObserveAndPredictEncoded(
-      model, {{&first, SessionStore::RepsView(first_reps)}}, deferred,
-      &statuses, nullptr);
-  ASSERT_EQ(statuses[0], AdaptStatus::kStaleAdapt);
-
-  BatchAdaptStats adapt_stats;
-  const std::vector<std::vector<float>> got =
-      store.BatchObserveAndPredictEncoded(
-          model, {{&second, SessionStore::RepsView(second_reps)}},
-          BatchAdaptOptions{}, &statuses, &adapt_stats);
-  ASSERT_EQ(statuses[0], AdaptStatus::kAdapted);
-  EXPECT_EQ(adapt_stats.lazy_rebuilds, 1u);
-  EXPECT_EQ(store.PendingDeltaCount(), 0u);
-  ASSERT_EQ(got[0].size(), want[0].size());
-  for (size_t i = 0; i < got[0].size(); ++i) {
-    ASSERT_EQ(got[0][i], want[0][i]) << "score " << i;
-  }
-}
-
-/// Bounded staleness by construction: a deferred request that finds
-/// kMaxStaleDepth pending deltas is forced inline (drain + fresh rebuild),
-/// so no prediction is served deeper than kMaxStaleDepth - 1 buffered
-/// deltas plus its own transitions.
-TEST(SessionStoreTest, MaxStaleDepthForcesInlineRebuilds) {
-  core::LightMob model(SmallConfig());
-  SessionStore store{SessionStoreConfig{}};
-  BatchAdaptOptions deferred;
-  deferred.mode = AdaptExecMode::kDeferred;
-
-  // One user whose every request brings 6 fresh points: each request
-  // buffers 5 new transitions (an overlapping window would only repeat
-  // transitions the key already holds, which the ingest rule skips), spread
-  // over all 10 locations (so nothing coalesces before the bound), and ~52
-  // requests reach kMaxStaleDepth.
-  constexpr size_t kMaxTransitions = 5;
-  constexpr uint32_t kDepthBound = kMaxStaleDepth - 1 + kMaxTransitions;
-  int64_t t = 1333238400;
-  int64_t point = 0;
-  uint64_t forced = 0;
-  uint64_t stale = 0;
-  uint32_t max_depth = 0;
-  for (int s = 0; s < 80; ++s) {
-    std::vector<data::Point> window;
-    for (size_t i = 0; i <= kMaxTransitions; ++i, ++point) {
-      window.push_back({7, point % 10, t});
-      t += 3 * data::kSecondsPerHour;
-    }
-    data::Sample sample;
-    sample.user = 7;
-    sample.recent = window;
-    sample.target = {7, point % 10, t};
-    const nn::Tensor reps = model.PrefixRepresentations(sample);
-    std::vector<AdaptStatus> statuses;
-    BatchAdaptStats adapt_stats;
-    (void)store.BatchObserveAndPredictEncoded(
-        model, {{&sample, SessionStore::RepsView(reps)}}, deferred,
-        &statuses, &adapt_stats);
-    if (statuses[0] == AdaptStatus::kStaleAdapt) {
-      ++stale;
-      max_depth = std::max(max_depth, adapt_stats.stale_depth[0]);
-    } else {
-      // Forced inline: the backlog drained and this request ingested.
-      ASSERT_EQ(statuses[0], AdaptStatus::kAdapted) << "request " << s;
-      EXPECT_EQ(adapt_stats.forced_inline, 1u);
-      EXPECT_EQ(store.PendingDeltaCount(), 0u);
-      ++forced;
-    }
-    EXPECT_LE(store.PendingDeltaCount(), kDepthBound) << "request " << s;
-  }
-  EXPECT_GT(forced, 0u);
-  EXPECT_GT(stale, 0u);
-  EXPECT_LE(max_depth, kDepthBound);
-  EXPECT_GE(max_depth, kMaxStaleDepth);  // the bound was reached, not idle
-}
-
 // ---- ingest once (DESIGN.md §4.3) ---------------------------------------
 
 /// `count` requests of one key whose `width`-point windows slide over one
@@ -542,14 +323,6 @@ std::vector<float> ServeOne(SessionStore& store, core::LightMob& model,
       nullptr);
   *status = statuses[0];
   return std::move(scores[0]);
-}
-
-std::string ExtractedBytes(SessionStore& store, int64_t user) {
-  core::OnlineAdapter::UserSnapshot snap;
-  EXPECT_TRUE(store.ExtractUser(user, &snap));
-  std::string bytes;
-  core::OnlineAdapter::EncodeUser(snap, &bytes);
-  return bytes;
 }
 
 /// N overlapping windows of one key store each distinct transition once:
@@ -622,38 +395,6 @@ TEST(SessionStoreTest, FaultedOrForgottenKeysIngestTheirNextWindow) {
   ASSERT_EQ(capped.PatternCount(2), 0u);
   (void)ServeOne(capped, model, windows[1], BatchAdaptOptions{}, &status);
   EXPECT_EQ(capped.PatternCount(2), windows[1].recent.size() - 1);
-}
-
-/// Deferring overlapping windows buffers only their new transitions, and
-/// draining them (lazily, at an inline request, or in the background)
-/// leaves state bit-identical to serving every window inline.
-TEST(SessionStoreTest, DeferredOverlappingWindowsDrainToTheInlineState) {
-  core::LightMob model(SmallConfig());
-  const std::vector<data::Sample> windows =
-      SlidingWindows(6, 40, 8, 1333238400);
-  SessionStore inline_store{SessionStoreConfig{}};
-  SessionStore deferred_store{SessionStoreConfig{}};
-  BatchAdaptOptions deferred;
-  deferred.mode = AdaptExecMode::kDeferred;
-  AdaptStatus status;
-  for (size_t j = 0; j < windows.size(); ++j) {
-    (void)ServeOne(inline_store, model, windows[j], BatchAdaptOptions{},
-                   &status);
-    const bool lazy_drain = j % 7 == 6;  // an inline request drains first
-    const size_t pending = deferred_store.PendingDeltaCount();
-    (void)ServeOne(deferred_store, model, windows[j],
-                   lazy_drain ? BatchAdaptOptions{} : deferred, &status);
-    ASSERT_EQ(status,
-              lazy_drain ? AdaptStatus::kAdapted : AdaptStatus::kStaleAdapt);
-    if (!lazy_drain && j > 0) {
-      // One new check-in per slid window: exactly one delta is buffered.
-      EXPECT_EQ(deferred_store.PendingDeltaCount(), pending + 1) << j;
-    }
-  }
-  EXPECT_GT(deferred_store.PendingDeltaCount(), 0u);
-  EXPECT_EQ(deferred_store.DrainDirtyUsers(0), 1u);
-  EXPECT_EQ(deferred_store.PatternCount(6), inline_store.PatternCount(6));
-  EXPECT_EQ(ExtractedBytes(deferred_store, 6), ExtractedBytes(inline_store, 6));
 }
 
 /// A capped store with a compact cold tier answers overlapping windows

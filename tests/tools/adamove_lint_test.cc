@@ -443,6 +443,45 @@ TEST_F(CrossRegistryTest, CheckExpressionWithoutCiTwinIsReported) {
             std::string::npos);
 }
 
+TEST_F(CrossRegistryTest, DocumentedFaultPointNothingProbesIsReported) {
+  // Clean except the docs: fault_injection.h's catalogue and DESIGN.md
+  // §9's table each list a point that no FaultPoint under src/ probes (a
+  // deleted probe left in the docs). Rows outside the catalogue block and
+  // outside §9 are not read as documentation.
+  WriteFile("tests/svc_test.cc", "Arm(\"serve.widget_frob\", 1.0);\n");
+  WriteFile("README.md", "set ADAMOVE_WIDGETS to tune widget count\n");
+  WriteStages("ctest -L 'alpha|beta'\n");
+  fs::create_directories(root_ / "src" / "common");
+  WriteFile("src/common/fault_injection.h",
+            "///   serve.before_block  not the catalogue\n"
+            "/// Catalogue of instrumented points (see DESIGN.md §9):\n"
+            "///   serve.widget_frob   widget frobbed\n"
+            "///   serve.gone_probe    dropped, with a\n"
+            "///                       continuation line\n"
+            "class FaultRegistry;\n"
+            "///   serve.after_block   not the catalogue\n");
+  WriteFile("DESIGN.md",
+            "## 8. Before\n"
+            "| `serve.early_row` | x | y |\n"
+            "## 9. Faults\n"
+            "| point | site | effect |\n"
+            "|---|---|---|\n"
+            "| `serve.widget_frob` | svc.cc | frob |\n"
+            "| `serve.ghost_row` | gone | nothing |\n"
+            "## 10. After\n"
+            "| `serve.late_row` | x | y |\n");
+  const std::vector<Diagnostic> diags = CrossRegistryLints(root_);
+  ASSERT_EQ(diags.size(), 2u);
+  EXPECT_EQ(diags[0].rule, "fault-point-docs");
+  EXPECT_EQ(diags[0].file, "src/common/fault_injection.h");
+  EXPECT_EQ(diags[0].line, 4);
+  EXPECT_NE(diags[0].message.find("serve.gone_probe"), std::string::npos);
+  EXPECT_EQ(diags[1].rule, "fault-point-docs");
+  EXPECT_EQ(diags[1].file, "DESIGN.md");
+  EXPECT_EQ(diags[1].line, 7);
+  EXPECT_NE(diags[1].message.find("serve.ghost_row"), std::string::npos);
+}
+
 TEST_F(CrossRegistryTest, FaultPointInCommentIsNotADeclaration) {
   WriteFile("src/serve/svc.cc",
             "// e.g. FaultPoint(\"serve.doc_example\") arms a point\n");

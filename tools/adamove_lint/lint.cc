@@ -406,6 +406,32 @@ std::vector<Decl> LabelExpressions(const fs::path& root,
   return exprs;
 }
 
+/// The names a documentation block lists: in `file`, from the line after
+/// the first one matching `begin` up to the next one matching `end`, the
+/// first capture of `row` on each line that matches it.
+std::vector<Decl> ListedNames(const fs::path& root, const std::string& file,
+                              const std::regex& begin, const std::regex& end,
+                              const std::regex& row) {
+  std::vector<Decl> names;
+  std::istringstream stream(ReadFile(root / file));
+  std::string line;
+  int lineno = 0;
+  bool inside = false;
+  while (std::getline(stream, line)) {
+    ++lineno;
+    if (!inside) {
+      inside = std::regex_search(line, begin);
+      continue;
+    }
+    if (std::regex_search(line, end)) break;
+    std::smatch m;
+    if (std::regex_search(line, m, row)) {
+      names.push_back({file, lineno, m[1].str()});
+    }
+  }
+  return names;
+}
+
 std::string ReadTreeText(const fs::path& dir) {
   std::string all;
   if (!fs::exists(dir)) return all;
@@ -439,6 +465,25 @@ std::vector<Diagnostic> CrossRegistryLints(const fs::path& root) {
       out.push_back({decl.file, decl.line, "fault-point-coverage",
                      "fault point \"" + name +
                          "\" is not exercised by any test under tests/"});
+    }
+  }
+  // ...and back: every point that fault_injection.h's catalogue or the
+  // fault table of DESIGN.md §9 lists must be probed under src/, so a
+  // deleted probe cannot live on in the docs.
+  for (const std::vector<Decl>& listed :
+       {ListedNames(root, "src/common/fault_injection.h",
+                    std::regex("Catalogue of instrumented points"),
+                    std::regex("^(?!///)"),
+                    std::regex("^///   ([a-z0-9_]+\\.[a-z0-9_.]+) ")),
+        ListedNames(root, "DESIGN.md", std::regex("^## 9\\."),
+                    std::regex("^## "),
+                    std::regex("^\\| `([a-z0-9_]+\\.[a-z0-9_.]+)` \\|"))}) {
+    for (const Decl& doc : listed) {
+      if (fault_points.count(doc.name) != 0) continue;
+      out.push_back({doc.file, doc.line, "fault-point-docs",
+                     "fault point \"" + doc.name +
+                         "\" is documented here but no FaultPoint under "
+                         "src/ probes it"});
     }
   }
 
